@@ -13,14 +13,12 @@ prompt's own tokens), and embedder. All speak JSON over HTTP POST:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import requests
 
 UNHEALTHY_AFTER_FAILURES = 3
-LATENCY_EWMA_ALPHA = 0.3
 
 
 class EndpointRole(str, Enum):
@@ -55,7 +53,7 @@ class EndpointUnavailableError(TransportError):
 
 @dataclass
 class EndpointDescriptor:
-    """One registered endpoint with health and latency bookkeeping.
+    """One registered endpoint with health bookkeeping.
 
     Mutable state is guarded by a lock so concurrent dispatchers can share
     a descriptor safely.
@@ -64,20 +62,12 @@ class EndpointDescriptor:
     url: str
     role: EndpointRole
     healthy: bool = True
-    latency_ewma_ms: float = 0.0
     consecutive_failures: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record_success(self, latency_ms: float) -> None:
+    def record_success(self) -> None:
         with self._lock:
             self.consecutive_failures = 0
-            if self.latency_ewma_ms == 0.0:
-                self.latency_ewma_ms = latency_ms
-            else:
-                self.latency_ewma_ms = (
-                    LATENCY_EWMA_ALPHA * latency_ms
-                    + (1 - LATENCY_EWMA_ALPHA) * self.latency_ewma_ms
-                )
 
     def record_failure(self) -> None:
         with self._lock:
@@ -89,13 +79,12 @@ class EndpointDescriptor:
 def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> dict:
     """POST a JSON payload to an endpoint and return the decoded response.
 
-    Honors the timeout, tracks latency, and marks the endpoint unhealthy
+    Honors the timeout and marks the endpoint unhealthy
     after three consecutive failures; an unhealthy endpoint is skipped with
     a routing error rather than contacted.
     """
     if not endpoint.healthy:
         raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
-    started = time.perf_counter()
     try:
         resp = requests.post(endpoint.url, json=payload, timeout=timeout_ms / 1000.0)
     except requests.Timeout:
@@ -104,7 +93,6 @@ def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> di
     except requests.ConnectionError as exc:
         endpoint.record_failure()
         raise EndpointConnectionError(endpoint.url, f"connection failed: {exc}")
-    latency_ms = (time.perf_counter() - started) * 1000.0
 
     if resp.status_code != 200:
         endpoint.record_failure()
@@ -120,7 +108,7 @@ def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> di
         endpoint.record_failure()
         raise MalformedResponseError(endpoint.url, "response JSON is not an object")
 
-    endpoint.record_success(latency_ms)
+    endpoint.record_success()
     return body
 
 

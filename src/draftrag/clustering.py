@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -248,6 +249,22 @@ def _build(index: int, members: list[str], clusters: ClusterSet) -> DocumentSubs
     return DocumentSubset(index, ids, sources)
 
 
+def _distinct_draws(draw: Callable[[], list[str]], m: int) -> list[list[str]]:
+    """Rejection-sample up to ``m`` draws with pairwise-distinct member sets,
+    giving up after ``SAMPLING_ATTEMPT_FACTOR * m`` draws."""
+    chosen: list[list[str]] = []
+    seen: set[frozenset[str]] = set()
+    for _ in range(SAMPLING_ATTEMPT_FACTOR * m):
+        pick = draw()
+        key = frozenset(pick)
+        if key not in seen:
+            seen.add(key)
+            chosen.append(pick)
+            if len(chosen) == m:
+                break
+    return chosen
+
+
 def _multi_perspective(
     clusters: ClusterSet, m: int, rng: np.random.Generator
 ) -> tuple[list[list[str]], int]:
@@ -255,62 +272,26 @@ def _multi_perspective(
     universe = math.prod(len(g) for g in groups)
     if universe <= m:
         return [list(combo) for combo in itertools.product(*groups)], universe
-    chosen: list[list[str]] = []
-    seen: set[frozenset[str]] = set()
-    for _ in range(SAMPLING_ATTEMPT_FACTOR * m):
-        pick = [g[int(rng.integers(len(g)))] for g in groups]
-        key = frozenset(pick)
-        if key not in seen:
-            seen.add(key)
-            chosen.append(pick)
-            if len(chosen) == m:
-                break
-    return chosen, universe
+
+    def draw() -> list[str]:
+        return [g[int(rng.integers(len(g)))] for g in groups]
+
+    return _distinct_draws(draw, m), universe
 
 
-def _random_no_cluster(
-    clusters: ClusterSet, m: int, size: int, rng: np.random.Generator
+def _combinations(
+    pool: list[str], size: int, m: int, rng: np.random.Generator
 ) -> tuple[list[list[str]], int]:
-    pool = list(clusters.doc_order)
+    """Up to ``m`` distinct ``size``-member subsets of ``pool``, in pool order."""
     universe = math.comb(len(pool), size)
     if universe <= m:
         return [list(c) for c in itertools.combinations(pool, size)], universe
-    chosen: list[list[str]] = []
-    seen: set[frozenset[str]] = set()
-    for _ in range(SAMPLING_ATTEMPT_FACTOR * m):
-        pick = list(rng.choice(len(pool), size=size, replace=False))
-        members = [pool[i] for i in sorted(pick)]
-        key = frozenset(members)
-        if key not in seen:
-            seen.add(key)
-            chosen.append(members)
-            if len(chosen) == m:
-                break
-    return chosen, universe
 
+    def draw() -> list[str]:
+        pick = rng.choice(len(pool), size=size, replace=False)
+        return [pool[i] for i in sorted(pick)]
 
-def _same_cluster(
-    clusters: ClusterSet, m: int, size: int, rng: np.random.Generator
-) -> tuple[list[list[str]], int]:
-    indices = clusters.nonempty_indices()
-    cluster_index = indices[int(rng.integers(len(indices)))]
-    pool = clusters.members(cluster_index)
-    size = min(size, len(pool))
-    universe = math.comb(len(pool), size)
-    if universe <= m:
-        return [list(c) for c in itertools.combinations(pool, size)], universe
-    chosen: list[list[str]] = []
-    seen: set[frozenset[str]] = set()
-    for _ in range(SAMPLING_ATTEMPT_FACTOR * m):
-        pick = list(rng.choice(len(pool), size=size, replace=False))
-        members = [pool[i] for i in sorted(pick)]
-        key = frozenset(members)
-        if key not in seen:
-            seen.add(key)
-            chosen.append(members)
-            if len(chosen) == m:
-                break
-    return chosen, universe
+    return _distinct_draws(draw, m), universe
 
 
 def sample_subsets(
@@ -334,9 +315,11 @@ def sample_subsets(
     if mode is SamplingMode.MULTI_PERSPECTIVE:
         raw, universe = _multi_perspective(clusters, m, rng)
     elif mode is SamplingMode.RANDOM_NO_CLUSTER:
-        raw, universe = _random_no_cluster(clusters, m, size, rng)
+        raw, universe = _combinations(list(clusters.doc_order), size, m, rng)
     elif mode is SamplingMode.SAME_CLUSTER:
-        raw, universe = _same_cluster(clusters, m, size, rng)
+        indices = clusters.nonempty_indices()
+        pool = clusters.members(indices[int(rng.integers(len(indices)))])
+        raw, universe = _combinations(pool, min(size, len(pool)), m, rng)
     else:
         raise ValueError(f"unknown sampling mode: {mode}")
 

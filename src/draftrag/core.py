@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -209,14 +209,7 @@ class StageTimings:
     total_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "embed_ms": self.embed_ms,
-            "cluster_ms": self.cluster_ms,
-            "sample_ms": self.sample_ms,
-            "draft_ms": self.draft_ms,
-            "verify_ms": self.verify_ms,
-            "total_ms": self.total_ms,
-        }
+        return asdict(self)
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

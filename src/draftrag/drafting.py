@@ -235,6 +235,31 @@ def parse_token_payload(raw_tokens: object, url: str) -> tuple[TokenLogprob, ...
     return tuple(out)
 
 
+def draft_candidate(
+    subset: DocumentSubset,
+    text: str,
+    tokens: tuple[TokenLogprob, ...],
+    normalize: bool,
+) -> DraftCandidate:
+    """Parse a drafter completion for ``subset`` and score its ``rho_draft``.
+
+    Raises ``DraftParseError`` when a marker is missing.
+    """
+    parsed = parse_draft(text)
+    candidate = DraftCandidate(
+        subset_index=subset.subset_index,
+        subset_doc_ids=subset.member_doc_ids,
+        raw_completion=text,
+        rationale=parsed.rationale,
+        answer=parsed.answer,
+        rationale_span=parsed.rationale_span,
+        answer_span=parsed.answer_span,
+        completion_tokens=tokens,
+        rho_draft_log=0.0,
+    )
+    return replace(candidate, rho_draft_log=compute_rho_draft(candidate, normalize))
+
+
 def _request_draft(
     query: Query,
     subset: DocumentSubset,
@@ -259,19 +284,7 @@ def _request_draft(
     if not isinstance(text, str):
         raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
     tokens = parse_token_payload(body.get("tokens"), endpoint.url)
-    parsed = parse_draft(text)
-    candidate = DraftCandidate(
-        subset_index=subset.subset_index,
-        subset_doc_ids=subset.member_doc_ids,
-        raw_completion=text,
-        rationale=parsed.rationale,
-        answer=parsed.answer,
-        rationale_span=parsed.rationale_span,
-        answer_span=parsed.answer_span,
-        completion_tokens=tokens,
-        rho_draft_log=0.0,
-    )
-    return replace(candidate, rho_draft_log=compute_rho_draft(candidate, normalize))
+    return draft_candidate(subset, text, tokens, normalize)
 
 
 def generate_drafts(

@@ -17,14 +17,21 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .backend import EndpointDescriptor, EndpointRole, TransportError, dispatch
-from .clustering import embed_documents, kmeans_cluster, sample_subsets
+from .clustering import (
+    EmbeddingVector,
+    SubsetPlan,
+    embed_documents,
+    kmeans_cluster,
+    sample_subsets,
+)
 from .core import (
     DataError,
     Document,
@@ -37,13 +44,7 @@ from .core import (
     TaskKind,
     derive_rng,
 )
-from .drafting import (
-    DraftBatch,
-    evidence_block,
-    generate_drafts,
-    instruction_text,
-    parse_token_payload,
-)
+from .drafting import DraftBatch, generate_drafts, instruction_text, parse_token_payload
 from .verification import (
     ReflectionStatement,
     select_best,
@@ -82,18 +83,8 @@ class PipelineResult:
     timings: StageTimings
     notices: list[str] = field(default_factory=list)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "query_id": self.query_id,
-            "mode": self.mode,
-            "final_answer": self.final_answer,
-            "winning_subset_index": self.winning_subset_index,
-            "candidates": self.candidates,
-            "notices": self.notices,
-        }
-        if include_timings:
-            out["timings"] = self.timings.to_dict()
-        return out
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -111,17 +102,7 @@ class EvalSummary:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "accuracy": self.accuracy,
-            "evaluated": self.evaluated,
-            "correct": self.correct,
-            "failures": self.failures,
-            "per_record": self.per_record,
-            "latency": self.latency,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -170,10 +151,11 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
     if kind is TaskKind.CLOSED_SET_CHOICE:
         if not choices_raw:
             raise fail("closed_set_choice record requires choices")
-        try:
-            choices = tuple((str(lbl), str(txt)) for lbl, txt in choices_raw)
-        except (TypeError, ValueError):
-            raise fail("choices must be (label, text) pairs")
+        if not isinstance(choices_raw, list) or not all(
+            isinstance(c, list) and len(c) == 2 for c in choices_raw
+        ):
+            raise fail("choices must be [label, text] pairs")
+        choices = tuple((str(lbl), str(txt)) for lbl, txt in choices_raw)
     elif choices_raw:
         raise fail("choices are only allowed for closed_set_choice records")
     else:
@@ -267,70 +249,126 @@ def write_dataset(records: Sequence[DatasetRecord], path: str | Path) -> None:
 # Pipeline
 
 
-class _StageClock:
-    def __init__(self):
-        self.timings = StageTimings()
-        self._t0 = time.perf_counter()
-
-    def stage(self, name: str):
-        return _StageTimer(self.timings, name)
-
-    def finish(self) -> StageTimings:
-        self.timings.total_ms = (time.perf_counter() - self._t0) * 1000.0
-        return self.timings
+_STAGES = tuple(f.name for f in fields(StageTimings))
 
 
-class _StageTimer:
-    def __init__(self, timings: StageTimings, name: str):
-        self._timings = timings
-        self._name = name
+@contextmanager
+def _stage(timings: StageTimings, name: str):
+    """Time one stage into ``timings``; its errors become ``PipelineError``s.
 
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
+    Only ``Exception``s are wrapped, so an interrupt still reaches the caller.
+    """
+    start = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"{name} stage failed: {exc}") from exc
+    finally:
+        setattr(timings, f"{name}_ms", (time.perf_counter() - start) * 1000.0)
 
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = (time.perf_counter() - self._start) * 1000.0
-        setattr(self._timings, f"{self._name}_ms", elapsed)
-        if exc is not None and not isinstance(exc, PipelineError):
-            raise PipelineError(f"{self._name} stage failed: {exc}") from exc
-        return False
+
+def prepare_record(
+    record: DatasetRecord, cfg: PipelineConfig
+) -> tuple[Query, list[Document], list[str]]:
+    """The gold-scrubbed query, its top-n documents and any short-retrieval
+    notice; both pipeline modes and the fixture generator start here."""
+    query = record.query.scrubbed()
+    notices: list[str] = []
+    docs = list(record.documents[: cfg.top_n])
+    if len(record.documents) < cfg.top_n:
+        notices.append(
+            f"short retrieval: {len(record.documents)} documents < top_n {cfg.top_n}"
+        )
+    if not docs:
+        raise PipelineError(f"record {query.id} has no documents")
+    return query, docs, notices
+
+
+def plan_subsets(
+    query: Query,
+    docs: list[Document],
+    vectors: list[EmbeddingVector],
+    cfg: PipelineConfig,
+    timings: StageTimings,
+) -> SubsetPlan:
+    """Cluster the embedded documents and sample the draft subsets.
+
+    k is clamped to the document count (with a notice); clustering and
+    sampling draw from the ``"kmeans"`` and ``"sampling"`` substreams of the
+    query, and their wall times go to ``timings``. The rigged-fixture
+    generator plans through this same function, so its scripted prompts
+    match the ones the pipeline sends.
+    """
+    notices: list[str] = []
+    k = cfg.num_clusters
+    if k > len(docs):
+        notices.append(f"num_clusters clamped from {k} to {len(docs)}")
+        k = len(docs)
+    with _stage(timings, "cluster"):
+        clusters = kmeans_cluster(
+            [d.id for d in docs],
+            vectors,
+            k,
+            derive_rng(cfg.rng_seed, "kmeans", query.id),
+        )
+    with _stage(timings, "sample"):
+        plan = sample_subsets(
+            clusters,
+            cfg.num_drafts,
+            cfg.sampling_mode,
+            derive_rng(cfg.rng_seed, "sampling", query.id),
+        )
+    return replace(plan, notices=notices + plan.notices)
+
+
+_ROW_FIELDS = (
+    "member_doc_ids",
+    "answer",
+    "rationale",
+    "rho_draft_log",
+    "rho_sc_log",
+    "rho_sr_log",
+    "rho_final_log",
+    "drop_reason",
+)
+
+
+def _candidate_row(subset_index: int, **known) -> dict:
+    """One results-file candidate row; fields not given are null."""
+    return {
+        **dict.fromkeys(_ROW_FIELDS),
+        "subset_index": subset_index,
+        "dropped": False,
+        **known,
+    }
 
 
 def _candidate_rows(batch: DraftBatch, verifications) -> list[dict]:
     by_index = {v.subset_index: v for v in (verifications or [])}
-    rows = []
+    rows = [
+        _candidate_row(d.subset_index, dropped=True, drop_reason=d.reason)
+        for d in batch.dropped
+    ]
     for c in batch.candidates:
+        row = _candidate_row(
+            c.subset_index,
+            member_doc_ids=list(c.subset_doc_ids),
+            answer=c.answer,
+            rationale=c.rationale,
+            rho_draft_log=c.rho_draft_log,
+        )
         v = by_index.get(c.subset_index)
-        rows.append(
-            {
-                "subset_index": c.subset_index,
-                "member_doc_ids": list(c.subset_doc_ids),
-                "answer": c.answer,
-                "rationale": c.rationale,
-                "rho_draft_log": c.rho_draft_log,
-                "rho_sc_log": v.rho_sc_log if v and not v.dropped else None,
-                "rho_sr_log": v.rho_sr_log if v and not v.dropped else None,
-                "rho_final_log": v.rho_final_log if v and not v.dropped else None,
-                "dropped": bool(v.dropped) if v else False,
-                "drop_reason": v.drop_reason if v else None,
-            }
-        )
-    for d in batch.dropped:
-        rows.append(
-            {
-                "subset_index": d.subset_index,
-                "member_doc_ids": None,
-                "answer": None,
-                "rationale": None,
-                "rho_draft_log": None,
-                "rho_sc_log": None,
-                "rho_sr_log": None,
-                "rho_final_log": None,
-                "dropped": True,
-                "drop_reason": d.reason,
-            }
-        )
+        if v is not None:
+            row.update(dropped=v.dropped, drop_reason=v.drop_reason)
+            if not v.dropped:
+                row.update(
+                    rho_sc_log=v.rho_sc_log,
+                    rho_sr_log=v.rho_sr_log,
+                    rho_final_log=v.rho_final_log,
+                )
+        rows.append(row)
     rows.sort(key=lambda r: r["subset_index"])
     return rows
 
@@ -343,45 +381,20 @@ def run_speculative(
     Deterministic (modulo timings) given the config seed and mock backends.
     Gold answers are scrubbed from the query before any prompt is built.
     """
-    query = record.query.scrubbed()
-    notices: list[str] = []
-    docs = list(record.documents[: cfg.top_n])
-    if len(record.documents) < cfg.top_n:
-        notices.append(
-            f"short retrieval: {len(record.documents)} documents < top_n {cfg.top_n}"
-        )
-    if not docs:
-        raise PipelineError(f"record {query.id} has no documents")
+    query, docs, notices = prepare_record(record, cfg)
     docs_by_id = {d.id: d for d in docs}
 
-    clock = _StageClock()
-    with clock.stage("embed"):
+    started = time.perf_counter()
+    timings = StageTimings()
+    with _stage(timings, "embed"):
         vectors = embed_documents(
             docs, query, backends.embedder, cfg.request_timeout_ms
         )
 
-    k = cfg.num_clusters
-    if k > len(docs):
-        notices.append(f"num_clusters clamped from {k} to {len(docs)}")
-        k = len(docs)
-    with clock.stage("cluster"):
-        clusters = kmeans_cluster(
-            [d.id for d in docs],
-            vectors,
-            k,
-            derive_rng(cfg.rng_seed, "kmeans", query.id),
-        )
-
-    with clock.stage("sample"):
-        plan = sample_subsets(
-            clusters,
-            cfg.num_drafts,
-            cfg.sampling_mode,
-            derive_rng(cfg.rng_seed, "sampling", query.id),
-        )
+    plan = plan_subsets(query, docs, vectors, cfg, timings)
     notices.extend(plan.notices)
 
-    with clock.stage("draft"):
+    with _stage(timings, "draft"):
         batch = generate_drafts(
             query,
             plan.subsets,
@@ -398,7 +411,7 @@ def run_speculative(
         # The no-verification ablation: skip the verifier entirely.
         scored = [(c.subset_index, 0.0) for c in batch.candidates]
     else:
-        with clock.stage("verify"):
+        with _stage(timings, "verify"):
             verifications = verify_candidates(
                 query,
                 batch.candidates,
@@ -425,14 +438,16 @@ def run_speculative(
     final_answer = next(
         c.answer for c in batch.candidates if c.subset_index == winner
     )
+    candidates = _candidate_rows(batch, verifications)
+    timings.total_ms = (time.perf_counter() - started) * 1000.0
 
     return PipelineResult(
         query_id=query.id,
         mode="speculative",
         final_answer=final_answer,
         winning_subset_index=winner,
-        candidates=_candidate_rows(batch, verifications),
-        timings=clock.finish(),
+        candidates=candidates,
+        timings=timings,
         notices=notices,
     )
 
@@ -458,18 +473,11 @@ def run_standard_baseline(
     record: DatasetRecord, cfg: PipelineConfig, backends: PipelineBackends
 ) -> PipelineResult:
     """One generation call over all top-n documents, no verification."""
-    query = record.query.scrubbed()
-    notices: list[str] = []
-    docs = list(record.documents[: cfg.top_n])
-    if len(record.documents) < cfg.top_n:
-        notices.append(
-            f"short retrieval: {len(record.documents)} documents < top_n {cfg.top_n}"
-        )
-    if not docs:
-        raise PipelineError(f"record {query.id} has no documents")
+    query, docs, notices = prepare_record(record, cfg)
 
-    clock = _StageClock()
-    with clock.stage("draft"):
+    started = time.perf_counter()
+    timings = StageTimings()
+    with _stage(timings, "draft"):
         prompt = build_standard_prompt(query, docs)
         body = dispatch(
             backends.verifier,
@@ -489,26 +497,16 @@ def run_standard_baseline(
         parse_token_payload(body.get("tokens", []), backends.verifier.url)
 
     answer = text.strip()
+    timings.total_ms = (time.perf_counter() - started) * 1000.0
     return PipelineResult(
         query_id=query.id,
         mode="standard",
         final_answer=answer,
         winning_subset_index=0,
         candidates=[
-            {
-                "subset_index": 0,
-                "member_doc_ids": [d.id for d in docs],
-                "answer": answer,
-                "rationale": None,
-                "rho_draft_log": None,
-                "rho_sc_log": None,
-                "rho_sr_log": None,
-                "rho_final_log": None,
-                "dropped": False,
-                "drop_reason": None,
-            }
+            _candidate_row(0, member_doc_ids=[d.id for d in docs], answer=answer)
         ],
-        timings=clock.finish(),
+        timings=timings,
         notices=notices,
     )
 
@@ -544,12 +542,8 @@ def extract_boolean_verdict(text: str) -> str | None:
 
 def extract_choice_label(text: str, labels: Sequence[str]) -> str | None:
     """Earliest standalone occurrence of any choice label, case-insensitive."""
-    earliest: tuple[int, str] | None = None
-    for label in labels:
-        match = re.search(rf"(?<!\w){re.escape(label)}(?!\w)", text, re.IGNORECASE)
-        if match and (earliest is None or match.start() < earliest[0]):
-            earliest = (match.start(), label)
-    return earliest[1] if earliest else None
+    hit = _first_standalone(text, labels)
+    return hit[1] if hit else None
 
 
 def evaluate_answer(prediction: str, query: Query) -> bool:
@@ -581,9 +575,8 @@ def evaluate_answer(prediction: str, query: Query) -> bool:
 
 
 def latency_stats(timings: Sequence[StageTimings]) -> dict:
-    stages = ["embed_ms", "cluster_ms", "sample_ms", "draft_ms", "verify_ms", "total_ms"]
     out: dict[str, dict[str, float]] = {}
-    for stage in stages:
+    for stage in _STAGES:
         values = np.array([getattr(t, stage) for t in timings], dtype=np.float64)
         if values.size == 0:
             out[stage] = {"mean": 0.0, "p50": 0.0, "p95": 0.0}
@@ -810,13 +803,12 @@ def report_latency(by_mode: Mapping[str, Sequence[StageTimings]]) -> str:
         raise ValueError("report_latency requires at least one result")
     stats = {mode: latency_stats(t) for mode, t in by_mode.items() if len(t) > 0}
     modes = list(stats)
-    stages = ["embed_ms", "cluster_ms", "sample_ms", "draft_ms", "verify_ms", "total_ms"]
 
     header = f"{'stage':<12}" + "".join(
         f"{mode + ' mean':>18}{'p50':>12}{'p95':>12}" for mode in modes
     )
     lines = [header]
-    for stage in stages:
+    for stage in _STAGES:
         row = f"{stage:<12}"
         for mode in modes:
             s = stats[mode][stage]

@@ -207,7 +207,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
         data = self.rfile.read(length) if length else b"{}"
-        return json.loads(data.decode("utf-8"))
+        body = json.loads(data.decode("utf-8"))
+        if not isinstance(body, dict):
+            raise ValueError("request body is not a JSON object")
+        return body
 
     def _send_json(self, status: int, payload) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -226,8 +229,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         try:
             body = self._read_body()
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "request body is not valid JSON"})
+        except ValueError:
+            self._send_json(400, {"error": "request body is not a JSON object"})
             return
 
         if self.path == "/generate":

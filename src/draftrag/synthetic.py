@@ -1,24 +1,24 @@
 """Rigged synthetic fixtures: datasets paired with mock scripts.
 
-The generator replays the pipeline's deterministic stages (mock embeddings,
-clustering, subset sampling) for a given config, so it knows exactly which
-draft prompts the pipeline will issue. It scripts those prompts so that
-every subset containing the record's gold document yields a gold-bearing
-draft with strictly higher logprobs on all three score terms, while the
-remaining subsets yield wrong answers with much lower ones. Argmax selection
-must then recover the gold answer on every record; random selection must
-not.
+The generator takes each record's embeddings from the mock script and plans
+its subsets through the pipeline's own ``prepare_record`` and
+``plan_subsets``, so it knows exactly which draft prompts the pipeline will
+send for a given config. It scripts those prompts so that every subset
+containing the record's gold document yields a gold-bearing draft with
+strictly higher logprobs on all three score terms, while the remaining
+subsets yield wrong answers with much lower ones. Argmax selection must then
+recover the gold answer on every record; random selection must not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clustering import EmbeddingVector, embedding_input, kmeans_cluster, sample_subsets
-from .core import Document, PipelineConfig, Query, derive_rng
-from .drafting import DraftCandidate, build_draft_prompt, parse_draft
-from .harness import DatasetRecord
-from .mock_server import MockScript, embed_vector, uniform_tokens
+from .clustering import EmbeddingVector, SubsetPlan, embedding_input
+from .core import Document, PipelineConfig, Query, StageTimings
+from .drafting import build_draft_prompt, draft_candidate
+from .harness import DatasetRecord, plan_subsets, prepare_record
+from .mock_server import MockScript, uniform_tokens
 from .verification import ReflectionStatement, build_verify_prompt
 
 GOLD_TOKEN_LOGPROB = -0.05
@@ -75,35 +75,16 @@ def _build_record(i: int, salt: int, distractors: int) -> DatasetRecord:
     return DatasetRecord(query=query, documents=tuple(docs))
 
 
-def _replay_sampling(record: DatasetRecord, cfg: PipelineConfig, embed_dims: int):
-    """Mirror the pipeline's embed, cluster, and sample stages exactly."""
-    query = record.query.scrubbed()
-    docs = list(record.documents[: cfg.top_n])
-    vectors = [
-        EmbeddingVector(
-            tuple(embed_vector(query.text, embedding_input(d), embed_dims))
-        ).normalized()
-        for d in docs
-    ]
-    k = min(cfg.num_clusters, len(docs))
-    clusters = kmeans_cluster(
-        [d.id for d in docs], vectors, k, derive_rng(cfg.rng_seed, "kmeans", query.id)
-    )
-    return sample_subsets(
-        clusters,
-        cfg.num_drafts,
-        cfg.sampling_mode,
-        derive_rng(cfg.rng_seed, "sampling", query.id),
-    )
-
-
 def _script_record(
-    script: MockScript, record: DatasetRecord, plan, cfg: PipelineConfig
+    script: MockScript,
+    query: Query,
+    docs: list[Document],
+    plan: SubsetPlan,
+    cfg: PipelineConfig,
 ) -> None:
-    query = record.query.scrubbed()
-    docs_by_id = {d.id: d for d in record.documents}
-    gold_id = record.documents[0].id
-    i = int(record.query.id.rsplit("-", 1)[1])
+    docs_by_id = {d.id: d for d in docs}
+    gold_id = docs[0].id
+    i = int(query.id.rsplit("-", 1)[1])
     reflection = ReflectionStatement(text=cfg.reflection_statement)
 
     for subset in plan.subsets:
@@ -118,17 +99,9 @@ def _script_record(
         prompt = build_draft_prompt(query, subset, docs_by_id)
         script.script_completion(prompt, completion, uniform_tokens(completion, token_lp))
 
-        parsed = parse_draft(completion)
-        candidate = DraftCandidate(
-            subset_index=subset.subset_index,
-            subset_doc_ids=subset.member_doc_ids,
-            raw_completion=completion,
-            rationale=parsed.rationale,
-            answer=parsed.answer,
-            rationale_span=parsed.rationale_span,
-            answer_span=parsed.answer_span,
-            completion_tokens=(),
-            rho_draft_log=0.0,
+        # The verifier prompt reads only the parsed answer and rationale.
+        candidate = draft_candidate(
+            subset, completion, (), cfg.length_normalize_logprobs
         )
         verify_prompt = build_verify_prompt(
             query, candidate, docs_by_id, cfg.verification_context_mode, reflection
@@ -157,12 +130,15 @@ def make_rigged_fixture(
     for i in range(num_records):
         for salt in range(_MAX_SALT_TRIES):
             record = _build_record(i, salt, distractors)
-            plan = _replay_sampling(record, cfg, script.embed_dims)
-            gold_id = record.documents[0].id
+            query, docs, _ = prepare_record(record, cfg)
+            rows = script.embed(query.text, [embedding_input(d) for d in docs])
+            vectors = [EmbeddingVector(tuple(v)).normalized() for v in rows["embeddings"]]
+            plan = plan_subsets(query, docs, vectors, cfg, StageTimings())
+            gold_id = docs[0].id
             with_gold = [s for s in plan.subsets if gold_id in s.member_doc_ids]
             without_gold = [s for s in plan.subsets if gold_id not in s.member_doc_ids]
             if with_gold and (without_gold or not require_contrast):
-                _script_record(script, record, plan, cfg)
+                _script_record(script, query, docs, plan, cfg)
                 records.append(record)
                 break
         else:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backend import EndpointDescriptor, MalformedResponseError, TransportError, dispatch
+from .backend import EndpointDescriptor, TransportError, dispatch
 from .core import (
     DEFAULT_REFLECTION_STATEMENT,
     Document,
@@ -253,7 +253,7 @@ def verify_candidates(
         for candidate, future in zip(candidates, futures):
             try:
                 results.append(future.result())
-            except (TransportError, MalformedResponseError) as exc:
+            except TransportError as exc:
                 logger.warning(
                     "verification for subset %d dropped: %s",
                     candidate.subset_index,

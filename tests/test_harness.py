@@ -12,6 +12,7 @@ from draftrag.core import (
     StageTimings,
     TaskKind,
 )
+from draftrag import harness
 from draftrag.harness import (
     DatasetError,
     DatasetRecord,
@@ -100,6 +101,10 @@ class TestLoadDataset:
         bad2 = record_line("q2", choices=[["A", "first"]])
         path.write_text(json.dumps(bad2) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="only allowed"):
+            load_dataset(path)
+        bad3 = record_line("q3", task_kind="closed_set_choice", choices=["AB", "CD"])
+        path.write_text(json.dumps(bad3) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 1: choices must be"):
             load_dataset(path)
 
     def test_write_then_load_round_trip(self, tmp_path):
@@ -316,6 +321,14 @@ class TestExperiments:
         assert summary.evaluated == len(records)
         failed_row = [r for r in summary.per_record if r["query_id"] == "broken"]
         assert failed_row[0]["correct"] is None
+
+    def test_interrupt_inside_a_stage_reaches_the_caller(self, rigged, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "embed_documents", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(rigged.records, rigged.config)
 
     def test_ablation_grid_runs_every_variant(self, rigged_env):
         records, cfg, _ = rigged_env
