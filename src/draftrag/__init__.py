@@ -21,10 +21,10 @@ from .backend import (
 from .clustering import (
     ClusterSet,
     DocumentSubset,
-    EmbeddingVector,
     embed_documents,
     kmeans_cluster,
     sample_subsets,
+    unit_rows,
 )
 from .core import (
     ConfigError,

@@ -12,13 +12,15 @@ prompt's own tokens), and embedder. All speak JSON over HTTP POST:
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-
-import requests
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import urlsplit
 
 UNHEALTHY_AFTER_FAILURES = 3
+JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 class EndpointRole(str, Enum):
@@ -79,28 +81,37 @@ class EndpointDescriptor:
 def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> dict:
     """POST a JSON payload to an endpoint and return the decoded response.
 
-    Honors the timeout and marks the endpoint unhealthy
+    Each call opens its own connection (TLS for ``https`` URLs) and closes it
+    before returning. Honors the timeout and marks the endpoint unhealthy
     after three consecutive failures; an unhealthy endpoint is skipped with
     a routing error rather than contacted.
     """
     if not endpoint.healthy:
         raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
+    url = urlsplit(endpoint.url)
+    connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
+    request_body = json.dumps(payload).encode("utf-8")
+    conn = connection_class(url.netloc, timeout=timeout_ms / 1000.0)
     try:
-        resp = requests.post(endpoint.url, json=payload, timeout=timeout_ms / 1000.0)
-    except requests.Timeout:
+        conn.request("POST", url.path or "/", request_body, JSON_HEADERS)
+        resp = conn.getresponse()
+        data = resp.read()
+    except TimeoutError:  # a subclass of OSError, so caught first
         endpoint.record_failure()
         raise EndpointTimeout(endpoint.url, f"request timed out after {timeout_ms} ms")
-    except requests.ConnectionError as exc:
+    except (OSError, HTTPException) as exc:
         endpoint.record_failure()
         raise EndpointConnectionError(endpoint.url, f"connection failed: {exc}")
+    finally:
+        conn.close()
 
-    if resp.status_code != 200:
+    if resp.status != 200:
         endpoint.record_failure()
         raise MalformedResponseError(
-            endpoint.url, f"unexpected HTTP status {resp.status_code}"
+            endpoint.url, f"unexpected HTTP status {resp.status}"
         )
     try:
-        body = resp.json()
+        body = json.loads(data)
     except ValueError:
         endpoint.record_failure()
         raise MalformedResponseError(endpoint.url, "response body is not valid JSON")

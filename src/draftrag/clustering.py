@@ -24,31 +24,6 @@ KMEANS_MAX_ITERS = 100
 SAMPLING_ATTEMPT_FACTOR = 50
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A fixed-length real vector; ``normalized()`` scales it to unit L2 norm."""
-
-    values: tuple[float, ...]
-
-    @property
-    def dims(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    def normalized(self) -> "EmbeddingVector":
-        arr = self.as_array()
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise DataError("cannot normalize a zero embedding vector")
-        return EmbeddingVector(tuple(float(v) for v in arr / norm))
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "EmbeddingVector":
-        return cls(tuple(float(v) for v in np.asarray(arr, dtype=np.float64)))
-
-
 @dataclass
 class ClusterSet:
     """A partition of documents into at most ``k`` clusters.
@@ -59,7 +34,7 @@ class ClusterSet:
     """
 
     assignments: dict[str, int]
-    centroids: list[EmbeddingVector]
+    centroids: np.ndarray
     doc_order: tuple[str, ...]
     sse_history: tuple[float, ...] = ()
 
@@ -111,10 +86,10 @@ def embed_documents(
     query: Query,
     endpoint: EndpointDescriptor,
     timeout_ms: int,
-) -> list[EmbeddingVector]:
+) -> np.ndarray:
     """Embed all documents in one batch request, query text as instruction.
 
-    Returns one unit-norm vector per document, in document order.
+    Returns an ``(n, d)`` array of unit-norm rows, in document order.
     """
     if not docs:
         raise ValueError("embed_documents requires at least one document")
@@ -130,15 +105,26 @@ def embed_documents(
             f"embedding endpoint returned {0 if rows is None else len(rows)} "
             f"vectors for {len(docs)} inputs",
         )
+    return unit_rows(rows)
+
+
+def unit_rows(rows: list[list[float]]) -> np.ndarray:
+    """Equal-length rows as an ``(n, d)`` float64 array of unit-norm rows. Each
+    row is divided by its own ``np.linalg.norm(row)``: an axis-1 norm sums in
+    another order and can move the last bit. Zero or non-finite rows raise."""
     dims = len(rows[0])
-    vectors = []
     for row in rows:
         if len(row) != dims:
             raise DataError(
                 f"embedding dimension mismatch: expected {dims}, got {len(row)}"
             )
-        vectors.append(EmbeddingVector(tuple(float(v) for v in row)).normalized())
-    return vectors
+    points = np.array(rows, dtype=np.float64)
+    for i, row in enumerate(points):
+        norm = np.linalg.norm(row)
+        if not 0.0 < norm < np.inf:
+            raise DataError(f"cannot normalize embedding row {i} with norm {norm}")
+        row /= norm
+    return points
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -201,7 +187,7 @@ def _lloyd_once(
 
 def kmeans_cluster(
     doc_ids: list[str],
-    vectors: list[EmbeddingVector],
+    vectors: np.ndarray,
     k: int,
     rng: np.random.Generator,
     restarts: int = 10,
@@ -221,17 +207,16 @@ def kmeans_cluster(
     if not (1 <= k <= n):
         raise ValueError(f"k must satisfy 1 ≤ k ≤ {n}, got {k}")
 
-    points = np.stack([v.as_array() for v in vectors])
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
     for _ in range(max(1, restarts)):
-        run = _lloyd_once(points, k, rng)
+        run = _lloyd_once(vectors, k, rng)
         if best is None or run[2][-1] < best[2][-1]:
             best = run
     assign, centroids, sse_history = best
 
     return ClusterSet(
         assignments={doc_ids[i]: int(assign[i]) for i in range(n)},
-        centroids=[EmbeddingVector.from_array(c) for c in centroids],
+        centroids=centroids,
         doc_order=tuple(doc_ids),
         sse_history=tuple(sse_history),
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -165,6 +166,21 @@ class PipelineError(Exception):
     """A pipeline stage failed in a way that invalidates the whole run."""
 
 
+def _is_http_url(url: object) -> bool:
+    """An http or https URL with a host and, if it names one, a valid port."""
+    if not isinstance(url, str):
+        return False
+    try:
+        parts = urlsplit(url)
+        return (
+            parts.scheme in ("http", "https")
+            and bool(parts.hostname)
+            and parts.port != 0
+        )
+    except ValueError:  # reading .port raises on a port that does not parse
+        return False
+
+
 def validate_config(cfg: PipelineConfig) -> list[str]:
     """Return every invariant violation; an empty list means the config is valid.
 
@@ -190,6 +206,9 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
         violations.append("verifier_endpoint must be set")
     if not cfg.embedding_endpoint:
         violations.append("embedding_endpoint must be set")
+    for url in (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint):
+        if url and not _is_http_url(url):
+            violations.append(f"endpoint {url!r} must be an http(s) URL with a host")
     if cfg.request_timeout_ms < 1:
         violations.append("request_timeout_ms must be positive")
     if not (0 <= cfg.rng_seed <= MAX_SEED):

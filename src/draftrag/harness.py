@@ -26,7 +26,6 @@ import numpy as np
 
 from .backend import EndpointDescriptor, EndpointRole, TransportError, dispatch
 from .clustering import (
-    EmbeddingVector,
     SubsetPlan,
     embed_documents,
     kmeans_cluster,
@@ -164,6 +163,8 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
     answers = obj.get("answers")
     if not isinstance(answers, list):
         raise fail('missing "answers" list')
+    if not all(isinstance(a, str) for a in answers):
+        raise fail("every answer must be a string")
 
     docs_raw = obj.get("documents")
     if not isinstance(docs_raw, list):
@@ -181,8 +182,11 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             raise fail(f'duplicate document id "{did}"')
         if not isinstance(text, str) or not text:
             raise fail(f'document "{did}" has empty text')
+        title = d.get("title", "")
+        if not isinstance(title, str):
+            raise fail(f'document "{did}" has a title that is not a string')
         seen_ids.add(did)
-        docs.append(Document(id=did, title=str(d.get("title", "")), text=text))
+        docs.append(Document(id=did, title=title, text=text))
 
     return DatasetRecord(
         query=Query(
@@ -190,7 +194,7 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             text=question,
             task_kind=kind,
             choices=choices,
-            gold_answers=tuple(str(a) for a in answers),
+            gold_answers=tuple(answers),
         ),
         documents=tuple(docs),
     )
@@ -289,7 +293,7 @@ def prepare_record(
 def plan_subsets(
     query: Query,
     docs: list[Document],
-    vectors: list[EmbeddingVector],
+    vectors: np.ndarray,
     cfg: PipelineConfig,
     timings: StageTimings,
 ) -> SubsetPlan:

@@ -98,6 +98,42 @@ def embed_vector(instruction: str, text: str, dims: int = DEFAULT_EMBED_DIMS) ->
     return [v / norm for v in raw]
 
 
+def _int_field(raw: dict, name: str, default: int) -> int:
+    value = raw.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f'"{name}" must be an integer')
+    return value
+
+
+def _string_field(raw: dict, name: str) -> str:
+    value = raw.get(name, "")
+    if not isinstance(value, str):
+        raise ValueError(f'"{name}" must be a string')
+    return value
+
+
+def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict]]:
+    """(prompt sha256, entry) pairs of one ``to_dict`` table; each entry must
+    hold a field of each given type and a ``prompt_sha256`` or ``prompt``."""
+    entries = raw.get(name, [])
+    if not isinstance(entries, list):
+        raise ValueError(f'"{name}" must be a list')
+    pairs = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(attr), kind) for attr, kind in types.items()
+        ):
+            raise ValueError(f"{name}[{i}] must be an object with {', '.join(types)}")
+        sha, prompt = entry.get("prompt_sha256"), entry.get("prompt")
+        if isinstance(sha, str) and sha:
+            pairs.append((sha, entry))
+        elif isinstance(prompt, str):
+            pairs.append((prompt_sha256(prompt), entry))
+        else:
+            raise ValueError(f"{name}[{i}] needs a prompt_sha256 or a prompt string")
+    return pairs
+
+
 @dataclass
 class MockScript:
     """Scripted behaviour table for the mock server.
@@ -158,18 +194,17 @@ class MockScript:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MockScript":
+        """Inverse of ``to_dict``; a field of the wrong type or an ``embed_dims``
+        below 1 raises ValueError."""
         script = cls(
-            delay_ms=int(raw.get("delay_ms", 0)),
-            embed_dims=int(raw.get("embed_dims", DEFAULT_EMBED_DIMS)),
+            delay_ms=_int_field(raw, "delay_ms", 0),
+            embed_dims=_int_field(raw, "embed_dims", DEFAULT_EMBED_DIMS),
         )
-        for entry in raw.get("completions", []):
-            key = entry.get("prompt_sha256") or prompt_sha256(entry["prompt"])
-            script.completions[key] = {
-                "text": entry["text"],
-                "tokens": entry["tokens"],
-            }
-        for entry in raw.get("echoes", []):
-            key = entry.get("prompt_sha256") or prompt_sha256(entry["prompt"])
+        if script.embed_dims < 1:
+            raise ValueError('"embed_dims" must be at least 1')
+        for key, entry in _script_entries(raw, "completions", text=str, tokens=list):
+            script.completions[key] = {"text": entry["text"], "tokens": entry["tokens"]}
+        for key, entry in _script_entries(raw, "echoes", tokens=list):
             script.echoes[key] = entry["tokens"]
         return script
 
@@ -181,6 +216,9 @@ class MockScript:
 
 class _MockHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's default backlog of 5 drops SYNs when ten verifications
+    # connect at once, and each dropped connect is retried only after 1 s.
+    request_queue_size = 128
     owner: "MockLMServer"
 
     def handle_error(self, request, client_address):
@@ -207,7 +245,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
         data = self.rfile.read(length) if length else b"{}"
-        body = json.loads(data.decode("utf-8"))
+        try:
+            body = json.loads(data.decode("utf-8"))
+        except ValueError:
+            body = None
         if not isinstance(body, dict):
             raise ValueError("request body is not a JSON object")
         return body
@@ -228,13 +269,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         try:
-            body = self._read_body()
-        except ValueError:
-            self._send_json(400, {"error": "request body is not a JSON object"})
-            return
+            self._post()
+        except ValueError as exc:
+            self._send_json(400, {"error": str(exc)})
 
+    def _post(self) -> None:
+        body = self._read_body()
         if self.path == "/generate":
-            prompt = body.get("prompt", "")
+            prompt = _string_field(body, "prompt")
             kind = "echo" if body.get("echo") else "generate"
             self.mock.log_request_entry(kind, prompt_sha256(prompt), prompt=prompt)
             self.mock.apply_delay()
@@ -242,8 +284,12 @@ class _Handler(BaseHTTPRequestHandler):
             result = script.echo(prompt) if kind == "echo" else script.generate(prompt)
             self._send_json(200, result)
         elif self.path == "/embed":
-            instruction = body.get("instruction", "")
+            instruction = _string_field(body, "instruction")
             inputs = body.get("inputs", [])
+            if not isinstance(inputs, list) or not all(
+                isinstance(text, str) for text in inputs
+            ):
+                raise ValueError('"inputs" must be a list of strings')
             digest = hashlib.sha256(
                 json.dumps([instruction, inputs]).encode("utf-8")
             ).hexdigest()

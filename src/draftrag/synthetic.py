@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clustering import EmbeddingVector, SubsetPlan, embedding_input
+from .clustering import SubsetPlan, embedding_input, unit_rows
 from .core import Document, PipelineConfig, Query, StageTimings
 from .drafting import build_draft_prompt, draft_candidate
 from .harness import DatasetRecord, plan_subsets, prepare_record
@@ -132,7 +132,7 @@ def make_rigged_fixture(
             record = _build_record(i, salt, distractors)
             query, docs, _ = prepare_record(record, cfg)
             rows = script.embed(query.text, [embedding_input(d) for d in docs])
-            vectors = [EmbeddingVector(tuple(v)).normalized() for v in rows["embeddings"]]
+            vectors = unit_rows(rows["embeddings"])
             plan = plan_subsets(query, docs, vectors, cfg, StageTimings())
             gold_id = docs[0].id
             with_gold = [s for s in plan.subsets if gold_id in s.member_doc_ids]

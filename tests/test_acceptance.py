@@ -17,7 +17,6 @@ import numpy as np
 from draftrag.backend import EndpointDescriptor, EndpointRole
 from draftrag.clustering import (
     DocumentSubset,
-    EmbeddingVector,
     kmeans_cluster,
     sample_subsets,
 )
@@ -209,10 +208,9 @@ def test_criterion_3_clustering_oracle():
     for trial in range(50):
         n = int(rng.integers(4, 9))
         points = rng.uniform(0, 1, size=(n, 2))
-        vectors = [EmbeddingVector(tuple(p)) for p in points]
         ids = [f"d{i}" for i in range(n)]
         for k, factor in [(1, 1.0), (n, 1.0), (2, 1.2)]:
-            cs = kmeans_cluster(ids, vectors, k, seeded_rng(trial * 7 + k))
+            cs = kmeans_cluster(ids, points, k, seeded_rng(trial * 7 + k))
             best = _best_sse(points, k)
             limit = best * factor + 1e-9
             ok = ok and cs.sse <= limit
@@ -241,9 +239,7 @@ def test_criterion_4_sampling_properties():
             ]
         )
         ids = [f"d{i}" for i in range(10)]
-        clusters = kmeans_cluster(
-            ids, [EmbeddingVector(tuple(p)) for p in points], 2, seeded_rng(trial)
-        )
+        clusters = kmeans_cluster(ids, points, 2, seeded_rng(trial))
         multi = sample_subsets(
             clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(trial)
         )

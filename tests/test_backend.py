@@ -1,7 +1,13 @@
+import json
+import os
 import socket
+import subprocess
+import sys
+from http.client import HTTPConnection
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +34,17 @@ def drafter(url: str) -> EndpointDescriptor:
     return EndpointDescriptor(url, EndpointRole.DRAFTER)
 
 
+def http(method: str, url: str, body: bytes | None = None):
+    """(status, decoded JSON body) of one request to a mock route."""
+    conn = HTTPConnection(urlsplit(url).netloc, timeout=5)
+    try:
+        conn.request(method, urlsplit(url).path, body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 def free_port_url(path="/generate") -> str:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -52,6 +69,12 @@ class TestDispatch:
         ep = drafter(free_port_url())
         with pytest.raises(EndpointConnectionError):
             dispatch(ep, {"prompt": "hi"}, 500)
+
+    def test_https_to_a_plain_http_server_is_a_connection_error(self, mock_server):
+        ep = drafter(mock_server.generate_url.replace("http://", "https://"))
+        with pytest.raises(EndpointConnectionError):
+            dispatch(ep, {"prompt": "hi"}, 5000)
+        assert ep.consecutive_failures == 1
 
     def test_unexpected_status_is_malformed_response(self, mock_server):
         ep = drafter(f"{mock_server.url}/not-a-route")
@@ -186,17 +209,16 @@ class TestWhitespaceTokenization:
 class TestServerEndpoints:
     def test_requests_endpoint_returns_log(self, mock_server):
         dispatch(drafter(mock_server.generate_url), {"prompt": "x"}, 5000)
-        log = requests.get(f"{mock_server.url}/requests", timeout=5).json()
+        status, log = http("GET", f"{mock_server.url}/requests")
+        assert status == 200
         assert len(log) == 1
         assert log[0]["kind"] == "generate"
 
     def test_script_endpoint_replaces_script(self, mock_server):
         payload = MockScript()
         payload.script_completion("magic prompt", "## Rationale: r\n## Response: a")
-        resp = requests.post(
-            f"{mock_server.url}/script", json=payload.to_dict(), timeout=5
-        )
-        assert resp.json() == {"ok": True}
+        body = json.dumps(payload.to_dict()).encode()
+        assert http("POST", f"{mock_server.url}/script", body) == (200, {"ok": True})
         body = dispatch(drafter(mock_server.generate_url), {"prompt": "magic prompt"}, 5000)
         assert body["text"] == "## Rationale: r\n## Response: a"
 
@@ -212,21 +234,36 @@ class TestServerEndpoints:
     @pytest.mark.parametrize("path", ["/generate", "/embed", "/script"])
     @pytest.mark.parametrize("body", ["[1]", '"prompt"', "null", "{broken"])
     def test_body_that_is_not_a_json_object_gets_400(self, mock_server, path, body):
-        resp = requests.post(
-            f"{mock_server.url}{path}",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            timeout=5,
+        assert http("POST", f"{mock_server.url}{path}", body.encode()) == (
+            400,
+            {"error": "request body is not a JSON object"},
         )
-        assert resp.status_code == 400
-        assert resp.json() == {"error": "request body is not a JSON object"}
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/generate", {"prompt": 5}, "prompt"),
+            ("/embed", {"inputs": [1]}, "inputs"),
+            ("/embed", {"instruction": None, "inputs": ["a"]}, "instruction"),
+            ("/script", {"completions": [{"text": "x"}]}, "completions[0]"),
+            ("/script", {"echoes": [{"prompt": 1, "tokens": []}]}, "echoes[0]"),
+            ("/script", {"delay_ms": "slow"}, "delay_ms"),
+            ("/script", {"embed_dims": 0}, "embed_dims"),
+        ],
+    )
+    def test_field_of_the_wrong_type_gets_400(self, mock_server, path, body, field):
+        url = f"{mock_server.url}{path}"
+        status, reply = http("POST", url, json.dumps(body).encode())
+        assert status == 400
+        assert field in reply["error"]
+        # The server keeps serving, with its script unchanged.
+        assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
+        assert mock_server.script.delay_ms == 0
 
     def test_embed_endpoint_returns_unit_vectors(self, mock_server):
-        resp = requests.post(
-            mock_server.embed_url,
-            json={"instruction": "q", "inputs": ["one", "two"]},
-            timeout=5,
-        ).json()
+        body = b'{"instruction": "q", "inputs": ["one", "two"]}'
+        status, resp = http("POST", mock_server.embed_url, body)
+        assert status == 200
         assert len(resp["embeddings"]) == 2
         for vec in resp["embeddings"]:
             norm = sum(v * v for v in vec) ** 0.5
@@ -237,8 +274,33 @@ class TestServerEndpoints:
         script.script_completion("p1", "## Rationale: r\n## Response: a")
         script.script_echo("p2", [{"text": "p2", "logprob": -0.5, "start": 0, "end": 2}])
         path = tmp_path / "script.json"
-        path.write_text(__import__("json").dumps(script.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(script.to_dict()), encoding="utf-8")
         loaded = MockScript.from_json_file(path)
         assert loaded.delay_ms == 25
         assert loaded.generate("p1")["text"] == "## Rationale: r\n## Response: a"
         assert loaded.echo("p2")["tokens"][0]["logprob"] == -0.5
+
+
+def test_runtime_imports_and_dispatch_work_without_requests():
+    # ``sys.modules[name] = None`` makes any import of the package fail.
+    code = """
+import sys
+sys.modules["requests"] = None
+import draftrag, draftrag.cli
+from draftrag.backend import EndpointDescriptor, EndpointRole, dispatch
+from draftrag.mock_server import MockLMServer
+with MockLMServer() as server:
+    ep = EndpointDescriptor(server.generate_url, EndpointRole.DRAFTER)
+    print(dispatch(ep, {"prompt": "hi"}, 5000)["text"])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "## Response: hi." in done.stdout

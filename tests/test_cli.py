@@ -74,6 +74,17 @@ def test_invalid_config_exits_two(cli_env, capsys):
     assert "k ≤ n" in capsys.readouterr().err
 
 
+def test_scheme_less_endpoint_exits_two(cli_env, capsys):
+    dataset, config, tmp = cli_env
+    bad = json.loads(config.read_text())
+    bad["drafter_endpoints"] = ["127.0.0.1:8080/generate"]
+    bad_path = tmp / "bad.json"
+    bad_path.write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["run", "--dataset", str(dataset), "--config", str(bad_path)])
+    assert code == 2
+    assert "http(s) URL" in capsys.readouterr().err
+
+
 def test_missing_dataset_exits_two(cli_env):
     _, config, tmp = cli_env
     code = main(["run", "--dataset", str(tmp / "nope.jsonl"), "--config", str(config)])

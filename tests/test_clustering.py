@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from draftrag.backend import EndpointConnectionError, EndpointDescriptor, EndpointRole
 from draftrag.clustering import (
-    EmbeddingVector,
     embed_documents,
     embedding_input,
     kmeans_cluster,
+    unit_rows,
 )
 from draftrag.core import DataError, Document, Query, seeded_rng
 from draftrag.mock_server import MockScript
 
 
 def vectors_from(points):
-    return [EmbeddingVector(tuple(float(x) for x in p)) for p in points]
+    return np.array(points, dtype=np.float64)
 
 
 def partition_sse(points: np.ndarray, assignment) -> float:
@@ -119,14 +119,29 @@ class TestKMeans:
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
-class TestEmbeddingVector:
+class TestUnitRows:
     def test_normalized_has_unit_norm(self):
-        v = EmbeddingVector((3.0, 4.0)).normalized()
-        assert np.linalg.norm(v.as_array()) == pytest.approx(1.0, abs=1e-9)
+        rows = unit_rows([[3.0, 4.0], [0.0, -2.0]])
+        assert rows.shape == (2, 2)
+        assert np.array_equal(rows, [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_rows_match_per_row_norm_bit_for_bit(self):
+        # Scaling by a norm taken along axis 1 of the whole array sums in
+        # another order and moves the last bit of some of these rows.
+        rows = MockScript().embed("query", [f"document {i}" for i in range(300)])
+        got = unit_rows(rows["embeddings"])
+        for row, raw in zip(got, rows["embeddings"]):
+            arr = np.asarray(raw, dtype=np.float64)
+            assert np.array_equal(row, arr / float(np.linalg.norm(arr)))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DataError):
-            EmbeddingVector((0.0, 0.0)).normalized()
+        with pytest.raises(DataError, match="row 1"):
+            unit_rows([[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DataError, match="row 1"):
+            unit_rows([[1.0, 0.0], [value, 1.0]])
 
 
 def _endpoint(url):
@@ -144,17 +159,15 @@ class TestEmbedDocuments:
     def test_one_unit_vector_per_document(self, mock_server):
         q = Query(id="q", text="what?")
         vectors = embed_documents(self.docs(), q, _endpoint(mock_server.embed_url), 5000)
-        assert len(vectors) == 3
-        dims = {v.dims for v in vectors}
-        assert len(dims) == 1
+        assert vectors.shape == (3, 8)
         for v in vectors:
-            assert np.linalg.norm(v.as_array()) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_texts_get_identical_vectors(self, mock_server):
         q = Query(id="q", text="what?")
         vectors = embed_documents(self.docs(), q, _endpoint(mock_server.embed_url), 5000)
-        assert vectors[0].values == vectors[2].values
-        assert vectors[0].values != vectors[1].values
+        assert np.array_equal(vectors[0], vectors[2])
+        assert not np.array_equal(vectors[0], vectors[1])
 
     def test_vectors_match_documented_hash_rule(self, mock_server):
         # Independent recomputation of the hash-to-vector rule.
@@ -170,7 +183,7 @@ class TestEmbedDocuments:
             raw.append(int.from_bytes(digest[:8], "big") / 2**64 * 2 - 1)
         arr = np.array(raw)
         expected = arr / np.linalg.norm(arr)
-        assert np.allclose(vectors[0].as_array(), expected, atol=1e-12)
+        assert np.allclose(vectors[0], expected, atol=1e-12)
 
     def test_dimension_mismatch_is_a_data_error(self, server_factory):
         class RaggedScript(MockScript):
@@ -179,6 +192,18 @@ class TestEmbedDocuments:
 
         server = server_factory(script=RaggedScript())
         with pytest.raises(DataError, match="dimension mismatch"):
+            embed_documents(
+                self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
+            )
+
+    def test_non_finite_value_from_endpoint_is_a_data_error(self, server_factory):
+        # The endpoint's JSON carries NaN, which json.loads accepts.
+        class NaNScript(MockScript):
+            def embed(self, instruction, inputs):
+                return {"embeddings": [[1.0, 0.0], [float("nan"), 1.0]]}
+
+        server = server_factory(script=NaNScript())
+        with pytest.raises(DataError, match="row 1"):
             embed_documents(
                 self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
             )

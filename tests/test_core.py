@@ -94,6 +94,26 @@ class TestConfig:
         violations = validate_config(PipelineConfig(num_clusters=11, top_n=10))
         assert any("k ≤ n" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "127.0.0.1:8080/generate",
+            "ftp://127.0.0.1:8080/generate",
+            "http:///generate",
+            "http://127.0.0.1:notaport/generate",
+        ],
+    )
+    def test_malformed_endpoint_url_is_a_violation(self, url):
+        for field, value in [
+            ("drafter_endpoints", (url,)),
+            ("verifier_endpoint", url),
+            ("embedding_endpoint", url),
+        ]:
+            violations = validate_config(PipelineConfig(**{field: value}))
+            assert violations == [
+                f"endpoint {url!r} must be an http(s) URL with a host"
+            ]
+
     def test_validation_reports_every_violation_without_raising(self):
         cfg = PipelineConfig(
             num_drafts=0,

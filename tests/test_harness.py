@@ -107,6 +107,26 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1: choices must be"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"answers": [None, {"a": 1}]}, "every answer must be a string"),
+            ({"answers": ["ok", 7]}, "every answer must be a string"),
+            (
+                {"documents": [{"id": "d0", "title": 7, "text": "t"}]},
+                'document "d0" has a title that is not a string',
+            ),
+        ],
+    )
+    def test_non_string_answer_or_title_names_the_line(
+        self, tmp_path, overrides, message
+    ):
+        path = tmp_path / "data.jsonl"
+        good, bad = record_line("q1"), record_line("q2", **overrides)
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"line 2: {message}"):
+            load_dataset(path)
+
     def test_write_then_load_round_trip(self, tmp_path):
         cfg = PipelineConfig(top_n=4)
         fixture = make_rigged_fixture(cfg, num_records=2)

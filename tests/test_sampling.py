@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from draftrag.clustering import (
     ClusterSet,
-    EmbeddingVector,
     kmeans_cluster,
     sample_subsets,
 )
@@ -25,7 +24,7 @@ def make_clusters(groups: dict[int, list[str]]) -> ClusterSet:
     k = max(groups) + 1
     return ClusterSet(
         assignments=assignments,
-        centroids=[EmbeddingVector((0.0,))] * k,
+        centroids=np.zeros((k, 1)),
         doc_order=tuple(order),
     )
 
@@ -54,12 +53,7 @@ class TestMultiPerspective:
             [rng.normal(0, 0.1, size=(5, 2)), rng.normal(10, 0.1, size=(5, 2))]
         )
         ids = [f"d{i}" for i in range(10)]
-        clusters = kmeans_cluster(
-            ids,
-            [EmbeddingVector(tuple(p)) for p in points],
-            2,
-            seeded_rng(0),
-        )
+        clusters = kmeans_cluster(ids, points, 2, seeded_rng(0))
         plan = sample_subsets(clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(0))
         assert len(plan.subsets) == 5
         assert all(len(s.member_doc_ids) == 2 for s in plan.subsets)
@@ -181,12 +175,7 @@ def test_multi_perspective_subsets_are_more_diverse_than_random():
     trials = 100
     for trial in range(trials):
         ids, points = separated_instance(rng)
-        clusters = kmeans_cluster(
-            ids,
-            [EmbeddingVector(tuple(p)) for p in points],
-            2,
-            seeded_rng(trial),
-        )
+        clusters = kmeans_cluster(ids, points, 2, seeded_rng(trial))
         multi = sample_subsets(
             clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(trial)
         )
