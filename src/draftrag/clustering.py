@@ -111,12 +111,17 @@ def embed_documents(
 def unit_rows(rows: list[list[float]]) -> np.ndarray:
     """Equal-length rows as an ``(n, d)`` float64 array of unit-norm rows. Each
     row is divided by its own ``np.linalg.norm(row)``: an axis-1 norm sums in
-    another order and can move the last bit. Zero or non-finite rows raise."""
-    dims = len(rows[0])
-    for row in rows:
-        if len(row) != dims:
+    another order and can move the last bit. A row that is not a list of
+    numbers (bools excluded), or is zero or non-finite, raises DataError."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
+        ):
+            raise DataError(f"embedding row {i} is not a list of numbers")
+        if len(row) != len(rows[0]):
             raise DataError(
-                f"embedding dimension mismatch: expected {dims}, got {len(row)}"
+                f"embedding dimension mismatch: expected {len(rows[0])}, "
+                f"got {len(row)}"
             )
     points = np.array(rows, dtype=np.float64)
     for i, row in enumerate(points):

@@ -154,7 +154,9 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             isinstance(c, list) and len(c) == 2 for c in choices_raw
         ):
             raise fail("choices must be [label, text] pairs")
-        choices = tuple((str(lbl), str(txt)) for lbl, txt in choices_raw)
+        if not all(isinstance(part, str) for c in choices_raw for part in c):
+            raise fail("choice labels and texts must be strings")
+        choices = tuple((lbl, txt) for lbl, txt in choices_raw)
     elif choices_raw:
         raise fail("choices are only allowed for closed_set_choice records")
     else:

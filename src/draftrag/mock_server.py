@@ -22,14 +22,23 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socket
+import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 DEFAULT_EMBED_DIMS = 8
 FALLBACK_LOGPROB = -1.0
+# GET /requests keeps only this many of the most recent entries; each holds
+# its full prompt, so an unbounded log grows with every request served.
+REQUEST_LOG_LIMIT = 1024
+# ``stop`` waits until the serving thread next polls; socketserver's default
+# interval of 0.5 s made stopping a server take up to half a second.
+STOP_POLL_INTERVAL_S = 0.05
 
 _NONSPACE = re.compile(rb"\S+")
 
@@ -221,11 +230,35 @@ class _MockHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
     owner: "MockLMServer"
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def shutdown_open_connections(self) -> None:
+        """End every keep-alive connection: each handler thread reads end of
+        input and returns, and the client sees the connection closed."""
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client closed it already
+                pass
+
     def handle_error(self, request, client_address):
         # Clients that hit their timeout close the socket mid-response;
         # that is expected, not a server fault.
-        import sys
-
         exc = sys.exc_info()[1]
         if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
             return
@@ -234,6 +267,13 @@ class _MockHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: _MockHTTPServer
+    # Keep-alive connections. With Nagle's algorithm on, a reply's body
+    # waits for the client's delayed ACK of its headers, about 40 ms per
+    # request; so turn it off and buffer ``wfile``, which the handler
+    # flushes once per request: headers and body leave in one write.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     def log_message(self, fmt, *args):  # silence per-request stderr noise
         pass
@@ -244,6 +284,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            raise ValueError("Content-Length is negative")
         data = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(data.decode("utf-8"))
@@ -258,6 +300,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -271,6 +315,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._post()
         except ValueError as exc:
+            # The body may be unread (say, a Content-Length that is not a
+            # number), so the next request's start is unknown: close.
+            self.close_connection = True
             self._send_json(400, {"error": str(exc)})
 
     def _post(self) -> None:
@@ -310,14 +357,18 @@ class MockLMServer:
     """Threaded HTTP server exposing the mock LM on an ephemeral port.
 
     Routes: POST /generate (generation, or echo scoring when the body sets
-    "echo"), POST /embed, GET /requests (the append-only request log), and
-    POST /script (replace the active script). Handles concurrent requests;
-    responses depend only on request content.
+    "echo"), POST /embed, GET /requests (the most recent
+    ``REQUEST_LOG_LIMIT`` entries of the request log; each entry's "index"
+    counts every request since the last reset), and POST /script (replace
+    the active script). Speaks HTTP/1.1 with keep-alive and handles
+    concurrent connections; responses depend only on request content.
+    ``stop`` also ends every open connection.
     """
 
     def __init__(self, script: MockScript | None = None, port: int = 0):
         self.script = script or MockScript()
-        self._log: list[dict] = []
+        self._log: deque[dict] = deque(maxlen=REQUEST_LOG_LIMIT)
+        self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
         self._httpd = _MockHTTPServer(("127.0.0.1", port), _Handler)
         self._httpd.owner = self
@@ -340,13 +391,16 @@ class MockLMServer:
         return f"{self.url}/embed"
 
     def start(self) -> "MockLMServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(STOP_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 
     def stop(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.shutdown_open_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -372,23 +426,25 @@ class MockLMServer:
         with self._lock:
             self._log.append(
                 {
-                    "index": len(self._log),
+                    "index": sum(self._counts.values()),
                     "kind": kind,
                     "sha256": digest,
                     "prompt": prompt,
                 }
             )
+            self._counts[kind] = self._counts.get(kind, 0) + 1
 
     def request_log_snapshot(self) -> list[dict]:
+        """The most recent ``REQUEST_LOG_LIMIT`` entries, oldest first."""
         with self._lock:
             return list(self._log)
 
     def reset_log(self) -> None:
         with self._lock:
             self._log.clear()
+            self._counts.clear()
 
     def request_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.request_log_snapshot():
-            counts[entry["kind"]] = counts.get(entry["kind"], 0) + 1
-        return counts
+        """Requests of each kind since the last reset, evicted entries included."""
+        with self._lock:
+            return dict(self._counts)

@@ -1,8 +1,11 @@
+import gc
 import json
 import os
 import socket
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -22,6 +25,8 @@ from draftrag.backend import (
     round_robin_assign,
 )
 from draftrag.mock_server import (
+    REQUEST_LOG_LIMIT,
+    MockLMServer,
     MockScript,
     echo_rule,
     fallback_completion,
@@ -103,6 +108,107 @@ class TestDispatch:
         dispatch(ep, {"prompt": "hi"}, 5000)
         assert ep.consecutive_failures == 0
         assert ep.healthy is True
+
+
+class SlowForPrompt(MockScript):
+    """Generation of the prompt "slow" takes 300 ms; every other is immediate."""
+
+    def generate(self, prompt):
+        if prompt == "slow":
+            time.sleep(0.3)
+        return super().generate(prompt)
+
+
+class TestKeepAlive:
+    def test_sequential_dispatches_reuse_one_connection(self, mock_server):
+        ep = drafter(mock_server.generate_url)
+        dispatch(ep, {"prompt": "a"}, 5000)
+        [(_, conn)] = ep._idle
+        local_port = conn.sock.getsockname()[1]
+        for prompt in ("b", "c"):
+            dispatch(ep, {"prompt": prompt}, 5000)
+        assert len(ep._idle) == 1
+        assert ep._idle[0][1] is conn
+        assert conn.sock.getsockname()[1] == local_port
+
+    def test_next_request_after_a_timeout_reads_its_own_reply(self, server_factory):
+        server = server_factory(script=SlowForPrompt())
+        ep = drafter(server.generate_url)
+        dispatch(ep, {"prompt": "fast"}, 5000)
+        with pytest.raises(EndpointTimeout):
+            dispatch(ep, {"prompt": "slow"}, 50)
+        assert ep._idle == []
+        time.sleep(0.4)  # the late reply to "slow" has been sent by now
+        body = dispatch(ep, {"prompt": "fast"}, 5000)
+        assert body["text"] == "## Rationale: fast. ## Response: fast."
+        assert ep.consecutive_failures == 0
+
+    def test_connection_closed_by_the_server_is_retried(self, mock_server):
+        ep = drafter(mock_server.generate_url)
+        dispatch(ep, {"prompt": "a"}, 5000)
+        [(_, stale)] = ep._idle
+        mock_server._httpd.shutdown_open_connections()
+        time.sleep(0.1)
+        body = dispatch(ep, {"prompt": "b"}, 5000)
+        assert body["text"] == "## Rationale: b. ## Response: b."
+        assert ep.consecutive_failures == 0
+        assert [conn for _, conn in ep._idle] != [stale]
+        assert mock_server.request_counts() == {"generate": 2}
+
+    def test_stopped_server_answers_no_pooled_connection(self):
+        server = MockLMServer().start()
+        ep = drafter(server.generate_url)
+        dispatch(ep, {"prompt": "a"}, 5000)
+        assert len(ep._idle) == 1
+        server.stop()
+        with pytest.raises(EndpointConnectionError):
+            dispatch(ep, {"prompt": "b"}, 5000)
+        assert len(server.request_log_snapshot()) == 1
+        assert ep.consecutive_failures == 1
+
+    def test_connection_is_reused_only_for_its_own_origin(self, server_factory):
+        first, second = server_factory(), server_factory()
+        ep = drafter(first.generate_url)
+        dispatch(ep, {"prompt": "a"}, 5000)
+        ep.url = second.generate_url
+        dispatch(ep, {"prompt": "b"}, 5000)
+        assert first.request_counts() == {"generate": 1}
+        assert second.request_counts() == {"generate": 1}
+        assert [origin for origin, _ in ep._idle] == [
+            ("http", urlsplit(second.url).netloc)
+        ]
+
+    def test_concurrent_calls_never_share_a_connection(self, mock_server):
+        ep = drafter(mock_server.generate_url)
+        workers, calls = 8, 25
+
+        def call(i):
+            prompt = f"p{i}"
+            return prompt, dispatch(ep, {"prompt": prompt}, 5000)["text"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(call, i) for i in range(workers * calls)]
+                replies = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for prompt, text in replies:
+            assert text == f"## Rationale: {prompt}. ## Response: {prompt}."
+        assert ep.consecutive_failures == 0
+        idle = [conn for _, conn in ep._idle]
+        assert 1 <= len(idle) <= workers
+        assert len({id(conn) for conn in idle}) == len(idle)
+        assert mock_server.request_counts() == {"generate": workers * calls}
+
+    def test_dropped_descriptor_closes_its_idle_connections(self, mock_server):
+        ep = drafter(mock_server.generate_url)
+        dispatch(ep, {"prompt": "a"}, 5000)
+        [(_, conn)] = ep._idle
+        del ep
+        gc.collect()
+        assert conn.sock is None
 
 
 class TestRoundRobin:
@@ -259,6 +365,46 @@ class TestServerEndpoints:
         # The server keeps serving, with its script unchanged.
         assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
         assert mock_server.script.delay_ms == 0
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_connection_is_closed_after_a_400(self, mock_server, length):
+        # The first body is left unread because its length is not usable;
+        # answering the next request would parse that body as a request line.
+        second = b'{"prompt": "second"}'
+        raw = (
+            b"POST /generate HTTP/1.1\r\nHost: mock\r\n"
+            b"Content-Length: " + length + b'\r\n\r\n{"prompt": "first"}'
+            b"POST /generate HTTP/1.1\r\nHost: mock\r\n"
+            + f"Content-Length: {len(second)}\r\n\r\n".encode()
+            + second
+        )
+        with socket.create_connection(("127.0.0.1", mock_server.port), timeout=5) as s:
+            s.sendall(raw)
+            reply = b""
+            while chunk := s.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert set(json.loads(body)) == {"error"}
+        assert mock_server.request_counts() == {}
+
+    def test_request_log_keeps_the_most_recent_entries(self, mock_server):
+        total = REQUEST_LOG_LIMIT + 5
+        for i in range(total):
+            mock_server.log_request_entry("echo" if i % 2 else "generate", None)
+        log = mock_server.request_log_snapshot()
+        assert [entry["index"] for entry in log] == list(range(5, total))
+        assert mock_server.request_counts() == {
+            "generate": (total + 1) // 2,
+            "echo": total // 2,
+        }
+        status, served = http("GET", f"{mock_server.url}/requests")
+        assert status == 200 and served == log
+        mock_server.reset_log()
+        assert mock_server.request_counts() == {}
+        mock_server.log_request_entry("embed", None)
+        assert [entry["index"] for entry in mock_server.request_log_snapshot()] == [0]
 
     def test_embed_endpoint_returns_unit_vectors(self, mock_server):
         body = b'{"instruction": "q", "inputs": ["one", "two"]}'

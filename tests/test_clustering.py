@@ -143,6 +143,19 @@ class TestUnitRows:
         with pytest.raises(DataError, match="row 1"):
             unit_rows([[1.0, 0.0], [value, 1.0]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 0.0], 2],
+            [[1, 0], ["0.6", "0.8"]],
+            [[1, 0], [True, False]],
+            [[1, 0], None],
+        ],
+    )
+    def test_row_that_is_not_a_list_of_numbers_rejected(self, rows):
+        with pytest.raises(DataError, match="row 1 is not a list of numbers"):
+            unit_rows(rows)
+
 
 def _endpoint(url):
     return EndpointDescriptor(url, EndpointRole.EMBEDDER)
@@ -204,6 +217,19 @@ class TestEmbedDocuments:
 
         server = server_factory(script=NaNScript())
         with pytest.raises(DataError, match="row 1"):
+            embed_documents(
+                self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
+            )
+
+    def test_rows_that_are_not_lists_from_endpoint_are_a_data_error(
+        self, server_factory
+    ):
+        class FlatScript(MockScript):
+            def embed(self, instruction, inputs):
+                return {"embeddings": [1, 2]}
+
+        server = server_factory(script=FlatScript())
+        with pytest.raises(DataError, match="row 0 is not a list of numbers"):
             embed_documents(
                 self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
             )

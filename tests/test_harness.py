@@ -116,6 +116,10 @@ class TestLoadDataset:
                 {"documents": [{"id": "d0", "title": 7, "text": "t"}]},
                 'document "d0" has a title that is not a string',
             ),
+            (
+                {"task_kind": "closed_set_choice", "choices": [[1, None], ["B", "x"]]},
+                "choice labels and texts must be strings",
+            ),
         ],
     )
     def test_non_string_answer_or_title_names_the_line(
