@@ -50,6 +50,7 @@ from .drafting import (
     TokenLogprob,
     build_draft_prompt,
     compute_rho_draft,
+    draft_subset,
     generate_drafts,
     parse_draft,
     sequence_logprob,
@@ -79,6 +80,7 @@ from .verification import (
     combine_scores,
     score_candidate,
     select_best,
+    verify_candidate,
     verify_candidates,
 )
 

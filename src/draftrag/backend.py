@@ -1,4 +1,4 @@
-"""Endpoint descriptors and the HTTP dispatch layer.
+"""Endpoint descriptors, the HTTP dispatch layer and the fan-out executor.
 
 Three endpoint roles exist: drafter (generation), verifier (echo scoring of a
 prompt's own tokens), and embedder. All speak JSON over HTTP POST:
@@ -13,15 +13,21 @@ prompt's own tokens), and embedder. All speak JSON over HTTP POST:
 from __future__ import annotations
 
 import json
+import os
+import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from typing import Callable, Iterable, TypeVar
 from urllib.parse import SplitResult, urlsplit
 
 UNHEALTHY_AFTER_FAILURES = 3
 JSON_HEADERS = {"Content-Type": "application/json"}
+
+T = TypeVar("T")
 
 
 class EndpointRole(str, Enum):
@@ -196,3 +202,36 @@ def round_robin_assign(
             endpoints[0].url if endpoints else "<none>", "no healthy endpoints in pool"
         )
     return [healthy[i % len(healthy)] for i in range(count)]
+
+
+def _fan_out_executor() -> ThreadPoolExecutor:
+    # No cap: the pool grows to the peak number of calls in flight (one per
+    # draft), and idle threads are reused by later queries.
+    return ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="fan-out")
+
+
+_executor = _fan_out_executor()
+
+
+def _replace_executor_after_fork() -> None:
+    # A forked child has none of the parent's worker threads, but the
+    # executor still counts them as idle and would queue work for them.
+    global _executor
+    _executor = _fan_out_executor()
+
+
+os.register_at_fork(after_in_child=_replace_executor_after_fork)
+
+
+def fan_out(fn: Callable[..., T], calls: Iterable[tuple]) -> list[T]:
+    """Run ``fn(*args)`` for every argument tuple concurrently; results in
+    call order.
+
+    Calls run on one process-wide thread pool, so a query starts no thread
+    once earlier queries have grown the pool to its fan-out. Every call
+    finishes before the first error, in call order, is raised, so no
+    request outlives the caller.
+    """
+    futures = [_executor.submit(fn, *args) for args in calls]
+    wait(futures)
+    return [future.result() for future in futures]

@@ -218,7 +218,14 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
 
 @dataclass
 class StageTimings:
-    """Wall-clock milliseconds per pipeline stage. Excluded from determinism."""
+    """Wall-clock milliseconds per pipeline stage. Excluded from determinism.
+
+    The speculative pipeline verifies each draft as soon as it arrives, so
+    its two fan-out stages overlap: ``draft_ms`` runs from the start of
+    drafting to the return of the last draft, and ``verify_ms`` is the tail
+    from there to the return of the last verification. The stages still
+    sum to about ``total_ms``.
+    """
 
     embed_ms: float = 0.0
     cluster_ms: float = 0.0

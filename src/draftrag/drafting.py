@@ -12,7 +12,7 @@ surrounding text, matching the token offsets reported by the endpoints.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -23,6 +23,7 @@ from .backend import (
     MalformedResponseError,
     TransportError,
     dispatch,
+    fan_out,
     round_robin_assign,
 )
 from .clustering import DocumentSubset
@@ -154,7 +155,8 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
 
     The rationale is the text between the first ``## Rationale:`` marker and
     the following ``## Response:`` marker; the answer is everything after
-    ``## Response:``. Both are whitespace-trimmed.
+    ``## Response:``. Both are whitespace-trimmed. Raises ``DraftParseError``
+    when a marker is missing or the answer is empty.
     """
     data = raw_completion.encode("utf-8")
     r_marker = RATIONALE_MARKER.encode("utf-8")
@@ -169,6 +171,10 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
 
     rationale_span = _trimmed_span(data, r_at + len(r_marker), a_at)
     answer_span = _trimmed_span(data, a_at + len(a_marker), len(data))
+    if answer_span.empty:
+        # An empty span scores log-prob 0, so an empty answer would
+        # outrank every real one.
+        raise DraftParseError(f'nothing after "{RESPONSE_MARKER}"')
     return ParsedDraft(
         rationale=data[rationale_span.start : rationale_span.end].decode("utf-8"),
         answer=data[answer_span.start : answer_span.end].decode("utf-8"),
@@ -216,9 +222,18 @@ def compute_rho_draft(candidate: DraftCandidate, normalize: bool = False) -> flo
     return float(np.logaddexp(l_rationale, l_answer))
 
 
-def parse_token_payload(raw_tokens: object, url: str) -> tuple[TokenLogprob, ...]:
+def parse_token_payload(
+    raw_tokens: object, url: str, text: str
+) -> tuple[TokenLogprob, ...]:
+    """Decode an endpoint's token list for the scored ``text``.
+
+    Every logprob must be finite and at most 0, and every token's byte
+    range must satisfy 0 <= start <= end <= len(text in UTF-8); anything
+    else is a ``MalformedResponseError``, so no such reply reaches ranking.
+    """
     if not isinstance(raw_tokens, list):
         raise MalformedResponseError(url, 'response lacks a "tokens" list')
+    text_bytes = len(text.encode("utf-8"))
     out = []
     try:
         for t in raw_tokens:
@@ -232,6 +247,17 @@ def parse_token_payload(raw_tokens: object, url: str) -> tuple[TokenLogprob, ...
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedResponseError(url, f"bad token entry: {exc}")
+    for i, tok in enumerate(out):
+        if not (math.isfinite(tok.logprob) and tok.logprob <= 0.0):
+            raise MalformedResponseError(
+                url, f"token {i} has logprob {tok.logprob}, not a finite value <= 0"
+            )
+        if not 0 <= tok.char_start <= tok.char_end <= text_bytes:
+            raise MalformedResponseError(
+                url,
+                f"token {i} spans bytes [{tok.char_start}, {tok.char_end}) "
+                f"outside the {text_bytes}-byte text",
+            )
     return tuple(out)
 
 
@@ -243,7 +269,8 @@ def draft_candidate(
 ) -> DraftCandidate:
     """Parse a drafter completion for ``subset`` and score its ``rho_draft``.
 
-    Raises ``DraftParseError`` when a marker is missing.
+    Raises ``DraftParseError`` when a marker is missing or the answer is
+    empty.
     """
     parsed = parse_draft(text)
     candidate = DraftCandidate(
@@ -260,7 +287,7 @@ def draft_candidate(
     return replace(candidate, rho_draft_log=compute_rho_draft(candidate, normalize))
 
 
-def _request_draft(
+def draft_subset(
     query: Query,
     subset: DocumentSubset,
     docs_by_id: Mapping[str, Document],
@@ -268,23 +295,46 @@ def _request_draft(
     timeout_ms: int,
     normalize: bool,
     max_tokens: int,
-) -> DraftCandidate:
-    prompt = build_draft_prompt(query, subset, docs_by_id)
-    body = dispatch(
-        endpoint,
-        {
-            "prompt": prompt,
-            "max_tokens": max_tokens,
-            "temperature": 0,
-            "logprobs": True,
-        },
-        timeout_ms,
-    )
-    text = body.get("text")
-    if not isinstance(text, str):
-        raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
-    tokens = parse_token_payload(body.get("tokens"), endpoint.url)
-    return draft_candidate(subset, text, tokens, normalize)
+) -> DraftCandidate | DroppedDraft:
+    """Draft one subset: one greedy generation request with logprobs.
+
+    A failed request or an unparseable completion comes back as a
+    ``DroppedDraft`` rather than an error.
+    """
+    try:
+        prompt = build_draft_prompt(query, subset, docs_by_id)
+        body = dispatch(
+            endpoint,
+            {
+                "prompt": prompt,
+                "max_tokens": max_tokens,
+                "temperature": 0,
+                "logprobs": True,
+            },
+            timeout_ms,
+        )
+        text = body.get("text")
+        if not isinstance(text, str):
+            raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
+        tokens = parse_token_payload(body.get("tokens"), endpoint.url, text)
+        return draft_candidate(subset, text, tokens, normalize)
+    except (TransportError, DraftParseError) as exc:
+        logger.warning("draft for subset %d dropped: %s", subset.subset_index, exc)
+        return DroppedDraft(subset.subset_index, str(exc))
+
+
+def collect_drafts(outcomes: Sequence[DraftCandidate | DroppedDraft]) -> DraftBatch:
+    """Split per-subset outcomes into a batch, each list in subset order.
+
+    Raises ``NoValidDraftsError`` when every draft was dropped.
+    """
+    candidates = [o for o in outcomes if isinstance(o, DraftCandidate)]
+    dropped = [o for o in outcomes if isinstance(o, DroppedDraft)]
+    if not candidates:
+        raise NoValidDraftsError("no valid drafts")
+    candidates.sort(key=lambda c: c.subset_index)
+    dropped.sort(key=lambda d: d.subset_index)
+    return DraftBatch(candidates=candidates, dropped=dropped)
 
 
 def generate_drafts(
@@ -306,34 +356,12 @@ def generate_drafts(
     if not subsets:
         raise ValueError("generate_drafts requires at least one subset")
     assigned = round_robin_assign(len(subsets), list(endpoints))
-
-    candidates: list[DraftCandidate] = []
-    dropped: list[DroppedDraft] = []
-    with ThreadPoolExecutor(max_workers=len(subsets)) as pool:
-        futures = [
-            pool.submit(
-                _request_draft,
-                query,
-                subset,
-                docs_by_id,
-                endpoint,
-                timeout_ms,
-                normalize,
-                max_tokens,
-            )
-            for subset, endpoint in zip(subsets, assigned)
-        ]
-        for subset, future in zip(subsets, futures):
-            try:
-                candidates.append(future.result())
-            except (TransportError, DraftParseError) as exc:
-                logger.warning(
-                    "draft for subset %d dropped: %s", subset.subset_index, exc
-                )
-                dropped.append(DroppedDraft(subset.subset_index, str(exc)))
-
-    candidates.sort(key=lambda c: c.subset_index)
-    dropped.sort(key=lambda d: d.subset_index)
-    if not candidates:
-        raise NoValidDraftsError("no valid drafts")
-    return DraftBatch(candidates=candidates, dropped=dropped)
+    return collect_drafts(
+        fan_out(
+            draft_subset,
+            [
+                (query, subset, docs_by_id, endpoint, timeout_ms, normalize, max_tokens)
+                for subset, endpoint in zip(subsets, assigned)
+            ],
+        )
+    )

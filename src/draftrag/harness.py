@@ -20,12 +20,20 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .backend import EndpointDescriptor, EndpointRole, TransportError, dispatch
+from .backend import (
+    EndpointDescriptor,
+    EndpointRole,
+    TransportError,
+    dispatch,
+    fan_out,
+    round_robin_assign,
+)
 from .clustering import (
+    DocumentSubset,
     SubsetPlan,
     embed_documents,
     kmeans_cluster,
@@ -43,11 +51,23 @@ from .core import (
     TaskKind,
     derive_rng,
 )
-from .drafting import DraftBatch, generate_drafts, instruction_text, parse_token_payload
+from .drafting import (
+    MAX_COMPLETION_TOKENS,
+    DraftBatch,
+    DraftCandidate,
+    DroppedDraft,
+    collect_drafts,
+    draft_subset,
+    generate_drafts,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
+    instruction_text,
+    parse_token_payload,
+)
 from .verification import (
     ReflectionStatement,
+    VerificationResult,
     select_best,
-    verify_candidates,
+    verify_candidate,
+    verify_candidates,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
 )
 
 logger = logging.getLogger(__name__)
@@ -259,18 +279,26 @@ _STAGES = tuple(f.name for f in fields(StageTimings))
 
 
 @contextmanager
-def _stage(timings: StageTimings, name: str):
-    """Time one stage into ``timings``; its errors become ``PipelineError``s.
+def _stage_errors(name: str):
+    """Turn the errors of stage ``name`` into ``PipelineError``s.
 
     Only ``Exception``s are wrapped, so an interrupt still reaches the caller.
     """
-    start = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(f"{name} stage failed: {exc}") from exc
+
+
+@contextmanager
+def _stage(timings: StageTimings, name: str):
+    """Time one stage into ``timings``; its errors become ``PipelineError``s."""
+    start = time.perf_counter()
+    try:
+        with _stage_errors(name):
+            yield
     finally:
         setattr(timings, f"{name}_ms", (time.perf_counter() - start) * 1000.0)
 
@@ -379,6 +407,60 @@ def _candidate_rows(batch: DraftBatch, verifications) -> list[dict]:
     return rows
 
 
+class _SubsetOutcome(NamedTuple):
+    draft: DraftCandidate | DroppedDraft
+    drafted_at: float
+    verification: VerificationResult | None
+    verify_error: Exception | None
+    done_at: float
+
+
+def _draft_then_verify(
+    query: Query,
+    subset: DocumentSubset,
+    docs_by_id: Mapping[str, Document],
+    drafter: EndpointDescriptor,
+    verifier: EndpointDescriptor,
+    cfg: PipelineConfig,
+) -> _SubsetOutcome:
+    """One subset's task: draft it, then echo-score the draft at once,
+    without waiting for the other drafts.
+
+    An error of the draft half is raised. An error of the verify half is
+    returned instead, so the caller can report every draft-stage error
+    before any verify-stage one, as the two stages did when run one after
+    the other. Random selection verifies nothing.
+    """
+    draft = draft_subset(
+        query,
+        subset,
+        docs_by_id,
+        drafter,
+        cfg.request_timeout_ms,
+        cfg.length_normalize_logprobs,
+        MAX_COMPLETION_TOKENS,
+    )
+    drafted_at = time.perf_counter()
+    if isinstance(draft, DroppedDraft) or cfg.selection_mode is SelectionMode.RANDOM:
+        return _SubsetOutcome(draft, drafted_at, None, None, drafted_at)
+    verification = error = None
+    try:
+        verification = verify_candidate(
+            query,
+            draft,
+            docs_by_id,
+            cfg.verification_context_mode,
+            ReflectionStatement(text=cfg.reflection_statement),
+            verifier,
+            cfg.request_timeout_ms,
+            cfg.score_terms,
+            cfg.length_normalize_logprobs,
+        )
+    except Exception as exc:  # raised again by the caller, in the verify stage
+        error = exc
+    return _SubsetOutcome(draft, drafted_at, verification, error, time.perf_counter())
+
+
 def run_speculative(
     record: DatasetRecord, cfg: PipelineConfig, backends: PipelineBackends
 ) -> PipelineResult:
@@ -386,6 +468,10 @@ def run_speculative(
 
     Deterministic (modulo timings) given the config seed and mock backends.
     Gold answers are scrubbed from the query before any prompt is built.
+    Each subset is drafted and then verified in one task, so a draft is
+    scored as soon as it arrives; ``draft_ms`` ends when the last draft
+    returns and ``verify_ms`` is the tail from there to the last
+    verification.
     """
     query, docs, notices = prepare_record(record, cfg)
     docs_by_id = {d.id: d for d in docs}
@@ -400,15 +486,19 @@ def run_speculative(
     plan = plan_subsets(query, docs, vectors, cfg, timings)
     notices.extend(plan.notices)
 
-    with _stage(timings, "draft"):
-        batch = generate_drafts(
-            query,
-            plan.subsets,
-            docs_by_id,
-            backends.drafters,
-            cfg.request_timeout_ms,
-            normalize=cfg.length_normalize_logprobs,
+    drafting_started = time.perf_counter()
+    with _stage_errors("draft"):
+        drafters = round_robin_assign(len(plan.subsets), backends.drafters)
+        outcomes = fan_out(
+            _draft_then_verify,
+            [
+                (query, subset, docs_by_id, drafter, backends.verifier, cfg)
+                for subset, drafter in zip(plan.subsets, drafters)
+            ],
         )
+        batch = collect_drafts([o.draft for o in outcomes])
+    drafted = max(o.drafted_at for o in outcomes)
+    timings.draft_ms = (drafted - drafting_started) * 1000.0
     for d in batch.dropped:
         notices.append(f"draft {d.subset_index} dropped: {d.reason}")
 
@@ -417,18 +507,15 @@ def run_speculative(
         # The no-verification ablation: skip the verifier entirely.
         scored = [(c.subset_index, 0.0) for c in batch.candidates]
     else:
-        with _stage(timings, "verify"):
-            verifications = verify_candidates(
-                query,
-                batch.candidates,
-                docs_by_id,
-                cfg.verification_context_mode,
-                ReflectionStatement(text=cfg.reflection_statement),
-                backends.verifier,
-                cfg.request_timeout_ms,
-                cfg.score_terms,
-                normalize=cfg.length_normalize_logprobs,
-            )
+        with _stage_errors("verify"):
+            for o in outcomes:
+                if o.verify_error is not None:
+                    raise o.verify_error
+        timings.verify_ms = (max(o.done_at for o in outcomes) - drafted) * 1000.0
+        verifications = sorted(
+            (o.verification for o in outcomes if o.verification is not None),
+            key=lambda v: v.subset_index,
+        )
         for v in verifications:
             if v.dropped:
                 notices.append(
@@ -500,7 +587,7 @@ def run_standard_baseline(
             raise TransportError(
                 backends.verifier.url, 'response lacks a "text" field'
             )
-        parse_token_payload(body.get("tokens", []), backends.verifier.url)
+        parse_token_payload(body.get("tokens", []), backends.verifier.url, text)
 
     answer = text.strip()
     timings.total_ms = (time.perf_counter() - started) * 1000.0

@@ -372,6 +372,7 @@ class MockLMServer:
         self._lock = threading.Lock()
         self._httpd = _MockHTTPServer(("127.0.0.1", port), _Handler)
         self._httpd.owner = self
+        self._serving = False
         self._thread: threading.Thread | None = None
 
     @property
@@ -391,6 +392,7 @@ class MockLMServer:
         return f"{self.url}/embed"
 
     def start(self) -> "MockLMServer":
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(STOP_POLL_INTERVAL_S,), daemon=True
         )
@@ -398,7 +400,10 @@ class MockLMServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        # socketserver's shutdown() waits for a serving loop to end, and
+        # waits forever when no loop ever ran.
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._httpd.shutdown_open_connections()
         if self._thread is not None:
@@ -411,6 +416,7 @@ class MockLMServer:
         self.stop()
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def load_script(self, script: MockScript) -> None:

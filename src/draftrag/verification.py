@@ -11,13 +11,12 @@ self-reflection score aggregates the trailing affirmation.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backend import EndpointDescriptor, TransportError, dispatch
+from .backend import EndpointDescriptor, TransportError, dispatch, fan_out
 from .core import (
     DEFAULT_REFLECTION_STATEMENT,
     Document,
@@ -158,7 +157,7 @@ def score_candidate(
         },
         timeout_ms,
     )
-    tokens = parse_token_payload(body.get("tokens"), endpoint.url)
+    tokens = parse_token_payload(body.get("tokens"), endpoint.url, prompt.text)
     rho_sc = sum(
         sequence_logprob(tokens, span, normalize) for span in prompt.consistency_spans
     )
@@ -204,6 +203,48 @@ def select_best(
     return min(scored, key=lambda item: (-item[1], item[0]))[0]
 
 
+def verify_candidate(
+    query: Query,
+    candidate: DraftCandidate,
+    docs_by_id: Mapping[str, Document],
+    mode: VerificationContextMode,
+    reflection: ReflectionStatement,
+    endpoint: EndpointDescriptor,
+    timeout_ms: int,
+    score_terms: frozenset[ScoreTerm],
+    normalize: bool,
+) -> VerificationResult:
+    """Score one candidate with one echo request.
+
+    When neither verifier-side term is enabled no request is issued and the
+    final score reduces to the enabled drafter term. An endpoint failure
+    marks the candidate dropped instead of raising.
+    """
+    rho_sc = rho_sr = 0.0
+    if score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}:
+        try:
+            prompt = build_verify_prompt(query, candidate, docs_by_id, mode, reflection)
+            rho_sc, rho_sr = score_candidate(prompt, endpoint, timeout_ms, normalize)
+        except TransportError as exc:
+            logger.warning(
+                "verification for subset %d dropped: %s", candidate.subset_index, exc
+            )
+            return VerificationResult(
+                subset_index=candidate.subset_index,
+                rho_sc_log=0.0,
+                rho_sr_log=0.0,
+                rho_final_log=float("-inf"),
+                dropped=True,
+                drop_reason=str(exc),
+            )
+    return VerificationResult(
+        subset_index=candidate.subset_index,
+        rho_sc_log=rho_sc,
+        rho_sr_log=rho_sr,
+        rho_final_log=combine_scores(candidate.rho_draft_log, rho_sc, rho_sr, score_terms),
+    )
+
+
 def verify_candidates(
     query: Query,
     candidates: Sequence[DraftCandidate],
@@ -215,59 +256,24 @@ def verify_candidates(
     score_terms: frozenset[ScoreTerm],
     normalize: bool = False,
 ) -> list[VerificationResult]:
-    """Score every candidate, one echo request each, up to m in flight.
-
-    When neither verifier-side term is enabled no requests are issued and
-    the final score reduces to the enabled drafter term. Endpoint failures
-    mark the affected candidate dropped instead of failing the batch.
-    """
-    needs_verifier = bool(
-        score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}
-    )
-    if not needs_verifier:
-        return [
-            VerificationResult(
-                subset_index=c.subset_index,
-                rho_sc_log=0.0,
-                rho_sr_log=0.0,
-                rho_final_log=combine_scores(c.rho_draft_log, 0.0, 0.0, score_terms),
+    """Score every candidate concurrently, one echo request each, results in
+    subset order (see ``verify_candidate``)."""
+    results = fan_out(
+        verify_candidate,
+        [
+            (
+                query,
+                c,
+                docs_by_id,
+                mode,
+                reflection,
+                endpoint,
+                timeout_ms,
+                score_terms,
+                normalize,
             )
             for c in candidates
-        ]
-
-    def one(candidate: DraftCandidate) -> VerificationResult:
-        prompt = build_verify_prompt(query, candidate, docs_by_id, mode, reflection)
-        rho_sc, rho_sr = score_candidate(prompt, endpoint, timeout_ms, normalize)
-        return VerificationResult(
-            subset_index=candidate.subset_index,
-            rho_sc_log=rho_sc,
-            rho_sr_log=rho_sr,
-            rho_final_log=combine_scores(
-                candidate.rho_draft_log, rho_sc, rho_sr, score_terms
-            ),
-        )
-
-    results: list[VerificationResult] = []
-    with ThreadPoolExecutor(max_workers=max(1, len(candidates))) as pool:
-        futures = [pool.submit(one, c) for c in candidates]
-        for candidate, future in zip(candidates, futures):
-            try:
-                results.append(future.result())
-            except TransportError as exc:
-                logger.warning(
-                    "verification for subset %d dropped: %s",
-                    candidate.subset_index,
-                    exc,
-                )
-                results.append(
-                    VerificationResult(
-                        subset_index=candidate.subset_index,
-                        rho_sc_log=0.0,
-                        rho_sr_log=0.0,
-                        rho_final_log=float("-inf"),
-                        dropped=True,
-                        drop_reason=str(exc),
-                    )
-                )
+        ],
+    )
     results.sort(key=lambda r: r.subset_index)
     return results

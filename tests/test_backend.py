@@ -2,8 +2,10 @@ import gc
 import json
 import os
 import socket
+import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -22,6 +24,7 @@ from draftrag.backend import (
     EndpointUnavailableError,
     MalformedResponseError,
     dispatch,
+    fan_out,
     round_robin_assign,
 )
 from draftrag.mock_server import (
@@ -166,6 +169,16 @@ class TestKeepAlive:
         assert len(server.request_log_snapshot()) == 1
         assert ep.consecutive_failures == 1
 
+    def test_stop_without_start_returns_and_closes_the_socket(self):
+        server = MockLMServer()
+        port = server.port
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+
     def test_connection_is_reused_only_for_its_own_origin(self, server_factory):
         first, second = server_factory(), server_factory()
         ep = drafter(first.generate_url)
@@ -209,6 +222,54 @@ class TestKeepAlive:
         del ep
         gc.collect()
         assert conn.sock is None
+
+
+class TestFanOut:
+    def test_results_come_in_call_order(self):
+        def late_for_low_i(i):
+            time.sleep(0.01 * (5 - i))
+            return i
+
+        assert fan_out(late_for_low_i, [(i,) for i in range(5)]) == list(range(5))
+
+    def test_first_error_in_call_order_is_raised_after_every_call_ends(self):
+        finished = []
+
+        def call(i):
+            time.sleep(0.05 if i == 3 else 0.0)
+            if i in (1, 2):
+                raise ValueError(f"call {i} failed")
+            finished.append(i)
+
+        with pytest.raises(ValueError, match="call 1 failed"):
+            fan_out(call, [(i,) for i in range(4)])
+        assert sorted(finished) == [0, 3]
+
+    def test_wide_fan_out_runs_every_call_at_once(self):
+        # Wider than the standard library's default pool on a small host.
+        width = 40
+        barrier = threading.Barrier(width, timeout=10)
+        assert sorted(fan_out(barrier.wait, [()] * width)) == list(range(width))
+
+    def test_forked_child_can_fan_out(self):
+        fan_out(time.sleep, [(0.01,)] * 4)  # the parent's pool has idle threads
+        pid = os.fork()
+        if pid == 0:
+            try:
+                ok = fan_out(abs, [(-1,)] * 4) == [1] * 4
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("fan_out in a forked child never ran its calls")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestRoundRobin:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from draftrag.backend import EndpointDescriptor, EndpointRole
 from draftrag.clustering import DocumentSubset
 from draftrag.core import DataError, Document, Query, TaskKind
+from draftrag.backend import MalformedResponseError
 from draftrag.drafting import (
     DraftParseError,
     Span,
@@ -17,9 +18,10 @@ from draftrag.drafting import (
     compute_rho_draft,
     generate_drafts,
     parse_draft,
+    parse_token_payload,
     sequence_logprob,
 )
-from draftrag.mock_server import MockScript
+from draftrag.mock_server import MockScript, uniform_tokens
 from reference_texts import (
     NIRVANA_ANSWER,
     NIRVANA_COMPLETION,
@@ -101,6 +103,15 @@ class TestParseDraft:
         with pytest.raises(DraftParseError, match='missing "## Response:"'):
             parse_draft("## Rationale: something but nothing else")
 
+    @pytest.mark.parametrize(
+        "raw", ["## Rationale: r ## Response:", "## Rationale: r\n## Response: \n\t "]
+    )
+    def test_empty_answer_is_a_parse_error(self, raw):
+        # An empty answer span would score log-prob 0 and outrank every
+        # real answer.
+        with pytest.raises(DraftParseError, match='nothing after "## Response:"'):
+            parse_draft(raw)
+
     def test_spans_are_disjoint_in_order_substrings(self):
         raw = "## Rationale: first part\n## Response: second part"
         parsed = parse_draft(raw)
@@ -124,6 +135,33 @@ class TestParseDraft:
         parsed = parse_draft(script.generate("prompt")["text"])
         assert parsed.rationale == rationale
         assert parsed.answer == answer
+
+
+class TestParseTokenPayload:
+    TEXT = "ab é"  # 5 bytes in UTF-8
+
+    def payload(self, logprob=-0.5, start=3, end=5):
+        return [
+            {"text": "ab ", "logprob": -1.0, "start": 0, "end": 3},
+            {"text": "é", "logprob": logprob, "start": start, "end": end},
+        ]
+
+    def test_valid_tokens_decode(self):
+        tokens = parse_token_payload(self.payload(logprob=0.0), "u", self.TEXT)
+        assert tokens == (
+            TokenLogprob("ab ", -1.0, 0, 3),
+            TokenLogprob("é", 0.0, 3, 5),
+        )
+
+    @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, 0.25])
+    def test_logprob_that_is_not_finite_and_at_most_zero_is_rejected(self, logprob):
+        with pytest.raises(MalformedResponseError, match="token 1 has logprob"):
+            parse_token_payload(self.payload(logprob=logprob), "u", self.TEXT)
+
+    @pytest.mark.parametrize("start,end", [(-1, 2), (4, 3), (3, 6)])
+    def test_offsets_outside_the_text_are_rejected(self, start, end):
+        with pytest.raises(MalformedResponseError, match="outside the 5-byte text"):
+            parse_token_payload(self.payload(start=start, end=end), "u", self.TEXT)
 
 
 def tok(lp, start, end, text="t"):
@@ -280,6 +318,35 @@ class TestGenerateDrafts:
         assert len(batch.dropped) == 1
         assert batch.dropped[0].subset_index == 2
         assert "Rationale" in batch.dropped[0].reason
+
+    @pytest.mark.parametrize(
+        "completion,tokens,reason",
+        [
+            ("## Rationale: r\n## Response: ", None, "nothing after"),
+            ("## Rationale: r\n## Response: a", [math.nan], "logprob nan"),
+            ("## Rationale: r\n## Response: a", [0.5], "logprob 0.5"),
+            ("## Rationale: r\n## Response: a", [(0, 99)], "outside the"),
+        ],
+    )
+    def test_degenerate_completion_is_dropped(
+        self, mock_server, completion, tokens, reason
+    ):
+        query, docs = self.toy()
+        subsets = [subset_of("d1", index=0), subset_of("d2", index=1)]
+        scripted = uniform_tokens(completion, -1.0)
+        for entry, bad in zip(scripted, tokens or []):
+            if isinstance(bad, tuple):
+                entry["start"], entry["end"] = bad
+            else:
+                entry["logprob"] = bad
+        mock_server.script.script_completion(
+            build_draft_prompt(query, subsets[1], docs), completion, scripted
+        )
+        batch = generate_drafts(query, subsets, docs, _drafters(mock_server), 5000)
+        assert [c.subset_index for c in batch.candidates] == [0]
+        [dropped] = batch.dropped
+        assert dropped.subset_index == 1
+        assert reason in dropped.reason
 
     def test_results_in_subset_order_despite_slow_endpoint(self, server_factory):
         # Round-robin sends even subsets to the slow server; completion order

@@ -1,5 +1,7 @@
 import json
-from dataclasses import replace
+import threading
+import time
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from draftrag.core import (
     Document,
     PipelineConfig,
+    PipelineError,
     Query,
     StageTimings,
     TaskKind,
@@ -206,6 +209,31 @@ class TestStandardPrompt:
         assert prompt.endswith("### Response:")
 
 
+@dataclass
+class FirstDraftHeldBack(MockScript):
+    """Holds back the reply to the first draft request for ``hold_s``, and
+    notes when that reply leaves and when each echo request arrives."""
+
+    hold_s: float = 0.3
+    held_reply_at: float = float("inf")
+    echo_arrivals: list[float] = field(default_factory=list)
+    _held: bool = False
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def generate(self, prompt):
+        with self._lock:
+            hold, self._held = not self._held, True
+        if hold:
+            time.sleep(self.hold_s)
+            self.held_reply_at = time.perf_counter()
+        return super().generate(prompt)
+
+    def echo(self, prompt):
+        with self._lock:
+            self.echo_arrivals.append(time.perf_counter())
+        return super().echo(prompt)
+
+
 @pytest.fixture(scope="module")
 def rigged():
     cfg = PipelineConfig(top_n=4, rng_seed=42)
@@ -283,6 +311,87 @@ class TestPipelines:
         assert t.total_ms >= max(
             t.embed_ms, t.cluster_ms, t.sample_ms, t.draft_ms, t.verify_ms
         )
+        # Drafting and verification overlap: draft_ms ends at the last
+        # draft and verify_ms is the tail after it.
+        assert t.draft_ms + t.verify_ms <= t.total_ms
+
+    def test_no_thread_starts_per_query_after_warm_up(
+        self, rigged, server_factory, monkeypatch
+    ):
+        # A delay makes every draft, and then every verification, overlap,
+        # so the warm-up grows each pool to its peak.
+        script = MockScript(
+            completions=rigged.script.completions,
+            echoes=rigged.script.echoes,
+            delay_ms=20,
+        )
+        server = server_factory(script=script)
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        backends = make_backends(cfg)
+        record = rigged.records[0]
+        for _ in range(2):
+            run_speculative(record, cfg, backends)
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        for _ in range(20):
+            run_speculative(record, cfg, backends)
+        assert started == []
+        assert threading.active_count() == before
+
+    def test_each_draft_is_verified_as_soon_as_it_arrives(
+        self, rigged, server_factory
+    ):
+        script = FirstDraftHeldBack(
+            completions=rigged.script.completions, echoes=rigged.script.echoes
+        )
+        server = server_factory(script=script)
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
+        drafts = len(result.candidates)
+        assert drafts >= 2
+        assert not any(c["dropped"] for c in result.candidates)
+        assert len(script.echo_arrivals) == drafts
+        early = [t for t in script.echo_arrivals if t < script.held_reply_at]
+        assert len(early) == drafts - 1
+
+    def test_draft_stage_errors_come_before_verify_stage_errors(
+        self, rigged_env, monkeypatch
+    ):
+        records, cfg, _ = rigged_env
+        real_draft = harness.draft_subset
+
+        def draft_fails_for_subset_1(query, subset, *rest):
+            if subset.subset_index == 1:
+                raise RuntimeError("draft boom")
+            return real_draft(query, subset, *rest)
+
+        def verify_fails(*args):
+            raise RuntimeError("verify boom")
+
+        monkeypatch.setattr(harness, "verify_candidate", verify_fails)
+        monkeypatch.setattr(harness, "draft_subset", draft_fails_for_subset_1)
+        with pytest.raises(PipelineError, match="^draft stage failed: draft boom$"):
+            run_speculative(records[0], cfg, make_backends(cfg))
+        monkeypatch.setattr(harness, "draft_subset", real_draft)
+        with pytest.raises(PipelineError, match="^verify stage failed: verify boom$"):
+            run_speculative(records[0], cfg, make_backends(cfg))
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must
@@ -390,6 +499,25 @@ class TestExperiments:
             "subset_4",
             "subset_6",
         ]
+
+    def test_sweep_past_num_drafts_still_drafts_concurrently(self, server_factory):
+        # No pool sized from the config's num_drafts may serialise a sweep
+        # point with more drafts than that.
+        delay, m = 100, 8
+        base = PipelineConfig(top_n=m, num_clusters=1, num_drafts=m, rng_seed=3)
+        fixture = make_rigged_fixture(base, num_records=1, distractors=m - 1)
+        server = server_factory(script=MockScript(delay_ms=delay))
+        cfg = replace(
+            base,
+            num_drafts=2,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        [summary] = run_sweep(fixture.records, cfg, m_values=[m])
+        assert summary.failures == 0
+        assert server.request_counts()["generate"] == m
+        assert summary.latency["draft_ms"]["p50"] < m * delay / 3
 
 
 class TestReportLatency:

@@ -347,6 +347,38 @@ class TestVerifyCandidates:
         assert dead in (results[0].drop_reason or "")
 
 
+    @pytest.mark.parametrize(
+        "change", [{"logprob": math.nan}, {"logprob": 0.5}, {"end": 10**6}]
+    )
+    def test_malformed_echo_tokens_drop_the_candidate(self, mock_server, change):
+        from draftrag.mock_server import tokens_from_rule
+
+        candidate = make_candidate()
+        vp = build_verify_prompt(
+            Query(id="q", text="why?"),
+            candidate,
+            DOCS,
+            VerificationContextMode.RATIONALE_ONLY,
+            REFLECTION,
+        )
+        tokens = tokens_from_rule(vp.text)
+        tokens[-1].update(change)
+        mock_server.script.script_echo(vp.text, tokens)
+        [result] = verify_candidates(
+            Query(id="q", text="why?"),
+            [candidate],
+            DOCS,
+            VerificationContextMode.RATIONALE_ONLY,
+            REFLECTION,
+            _verifier(mock_server),
+            5000,
+            ALL_TERMS,
+        )
+        assert result.dropped
+        assert result.rho_final_log == float("-inf")
+        assert "token" in (result.drop_reason or "")
+
+
 class GuardedQuery(Query):
     """Query that records any read of its gold answers."""
 
