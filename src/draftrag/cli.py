@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .backend import TransportError
@@ -49,7 +50,7 @@ def _load_config(args) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "rng_seed": args.seed})
+        cfg = replace(cfg, rng_seed=args.seed)
     violations = validate_config(cfg)
     if violations:
         raise ConfigError("invalid config:\n  " + "\n  ".join(violations))

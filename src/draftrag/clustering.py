@@ -20,6 +20,7 @@ from .backend import EndpointDescriptor, TransportError, dispatch
 from .core import DataError, Document, Query, SamplingMode
 
 KMEANS_MAX_ITERS = 100
+KMEANS_RESTARTS = 10
 # Rejection sampling gives up after this many draws per requested subset.
 SAMPLING_ATTEMPT_FACTOR = 50
 
@@ -195,16 +196,15 @@ def kmeans_cluster(
     vectors: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    restarts: int = 10,
 ) -> ClusterSet:
     """Lloyd's algorithm with k-means++ seeding, squared-Euclidean distance.
 
     Each run iterates to an assignment fixpoint or 100 iterations; if an
     iteration empties a cluster, its centroid is reseeded at the point
     farthest from that point's current centroid. Lloyd's alone can stall in
-    poor local optima on small inputs, so the algorithm restarts from fresh
-    k-means++ seedings and keeps the lowest-SSE run. Deterministic given
-    inputs and rng state.
+    poor local optima on small inputs, so it runs ``KMEANS_RESTARTS`` times
+    from fresh k-means++ seedings and keeps the lowest-SSE run.
+    Deterministic given inputs and rng state.
     """
     n = len(vectors)
     if len(doc_ids) != n:
@@ -213,7 +213,7 @@ def kmeans_cluster(
         raise ValueError(f"k must satisfy 1 ≤ k ≤ {n}, got {k}")
 
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
-    for _ in range(max(1, restarts)):
+    for _ in range(KMEANS_RESTARTS):
         run = _lloyd_once(vectors, k, rng)
         if best is None or run[2][-1] < best[2][-1]:
             best = run

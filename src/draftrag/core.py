@@ -113,49 +113,69 @@ class PipelineConfig:
         return cls(**base)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
+    def from_dict(cls, raw: object) -> "PipelineConfig":
+        """Inverse of ``to_dict``. A value that is not a JSON object, an
+        unknown key, or a field of the wrong type raises ``ConfigError``;
+        ranges are left to ``validate_config``."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(raw)
-        if "verification_context_mode" in kwargs:
-            kwargs["verification_context_mode"] = VerificationContextMode(
-                kwargs["verification_context_mode"]
-            )
-        if "score_terms" in kwargs:
-            kwargs["score_terms"] = frozenset(
-                ScoreTerm(t) for t in kwargs["score_terms"]
-            )
-        if "sampling_mode" in kwargs:
-            kwargs["sampling_mode"] = SamplingMode(kwargs["sampling_mode"])
-        if "selection_mode" in kwargs:
-            kwargs["selection_mode"] = SelectionMode(kwargs["selection_mode"])
-        if "drafter_endpoints" in kwargs:
-            kwargs["drafter_endpoints"] = tuple(kwargs["drafter_endpoints"])
-        return cls(**kwargs)
+        defaults = cls()
+        return cls(
+            **{
+                key: _field_value(key, value, getattr(defaults, key))
+                for key, value in raw.items()
+            }
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "num_drafts": self.num_drafts,
-            "num_clusters": self.num_clusters,
-            "top_n": self.top_n,
-            "reflection_statement": self.reflection_statement,
-            "verification_context_mode": self.verification_context_mode.value,
-            "score_terms": sorted(t.value for t in self.score_terms),
-            "sampling_mode": self.sampling_mode.value,
-            "selection_mode": self.selection_mode.value,
-            "length_normalize_logprobs": self.length_normalize_logprobs,
-            "rng_seed": self.rng_seed,
-            "drafter_endpoints": list(self.drafter_endpoints),
-            "verifier_endpoint": self.verifier_endpoint,
-            "embedding_endpoint": self.embedding_endpoint,
-            "request_timeout_ms": self.request_timeout_ms,
-        }
+        """The JSON form: enums as their values, sequences as lists."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 class ConfigError(Exception):
     """Raised when a config file cannot even be parsed into a PipelineConfig."""
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):  # score_terms
+        return sorted(t.value for t in value)
+    if isinstance(value, tuple):  # drafter_endpoints
+        return list(value)
+    return value
+
+
+def _field_value(key: str, value: object, default: object) -> object:
+    """A config file's ``value`` for field ``key``, as the type of the
+    field's ``default``; any other type raises ``ConfigError``."""
+
+    def fail(expected: str, got: object = value) -> ConfigError:
+        return ConfigError(f"{key} must be {expected}, got {got!r}")
+
+    def member(kind: type[Enum], v: object) -> Enum:
+        values = [m.value for m in kind]
+        if not isinstance(v, str) or v not in values:
+            raise fail(f"one of {', '.join(values)}", v)
+        return kind(v)
+
+    if isinstance(default, Enum):
+        return member(type(default), value)
+    if isinstance(default, frozenset):  # score_terms
+        if not isinstance(value, list):
+            raise fail("a list of score terms")
+        return frozenset(member(ScoreTerm, v) for v in value)
+    if isinstance(default, tuple):  # drafter_endpoints
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise fail("a list of strings")
+        return tuple(value)
+    if type(value) is not type(default):  # so a bool is no int, nor 1 a bool
+        raise fail(type(default).__name__)
+    return value
 
 
 class DataError(Exception):

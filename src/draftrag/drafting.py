@@ -86,7 +86,6 @@ class DraftCandidate:
 
     subset_index: int
     subset_doc_ids: tuple[str, ...]
-    raw_completion: str
     rationale: str
     answer: str
     rationale_span: Span
@@ -227,37 +226,51 @@ def parse_token_payload(
 ) -> tuple[TokenLogprob, ...]:
     """Decode an endpoint's token list for the scored ``text``.
 
-    Every logprob must be finite and at most 0, and every token's byte
-    range must satisfy 0 <= start <= end <= len(text in UTF-8); anything
-    else is a ``MalformedResponseError``, so no such reply reaches ranking.
+    Each token is an object whose ``text`` is a string, ``logprob`` a JSON
+    number and ``start``/``end`` integers (a bool or a numeric string is
+    the wrong type); every logprob must be finite and at most 0, and every
+    token's byte range must satisfy 0 <= start <= end <= len(text in
+    UTF-8). Anything else is a ``MalformedResponseError``, so no such reply
+    reaches ranking.
     """
     if not isinstance(raw_tokens, list):
         raise MalformedResponseError(url, 'response lacks a "tokens" list')
     text_bytes = len(text.encode("utf-8"))
     out = []
-    try:
-        for t in raw_tokens:
-            out.append(
-                TokenLogprob(
-                    token_text=t["text"],
-                    logprob=float(t["logprob"]),
-                    char_start=int(t["start"]),
-                    char_end=int(t["end"]),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedResponseError(url, f"bad token entry: {exc}")
-    for i, tok in enumerate(out):
-        if not (math.isfinite(tok.logprob) and tok.logprob <= 0.0):
+    for i, t in enumerate(raw_tokens):
+        try:
+            token_text, logprob = t["text"], t["logprob"]
+            start, end = t["start"], t["end"]
+        except (KeyError, TypeError):
             raise MalformedResponseError(
-                url, f"token {i} has logprob {tok.logprob}, not a finite value <= 0"
+                url, f"token {i} is not an object with text, logprob, start and end"
             )
-        if not 0 <= tok.char_start <= tok.char_end <= text_bytes:
+        # Exact types: JSON decodes to exactly str, int or float, and
+        # type(True) is bool, so a bool fails every check.
+        if not (
+            type(token_text) is str
+            and type(logprob) in (int, float)
+            and type(start) is int
+            and type(end) is int
+        ):
+            raise MalformedResponseError(
+                url, f"token {i} has a field of the wrong type: {t}"
+            )
+        try:
+            logprob = float(logprob)
+        except OverflowError:  # an integer beyond the float range
+            logprob = math.inf
+        if not (math.isfinite(logprob) and logprob <= 0.0):
+            raise MalformedResponseError(
+                url, f"token {i} has logprob {logprob}, not a finite value <= 0"
+            )
+        if not 0 <= start <= end <= text_bytes:
             raise MalformedResponseError(
                 url,
-                f"token {i} spans bytes [{tok.char_start}, {tok.char_end}) "
+                f"token {i} spans bytes [{start}, {end}) "
                 f"outside the {text_bytes}-byte text",
             )
+        out.append(TokenLogprob(token_text, logprob, start, end))
     return tuple(out)
 
 
@@ -276,7 +289,6 @@ def draft_candidate(
     candidate = DraftCandidate(
         subset_index=subset.subset_index,
         subset_doc_ids=subset.member_doc_ids,
-        raw_completion=text,
         rationale=parsed.rationale,
         answer=parsed.answer,
         rationale_span=parsed.rationale_span,
@@ -287,6 +299,32 @@ def draft_candidate(
     return replace(candidate, rho_draft_log=compute_rho_draft(candidate, normalize))
 
 
+def generate(
+    endpoint: EndpointDescriptor, prompt: str, timeout_ms: int
+) -> tuple[str, tuple[TokenLogprob, ...]]:
+    """One greedy generation request with logprobs: the completion and its
+    tokens.
+
+    Drafts and the standard call both generate through here. Raises
+    ``MalformedResponseError`` when the reply lacks a text or its token list
+    is bad (see ``parse_token_payload``).
+    """
+    body = dispatch(
+        endpoint,
+        {
+            "prompt": prompt,
+            "max_tokens": MAX_COMPLETION_TOKENS,
+            "temperature": 0,
+            "logprobs": True,
+        },
+        timeout_ms,
+    )
+    text = body.get("text")
+    if not isinstance(text, str):
+        raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
+    return text, parse_token_payload(body.get("tokens"), endpoint.url, text)
+
+
 def draft_subset(
     query: Query,
     subset: DocumentSubset,
@@ -294,47 +332,19 @@ def draft_subset(
     endpoint: EndpointDescriptor,
     timeout_ms: int,
     normalize: bool,
-    max_tokens: int,
 ) -> DraftCandidate | DroppedDraft:
-    """Draft one subset: one greedy generation request with logprobs.
+    """Draft one subset with one ``generate`` request.
 
     A failed request or an unparseable completion comes back as a
     ``DroppedDraft`` rather than an error.
     """
     try:
         prompt = build_draft_prompt(query, subset, docs_by_id)
-        body = dispatch(
-            endpoint,
-            {
-                "prompt": prompt,
-                "max_tokens": max_tokens,
-                "temperature": 0,
-                "logprobs": True,
-            },
-            timeout_ms,
-        )
-        text = body.get("text")
-        if not isinstance(text, str):
-            raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
-        tokens = parse_token_payload(body.get("tokens"), endpoint.url, text)
+        text, tokens = generate(endpoint, prompt, timeout_ms)
         return draft_candidate(subset, text, tokens, normalize)
     except (TransportError, DraftParseError) as exc:
         logger.warning("draft for subset %d dropped: %s", subset.subset_index, exc)
         return DroppedDraft(subset.subset_index, str(exc))
-
-
-def collect_drafts(outcomes: Sequence[DraftCandidate | DroppedDraft]) -> DraftBatch:
-    """Split per-subset outcomes into a batch, each list in subset order.
-
-    Raises ``NoValidDraftsError`` when every draft was dropped.
-    """
-    candidates = [o for o in outcomes if isinstance(o, DraftCandidate)]
-    dropped = [o for o in outcomes if isinstance(o, DroppedDraft)]
-    if not candidates:
-        raise NoValidDraftsError("no valid drafts")
-    candidates.sort(key=lambda c: c.subset_index)
-    dropped.sort(key=lambda d: d.subset_index)
-    return DraftBatch(candidates=candidates, dropped=dropped)
 
 
 def generate_drafts(
@@ -344,24 +354,26 @@ def generate_drafts(
     endpoints: Sequence[EndpointDescriptor],
     timeout_ms: int,
     normalize: bool = False,
-    max_tokens: int = MAX_COMPLETION_TOKENS,
 ) -> DraftBatch:
     """Draft all subsets concurrently, round-robin over the endpoint pool.
 
-    Greedy decoding (temperature 0) with per-token logprobs. Candidates come
-    back in subset order regardless of completion order; failed or
-    unparseable completions are recorded as dropped rather than crashing the
-    batch. Raises ``NoValidDraftsError`` when nothing survives.
+    Candidates and dropped drafts each come back in the order of
+    ``subsets``, whatever the completion order; failed or unparseable
+    completions are recorded as dropped rather than crashing the batch.
+    Raises ``NoValidDraftsError`` when nothing survives.
     """
     if not subsets:
         raise ValueError("generate_drafts requires at least one subset")
     assigned = round_robin_assign(len(subsets), list(endpoints))
-    return collect_drafts(
-        fan_out(
-            draft_subset,
-            [
-                (query, subset, docs_by_id, endpoint, timeout_ms, normalize, max_tokens)
-                for subset, endpoint in zip(subsets, assigned)
-            ],
-        )
+    outcomes = fan_out(
+        draft_subset,
+        [
+            (query, subset, docs_by_id, endpoint, timeout_ms, normalize)
+            for subset, endpoint in zip(subsets, assigned)
+        ],
     )
+    candidates = [o for o in outcomes if isinstance(o, DraftCandidate)]
+    if not candidates:
+        raise NoValidDraftsError("no valid drafts")
+    dropped = [o for o in outcomes if isinstance(o, DroppedDraft)]
+    return DraftBatch(candidates=candidates, dropped=dropped)

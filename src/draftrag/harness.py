@@ -28,7 +28,7 @@ from .backend import (
     EndpointDescriptor,
     EndpointRole,
     TransportError,
-    dispatch,
+    dispatch,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     fan_out,
     round_robin_assign,
 )
@@ -52,15 +52,13 @@ from .core import (
     derive_rng,
 )
 from .drafting import (
-    MAX_COMPLETION_TOKENS,
-    DraftBatch,
     DraftCandidate,
     DroppedDraft,
-    collect_drafts,
+    NoValidDraftsError,
     draft_subset,
+    generate,
     generate_drafts,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     instruction_text,
-    parse_token_payload,
 )
 from .verification import (
     ReflectionStatement,
@@ -379,39 +377,10 @@ def _candidate_row(subset_index: int, **known) -> dict:
     }
 
 
-def _candidate_rows(batch: DraftBatch, verifications) -> list[dict]:
-    by_index = {v.subset_index: v for v in (verifications or [])}
-    rows = [
-        _candidate_row(d.subset_index, dropped=True, drop_reason=d.reason)
-        for d in batch.dropped
-    ]
-    for c in batch.candidates:
-        row = _candidate_row(
-            c.subset_index,
-            member_doc_ids=list(c.subset_doc_ids),
-            answer=c.answer,
-            rationale=c.rationale,
-            rho_draft_log=c.rho_draft_log,
-        )
-        v = by_index.get(c.subset_index)
-        if v is not None:
-            row.update(dropped=v.dropped, drop_reason=v.drop_reason)
-            if not v.dropped:
-                row.update(
-                    rho_sc_log=v.rho_sc_log,
-                    rho_sr_log=v.rho_sr_log,
-                    rho_final_log=v.rho_final_log,
-                )
-        rows.append(row)
-    rows.sort(key=lambda r: r["subset_index"])
-    return rows
-
-
 class _SubsetOutcome(NamedTuple):
     draft: DraftCandidate | DroppedDraft
     drafted_at: float
     verification: VerificationResult | None
-    verify_error: Exception | None
     done_at: float
 
 
@@ -426,25 +395,22 @@ def _draft_then_verify(
     """One subset's task: draft it, then echo-score the draft at once,
     without waiting for the other drafts.
 
-    An error of the draft half is raised. An error of the verify half is
-    returned instead, so the caller can report every draft-stage error
-    before any verify-stage one, as the two stages did when run one after
-    the other. Random selection verifies nothing.
+    Each half's errors are labelled with its own stage. Random selection
+    verifies nothing.
     """
-    draft = draft_subset(
-        query,
-        subset,
-        docs_by_id,
-        drafter,
-        cfg.request_timeout_ms,
-        cfg.length_normalize_logprobs,
-        MAX_COMPLETION_TOKENS,
-    )
+    with _stage_errors("draft"):
+        draft = draft_subset(
+            query,
+            subset,
+            docs_by_id,
+            drafter,
+            cfg.request_timeout_ms,
+            cfg.length_normalize_logprobs,
+        )
     drafted_at = time.perf_counter()
     if isinstance(draft, DroppedDraft) or cfg.selection_mode is SelectionMode.RANDOM:
-        return _SubsetOutcome(draft, drafted_at, None, None, drafted_at)
-    verification = error = None
-    try:
+        return _SubsetOutcome(draft, drafted_at, None, drafted_at)
+    with _stage_errors("verify"):
         verification = verify_candidate(
             query,
             draft,
@@ -456,9 +422,7 @@ def _draft_then_verify(
             cfg.score_terms,
             cfg.length_normalize_logprobs,
         )
-    except Exception as exc:  # raised again by the caller, in the verify stage
-        error = exc
-    return _SubsetOutcome(draft, drafted_at, verification, error, time.perf_counter())
+    return _SubsetOutcome(draft, drafted_at, verification, time.perf_counter())
 
 
 def run_speculative(
@@ -471,7 +435,8 @@ def run_speculative(
     Each subset is drafted and then verified in one task, so a draft is
     scored as soon as it arrives; ``draft_ms`` ends when the last draft
     returns and ``verify_ms`` is the tail from there to the last
-    verification.
+    verification. If a task fails, the first error in subset order is
+    raised.
     """
     query, docs, notices = prepare_record(record, cfg)
     docs_by_id = {d.id: d for d in docs}
@@ -496,48 +461,56 @@ def run_speculative(
                 for subset, drafter in zip(plan.subsets, drafters)
             ],
         )
-        batch = collect_drafts([o.draft for o in outcomes])
     drafted = max(o.drafted_at for o in outcomes)
     timings.draft_ms = (drafted - drafting_started) * 1000.0
-    for d in batch.dropped:
-        notices.append(f"draft {d.subset_index} dropped: {d.reason}")
+    timings.verify_ms = (max(o.done_at for o in outcomes) - drafted) * 1000.0
 
-    verifications = None
-    if cfg.selection_mode is SelectionMode.RANDOM:
-        # The no-verification ablation: skip the verifier entirely.
-        scored = [(c.subset_index, 0.0) for c in batch.candidates]
-    else:
-        with _stage_errors("verify"):
-            for o in outcomes:
-                if o.verify_error is not None:
-                    raise o.verify_error
-        timings.verify_ms = (max(o.done_at for o in outcomes) - drafted) * 1000.0
-        verifications = sorted(
-            (o.verification for o in outcomes if o.verification is not None),
-            key=lambda v: v.subset_index,
+    # One row per subset; draft-drop notices come before verification-drop
+    # notices, each in subset order.
+    candidates: list[dict] = []
+    answers: dict[int, str] = {}
+    scored: list[tuple[int, float]] = []
+    verify_notices: list[str] = []
+    for draft, _, v, _ in outcomes:
+        i = draft.subset_index
+        if isinstance(draft, DroppedDraft):
+            notices.append(f"draft {i} dropped: {draft.reason}")
+            candidates.append(_candidate_row(i, dropped=True, drop_reason=draft.reason))
+            continue
+        answers[i] = draft.answer
+        row = _candidate_row(
+            i,
+            member_doc_ids=list(draft.subset_doc_ids),
+            answer=draft.answer,
+            rationale=draft.rationale,
+            rho_draft_log=draft.rho_draft_log,
         )
-        for v in verifications:
-            if v.dropped:
-                notices.append(
-                    f"verification {v.subset_index} dropped: {v.drop_reason}"
-                )
-        scored = [
-            (v.subset_index, v.rho_final_log) for v in verifications if not v.dropped
-        ]
+        if v is None:  # random selection: the no-verification ablation
+            scored.append((i, 0.0))
+        elif v.dropped:
+            verify_notices.append(f"verification {i} dropped: {v.drop_reason}")
+            row.update(dropped=True, drop_reason=v.drop_reason)
+        else:
+            scored.append((i, v.rho_final_log))
+            row.update(
+                rho_sc_log=v.rho_sc_log,
+                rho_sr_log=v.rho_sr_log,
+                rho_final_log=v.rho_final_log,
+            )
+        candidates.append(row)
+    if not answers:
+        raise NoValidDraftsError("no valid drafts")
+    notices.extend(verify_notices)
 
     winner = select_best(
         scored, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
     )
-    final_answer = next(
-        c.answer for c in batch.candidates if c.subset_index == winner
-    )
-    candidates = _candidate_rows(batch, verifications)
     timings.total_ms = (time.perf_counter() - started) * 1000.0
 
     return PipelineResult(
         query_id=query.id,
         mode="speculative",
-        final_answer=final_answer,
+        final_answer=answers[winner],
         winning_subset_index=winner,
         candidates=candidates,
         timings=timings,
@@ -571,23 +544,11 @@ def run_standard_baseline(
     started = time.perf_counter()
     timings = StageTimings()
     with _stage(timings, "draft"):
-        prompt = build_standard_prompt(query, docs)
-        body = dispatch(
+        text, _ = generate(
             backends.verifier,
-            {
-                "prompt": prompt,
-                "max_tokens": 512,
-                "temperature": 0,
-                "logprobs": True,
-            },
+            build_standard_prompt(query, docs),
             cfg.request_timeout_ms,
         )
-        text = body.get("text")
-        if not isinstance(text, str):
-            raise TransportError(
-                backends.verifier.url, 'response lacks a "text" field'
-            )
-        parse_token_payload(body.get("tokens", []), backends.verifier.url, text)
 
     answer = text.strip()
     timings.total_ms = (time.perf_counter() - started) * 1000.0

@@ -125,7 +125,6 @@ def test_criterion_2_scoring_oracle_equivalence():
         candidate = DraftCandidate(
             subset_index=0,
             subset_doc_ids=("d1",),
-            raw_completion=completion,
             rationale=parsed.rationale,
             answer=parsed.answer,
             rationale_span=parsed.rationale_span,

@@ -85,6 +85,32 @@ def test_scheme_less_endpoint_exits_two(cli_env, capsys):
     assert "http(s) URL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override,named",
+    [
+        ({"num_drafts": "5"}, "num_drafts"),
+        ({"request_timeout_ms": None}, "request_timeout_ms"),
+        ({"sampling_mode": "bogus"}, "sampling_mode"),
+        ({"score_terms": "draft"}, "score_terms"),
+        ({"rng_seed": 1.5}, "rng_seed"),
+        ({"length_normalize_logprobs": "no"}, "length_normalize_logprobs"),
+        ({"drafter_endpoints": "http://127.0.0.1:8080/generate"}, "drafter_endpoints"),
+        (None, "JSON object"),  # the whole config wrapped in an array
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_two(cli_env, capsys, override, named):
+    dataset, config, tmp = cli_env
+    raw = json.loads(config.read_text())
+    bad = [raw] if override is None else {**raw, **override}
+    bad_path = tmp / "bad.json"
+    bad_path.write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["run", "--dataset", str(dataset), "--config", str(bad_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+
+
 def test_missing_dataset_exits_two(cli_env):
     _, config, tmp = cli_env
     code = main(["run", "--dataset", str(tmp / "nope.jsonl"), "--config", str(config)])

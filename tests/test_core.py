@@ -133,6 +133,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             PipelineConfig.from_dict({"num_draft": 5})
 
+    @pytest.mark.parametrize(
+        "raw,match",
+        [
+            ({"num_drafts": True}, "num_drafts must be int"),
+            ({"length_normalize_logprobs": 0}, "must be bool"),
+            ({"verifier_endpoint": 3}, "verifier_endpoint must be str"),
+            ({"score_terms": ["draft", "bogus"]}, "got 'bogus'"),
+            ({"drafter_endpoints": [1]}, "drafter_endpoints must be a list"),
+        ],
+    )
+    def test_field_of_the_wrong_type_rejected(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig.from_dict(raw)
+
     def test_score_terms_parsed_from_strings(self):
         cfg = PipelineConfig.from_dict({"score_terms": ["draft"]})
         assert sorted(t.value for t in cfg.score_terms) == ["draft"]

@@ -163,6 +163,34 @@ class TestParseTokenPayload:
         with pytest.raises(MalformedResponseError, match="outside the 5-byte text"):
             parse_token_payload(self.payload(start=start, end=end), "u", self.TEXT)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("text", 5),
+            ("logprob", "-0.5"),
+            ("logprob", True),
+            ("start", 1.9),
+            ("start", False),
+            ("end", "5"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_rejected(self, key, value):
+        payload = self.payload()
+        payload[1][key] = value
+        with pytest.raises(MalformedResponseError, match="token 1 has a field of the"):
+            parse_token_payload(payload, "u", self.TEXT)
+
+    def test_missing_field_and_non_object_entry_are_rejected(self):
+        payload = self.payload()
+        del payload[1]["end"]
+        for bad in (payload, [["ab ", -1.0, 0, 3]]):
+            with pytest.raises(MalformedResponseError, match="is not an object with"):
+                parse_token_payload(bad, "u", self.TEXT)
+
+    def test_integer_logprob_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(MalformedResponseError, match="token 1 has logprob"):
+            parse_token_payload(self.payload(logprob=-(10**400)), "u", self.TEXT)
+
 
 def tok(lp, start, end, text="t"):
     return TokenLogprob(token_text=text, logprob=lp, char_start=start, char_end=end)
@@ -244,7 +272,6 @@ def make_candidate(rationale_lp, answer_lp, n_rationale=1, n_answer=1):
     return DraftCandidate(
         subset_index=0,
         subset_doc_ids=("d1",),
-        raw_completion="x" * pos,
         rationale="r",
         answer="a",
         rationale_span=r_span,

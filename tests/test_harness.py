@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draftrag.backend import MalformedResponseError
 from draftrag.core import (
     Document,
     PipelineConfig,
@@ -234,6 +235,13 @@ class FirstDraftHeldBack(MockScript):
         return super().echo(prompt)
 
 
+class TokenlessGeneration(MockScript):
+    """Replies to every generation request without a token list."""
+
+    def generate(self, prompt):
+        return {"text": super().generate(prompt)["text"]}
+
+
 @pytest.fixture(scope="module")
 def rigged():
     cfg = PipelineConfig(top_n=4, rng_seed=42)
@@ -371,14 +379,12 @@ class TestPipelines:
         early = [t for t in script.echo_arrivals if t < script.held_reply_at]
         assert len(early) == drafts - 1
 
-    def test_draft_stage_errors_come_before_verify_stage_errors(
-        self, rigged_env, monkeypatch
-    ):
+    def test_each_half_reports_its_own_stage(self, rigged_env, monkeypatch):
         records, cfg, _ = rigged_env
         real_draft = harness.draft_subset
 
-        def draft_fails_for_subset_1(query, subset, *rest):
-            if subset.subset_index == 1:
+        def draft_fails_for_subset_0(query, subset, *rest):
+            if subset.subset_index == 0:
                 raise RuntimeError("draft boom")
             return real_draft(query, subset, *rest)
 
@@ -386,12 +392,26 @@ class TestPipelines:
             raise RuntimeError("verify boom")
 
         monkeypatch.setattr(harness, "verify_candidate", verify_fails)
-        monkeypatch.setattr(harness, "draft_subset", draft_fails_for_subset_1)
+        monkeypatch.setattr(harness, "draft_subset", draft_fails_for_subset_0)
         with pytest.raises(PipelineError, match="^draft stage failed: draft boom$"):
             run_speculative(records[0], cfg, make_backends(cfg))
         monkeypatch.setattr(harness, "draft_subset", real_draft)
         with pytest.raises(PipelineError, match="^verify stage failed: verify boom$"):
             run_speculative(records[0], cfg, make_backends(cfg))
+
+    def test_standard_reply_without_tokens_fails_the_record(
+        self, rigged, server_factory
+    ):
+        server = server_factory(script=TokenlessGeneration())
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        with pytest.raises(PipelineError, match='lacks a "tokens" list') as info:
+            run_standard_baseline(rigged.records[0], cfg, make_backends(cfg))
+        assert isinstance(info.value.__cause__, MalformedResponseError)
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must

@@ -40,7 +40,6 @@ def make_candidate(answer="the answer", rationale="the rationale", doc_ids=("d1"
     return DraftCandidate(
         subset_index=0,
         subset_doc_ids=tuple(doc_ids),
-        raw_completion=completion,
         rationale=parsed.rationale,
         answer=parsed.answer,
         rationale_span=parsed.rationale_span,
