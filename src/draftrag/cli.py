@@ -5,7 +5,8 @@ variant grid), ``sweep`` (draft-count / subset-size grids), ``mock-serve``
 (the deterministic mock LM server), and ``report`` (latency tables from
 results files).
 
-Exit codes: 0 success, 2 config or input error, 3 pipeline error.
+Exit codes: 0 success, 2 config or input error (a bad flag value, config,
+dataset, mock script or results line), 3 pipeline error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .backend import TransportError
@@ -27,6 +28,7 @@ from .core import (
 )
 from .harness import (
     DatasetError,
+    ablation_grid,
     load_dataset,
     report_latency,
     run_ablations,
@@ -82,6 +84,13 @@ def _cmd_ablate(args) -> int:
     variants = None
     if args.grid and args.grid != "all":
         variants = [v.strip() for v in args.grid.split(",") if v.strip()]
+        known = [name for name, _ in ablation_grid(cfg)]
+        unknown = [v for v in variants if v not in known]
+        if unknown:
+            raise ConfigError(
+                f"unknown --grid variants: {', '.join(unknown)} "
+                f"(known: {', '.join(known)})"
+            )
     summaries = run_ablations(records, cfg, variants=variants, out_dir=args.out)
     for summary in summaries:
         print(
@@ -91,20 +100,24 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(raw: str | None) -> list[int]:
+def _parse_counts(raw: str | None, flag: str) -> list[int]:
+    """A comma-separated list of integers, each at least 1."""
     if not raw:
         return []
     try:
-        return [int(v) for v in raw.split(",") if v.strip()]
+        values = [int(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {raw!r}")
+        raise ConfigError(f"{flag}: expected a comma-separated integer list, got {raw!r}")
+    if any(v < 1 for v in values):
+        raise ConfigError(f"{flag}: every value must be at least 1, got {raw!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     records = load_dataset(args.dataset)
-    m_values = _parse_int_list(args.m_values)
-    subset_sizes = _parse_int_list(args.subset_sizes)
+    m_values = _parse_counts(args.m_values, "--m-values")
+    subset_sizes = _parse_counts(args.subset_sizes, "--subset-sizes")
     if not m_values and not subset_sizes:
         raise ConfigError("sweep requires --m-values and/or --subset-sizes")
     summaries = run_sweep(
@@ -123,9 +136,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
-    script = (
-        MockScript.from_json_file(args.script) if args.script else MockScript()
-    )
+    script = MockScript()
+    if args.script:
+        try:
+            script = MockScript.from_json_file(args.script)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not a script
+            raise ConfigError(f"cannot load mock script {args.script}: {exc}")
     if args.delay_ms is not None:
         script.delay_ms = args.delay_ms
     server = MockLMServer(script=script, port=args.port)
@@ -142,20 +158,51 @@ def _cmd_mock_serve(args) -> int:
     return EXIT_OK
 
 
+_STAGES = {f.name for f in fields(StageTimings)}
+
+
+def _results_timings(path: str, lineno: int, line: str) -> tuple[str, StageTimings] | None:
+    """The mode and stage timings of one results line, or None for a line
+    without timings. Anything else raises ConfigError naming the line."""
+    where = f"{path}:{lineno}"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: not JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: not a results object")
+    mode, timings = obj.get("mode", "unknown"), obj.get("timings")
+    if timings is None:
+        return None
+    if not (
+        isinstance(mode, str)
+        and isinstance(timings, dict)
+        and timings.keys() <= _STAGES
+        and all(
+            type(v) in (int, float) and 0 <= v <= sys.float_info.max
+            for v in timings.values()
+        )
+    ):
+        raise ConfigError(
+            f'{where}: "mode" must be a string and "timings" must map stage '
+            f"names ({', '.join(sorted(_STAGES))}) to non-negative numbers"
+        )
+    return mode, StageTimings(**{k: float(v) for k, v in timings.items()})
+
+
 def _cmd_report(args) -> int:
     by_mode: dict[str, list[StageTimings]] = {}
     for path in args.inputs:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                timings = obj.get("timings")
-                if timings is None:
-                    continue
-                by_mode.setdefault(obj.get("mode", "unknown"), []).append(
-                    StageTimings(**timings)
-                )
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read results file {path}: {exc}")
+        for lineno, line in enumerate(lines, 1):
+            row = _results_timings(path, lineno, line) if line.strip() else None
+            if row is not None:
+                mode, timings = row
+                by_mode.setdefault(mode, []).append(timings)
     if not by_mode:
         raise ConfigError("no timings found in the given results files")
     print(report_latency(by_mode))

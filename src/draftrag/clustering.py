@@ -113,7 +113,8 @@ def unit_rows(rows: list[list[float]]) -> np.ndarray:
     """Equal-length rows as an ``(n, d)`` float64 array of unit-norm rows. Each
     row is divided by its own ``np.linalg.norm(row)``: an axis-1 norm sums in
     another order and can move the last bit. A row that is not a list of
-    numbers (bools excluded), or is zero or non-finite, raises DataError."""
+    numbers (bools excluded), or is zero or non-finite, or holds an integer
+    beyond the float range, raises DataError."""
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
@@ -124,71 +125,108 @@ def unit_rows(rows: list[list[float]]) -> np.ndarray:
                 f"embedding dimension mismatch: expected {len(rows[0])}, "
                 f"got {len(row)}"
             )
-    points = np.array(rows, dtype=np.float64)
-    for i, row in enumerate(points):
-        norm = np.linalg.norm(row)
-        if not 0.0 < norm < np.inf:
-            raise DataError(f"cannot normalize embedding row {i} with norm {norm}")
-        row /= norm
+    try:
+        points = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise DataError("an embedding value is beyond the float range")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected here
+        for i, row in enumerate(points):
+            norm = np.linalg.norm(row)
+            if not 0.0 < norm < np.inf:
+                raise DataError(f"cannot normalize embedding row {i} with norm {norm}")
+            row /= norm
     return points
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """``(r, n, k)`` squared distances from each point to each of the ``k``
+    centroids of each of ``r`` restarts, for ``(r, k, d)`` centroids."""
+    diff = points[None, :, None, :] - centroids[:, None, :, :]
+    return np.einsum("rijk,rijk->rij", diff, diff)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, then proportional to D^2."""
+def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding for every restart, as ``(KMEANS_RESTARTS, k)`` point
+    indices: first center uniform, then proportional to D^2. The rng draws
+    are made restart by restart, in the order seeding each restart in turn
+    makes them; every restart reads its distances from one pairwise matrix."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(closest.sum())
-        if total <= 0.0:
-            # All remaining points coincide with a chosen center.
-            idx = int(rng.integers(n))
-        else:
-            r = float(rng.random()) * total
-            idx = int(np.searchsorted(np.cumsum(closest), r))
-            idx = min(idx, n - 1)
-        centers[j] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+    pair_d2 = np.sum((points[:, None] - points[None]) ** 2, axis=2)
+    seeds = np.empty((KMEANS_RESTARTS, k), dtype=np.intp)
+    for row in seeds:
+        row[0] = rng.integers(n)
+        closest = pair_d2[row[0]]
+        for j in range(1, k):
+            total = float(closest.sum())
+            if total <= 0.0:
+                # All remaining points coincide with a chosen center.
+                row[j] = rng.integers(n)
+            else:
+                r = float(rng.random()) * total
+                row[j] = min(int(closest.cumsum().searchsorted(r)), n - 1)
+            closest = np.minimum(closest, pair_d2[row[j]])
+    return seeds
 
 
-def _lloyd_once(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    n = points.shape[0]
-    centroids = _kmeans_pp_init(points, k, rng)
-    assign = np.full(n, -1, dtype=np.int64)
-    sse_history: list[float] = []
+def _repair_empty(
+    points: np.ndarray, centroids: np.ndarray, d2: np.ndarray, assign: np.ndarray
+) -> None:
+    """Reseed each empty cluster of one restart, in place, at the point
+    farthest from its centroid; ``d2`` is recomputed after each reseed."""
+    n, k = d2.shape
+    for j in range(k):
+        if np.any(assign == j):
+            continue
+        farthest = int(np.argmax(d2[np.arange(n), assign]))
+        centroids[j] = points[farthest]
+        assign[farthest] = j
+        d2[:] = _squared_distances(points, centroids[None])[0]
+
+
+def _cluster_sizes(assign: np.ndarray, k: int) -> np.ndarray:
+    """``(r, k)`` member counts for ``(r, n)`` assignments."""
+    rows = len(assign)
+    flat = (assign + k * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * k).reshape(rows, k)
+
+
+def _lloyd(
+    points: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Lloyd iterations for all restarts at once, on ``(r, k, d)`` centroids
+    updated in place. A restart stops, with its centroids and SSE history
+    frozen, once its assignment repeats. Returns the ``(r, n)`` assignments,
+    the centroids and each restart's SSE history."""
+    restarts, k, _ = centroids.shape
+    assign = np.full((restarts, points.shape[0]), -1, dtype=np.intp)
+    histories: list[list[float]] = [[] for _ in range(restarts)]
+    active = np.arange(restarts)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _squared_distances(points, centroids)
-        new_assign = np.argmin(d2, axis=1)
+        live = centroids[active]
+        d2 = _squared_distances(points, live)
+        new_assign = np.argmin(d2, axis=2)
+        for a in np.flatnonzero((_cluster_sizes(new_assign, k) == 0).any(axis=1)):
+            _repair_empty(points, live[a], d2[a], new_assign[a])
+        sse = np.take_along_axis(d2, new_assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        for r, value in zip(active, sse.tolist()):
+            histories[r].append(value)
+        centroids[active] = live
 
-        # Empty-cluster repair: reseed at the point farthest from its centroid.
-        for j in range(k):
-            if np.any(new_assign == j):
-                continue
-            dist_to_own = d2[np.arange(n), new_assign]
-            farthest = int(np.argmax(dist_to_own))
-            centroids[j] = points[farthest]
-            new_assign[farthest] = j
-            d2 = _squared_distances(points, centroids)
-
-        sse_history.append(float(d2[np.arange(n), new_assign].sum()))
-        if np.array_equal(new_assign, assign):
+        moved = (new_assign != assign[active]).any(axis=1)
+        active, live, new_assign = active[moved], live[moved], new_assign[moved]
+        if not active.size:
             break
-        assign = new_assign
-        for j in range(k):
-            mask = assign == j
-            if np.any(mask):
-                centroids[j] = points[mask].mean(axis=0)
-    return assign, centroids, sse_history
+        assign[active] = new_assign
+        # Members are summed in document order, then divided by the count, as
+        # numpy's per-cluster mean(axis=0) does for d >= 2 (a one-column mean
+        # sums pairwise instead); an empty cluster keeps its centroid.
+        sums = np.zeros_like(live)
+        np.add.at(sums, (np.arange(active.size)[:, None], new_assign), points)
+        counts = _cluster_sizes(new_assign, k)
+        filled = counts > 0
+        live[filled] = sums[filled] / counts[filled][:, None]
+        centroids[active] = live
+    return assign, centroids, histories
 
 
 def kmeans_cluster(
@@ -203,8 +241,10 @@ def kmeans_cluster(
     iteration empties a cluster, its centroid is reseeded at the point
     farthest from that point's current centroid. Lloyd's alone can stall in
     poor local optima on small inputs, so it runs ``KMEANS_RESTARTS`` times
-    from fresh k-means++ seedings and keeps the lowest-SSE run.
-    Deterministic given inputs and rng state.
+    from fresh k-means++ seedings and keeps the first lowest-SSE run. The
+    restarts run as one batched loop; for vectors of two or more dimensions,
+    its results and rng use match running the restarts one after another to
+    the bit. Deterministic given inputs and rng state.
     """
     n = len(vectors)
     if len(doc_ids) != n:
@@ -212,18 +252,15 @@ def kmeans_cluster(
     if not (1 <= k <= n):
         raise ValueError(f"k must satisfy 1 ≤ k ≤ {n}, got {k}")
 
-    best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
-    for _ in range(KMEANS_RESTARTS):
-        run = _lloyd_once(vectors, k, rng)
-        if best is None or run[2][-1] < best[2][-1]:
-            best = run
-    assign, centroids, sse_history = best
+    seeds = _kmeans_pp_seeds(vectors, k, rng)
+    assign, centroids, histories = _lloyd(vectors, vectors[seeds])
+    best = int(np.argmin([h[-1] for h in histories]))
 
     return ClusterSet(
-        assignments={doc_ids[i]: int(assign[i]) for i in range(n)},
-        centroids=centroids,
+        assignments={doc_ids[i]: int(assign[best, i]) for i in range(n)},
+        centroids=centroids[best],
         doc_order=tuple(doc_ids),
-        sse_history=tuple(sse_history),
+        sse_history=tuple(histories[best]),
     )
 
 

@@ -155,9 +155,13 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
     The rationale is the text between the first ``## Rationale:`` marker and
     the following ``## Response:`` marker; the answer is everything after
     ``## Response:``. Both are whitespace-trimmed. Raises ``DraftParseError``
-    when a marker is missing or the answer is empty.
+    when a marker is missing, the answer is empty or the text cannot be
+    encoded as UTF-8 (a lone surrogate).
     """
-    data = raw_completion.encode("utf-8")
+    try:
+        data = raw_completion.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DraftParseError(f"completion is not encodable as UTF-8: {exc.reason}")
     r_marker = RATIONALE_MARKER.encode("utf-8")
     a_marker = RESPONSE_MARKER.encode("utf-8")
 
@@ -230,12 +234,16 @@ def parse_token_payload(
     number and ``start``/``end`` integers (a bool or a numeric string is
     the wrong type); every logprob must be finite and at most 0, and every
     token's byte range must satisfy 0 <= start <= end <= len(text in
-    UTF-8). Anything else is a ``MalformedResponseError``, so no such reply
-    reaches ranking.
+    UTF-8). Anything else, or a ``text`` that cannot be encoded as UTF-8 (a
+    lone surrogate, which a JSON string may hold), is a
+    ``MalformedResponseError``, so no such reply reaches ranking.
     """
     if not isinstance(raw_tokens, list):
         raise MalformedResponseError(url, 'response lacks a "tokens" list')
-    text_bytes = len(text.encode("utf-8"))
+    try:
+        text_bytes = len(text.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise MalformedResponseError(url, f"text is not encodable as UTF-8: {exc.reason}")
     out = []
     for i, t in enumerate(raw_tokens):
         try:
@@ -306,8 +314,9 @@ def generate(
     tokens.
 
     Drafts and the standard call both generate through here. Raises
-    ``MalformedResponseError`` when the reply lacks a text or its token list
-    is bad (see ``parse_token_payload``).
+    ``MalformedResponseError`` when the reply lacks a text, the text cannot
+    be encoded as UTF-8, or its token list is bad (see
+    ``parse_token_payload``).
     """
     body = dispatch(
         endpoint,

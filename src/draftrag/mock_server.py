@@ -203,8 +203,10 @@ class MockScript:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MockScript":
-        """Inverse of ``to_dict``; a field of the wrong type or an ``embed_dims``
-        below 1 raises ValueError."""
+        """Inverse of ``to_dict``; a value that is not an object, a field of
+        the wrong type or an ``embed_dims`` below 1 raises ValueError."""
+        if not isinstance(raw, dict):
+            raise ValueError("a mock script must be a JSON object")
         script = cls(
             delay_ms=_int_field(raw, "delay_ms", 0),
             embed_dims=_int_field(raw, "embed_dims", DEFAULT_EMBED_DIMS),

@@ -210,3 +210,63 @@ def test_report_prints_latency_table(cli_env, tmp_path, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert "total_ms" in table and "draft_ms" in table
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"timings": {"bogus_ms": 1}}',
+        '{"timings": [1, 2]}',
+        "[1, 2]",
+        "not json",
+        '{"timings": {"total_ms": "x"}}',
+    ],
+)
+def test_report_bad_results_line_exits_two(tmp_path, capsys, line):
+    results = tmp_path / "results.jsonl"
+    good = '{"mode": "speculative", "timings": {"total_ms": 3.0}}'
+    results.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    code = main(["report", "--in", str(results)])
+    assert code == 2
+    assert f"{results}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--m-values", "--subset-sizes"])
+def test_sweep_value_below_one_exits_two_before_any_request(
+    rigged, server_factory, tmp_path, capsys, flag
+):
+    server = server_factory(script=rigged.script)
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset(rigged.records, dataset)
+    cfg = replace(
+        rigged.config,
+        drafter_endpoints=(server.generate_url,),
+        verifier_endpoint=server.generate_url,
+        embedding_endpoint=server.embed_url,
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    code = main(
+        ["sweep", "--dataset", str(dataset), "--config", str(config), flag, "2,0"]
+    )
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert server.request_counts() == {}
+
+
+def test_ablate_unknown_variant_exits_two(cli_env, capsys):
+    dataset, config, _ = cli_env
+    code = main(
+        ["ablate", "--dataset", str(dataset), "--config", str(config), "--grid", "bogus"]
+    )
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["not json", "[1]", '{"delay_ms": "x"}'])
+def test_mock_serve_bad_script_exits_two(tmp_path, capsys, content):
+    script = tmp_path / "script.json"
+    script.write_text(content, encoding="utf-8")
+    code = main(["mock-serve", "--script", str(script), "--port", "0"])
+    assert code == 2
+    assert "cannot load mock script" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftrag.backend import EndpointConnectionError, EndpointDescriptor, EndpointRole
+from draftrag import clustering
 from draftrag.clustering import (
+    KMEANS_RESTARTS,
     embed_documents,
     embedding_input,
     kmeans_cluster,
@@ -15,6 +18,7 @@ from draftrag.clustering import (
 )
 from draftrag.core import DataError, Document, Query, seeded_rng
 from draftrag.mock_server import MockScript
+from json_strategies import JSON_VALUES, NUMBERS
 
 
 def vectors_from(points):
@@ -37,6 +41,102 @@ def best_partition_sse(points: np.ndarray, k: int) -> float:
     for assignment in itertools.product(range(k), repeat=n):
         best = min(best, partition_sse(points, assignment))
     return best
+
+
+# The sequential k-means: one restart after another, each a loop of small
+# numpy calls. kmeans_cluster runs the restarts as one batched loop and must
+# match this to the bit.
+
+
+def _oracle_squared_distances(points, centroids):
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _oracle_kmeans_pp_init(points, k, rng, stats):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            stats["zero_totals"] += 1
+            idx = int(rng.integers(n))
+        else:
+            r = float(rng.random()) * total
+            idx = int(np.searchsorted(np.cumsum(closest), r))
+            idx = min(idx, n - 1)
+        centers[j] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _oracle_lloyd_once(points, k, rng, stats):
+    n = points.shape[0]
+    centroids = _oracle_kmeans_pp_init(points, k, rng, stats)
+    assign = np.full(n, -1, dtype=np.int64)
+    sse_history = []
+    for _ in range(clustering.KMEANS_MAX_ITERS):
+        d2 = _oracle_squared_distances(points, centroids)
+        new_assign = np.argmin(d2, axis=1)
+        for j in range(k):
+            if np.any(new_assign == j):
+                continue
+            stats["repairs"] += 1
+            dist_to_own = d2[np.arange(n), new_assign]
+            farthest = int(np.argmax(dist_to_own))
+            centroids[j] = points[farthest]
+            new_assign[farthest] = j
+            d2 = _oracle_squared_distances(points, centroids)
+        sse_history.append(float(d2[np.arange(n), new_assign].sum()))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            mask = assign == j
+            if np.any(mask):
+                centroids[j] = points[mask].mean(axis=0)
+    return assign, centroids, sse_history
+
+
+def oracle_kmeans(points, k, rng, stats=None):
+    """Sequential restarts; keeps the first run with the lowest final SSE."""
+    stats = {"repairs": 0, "zero_totals": 0} if stats is None else stats
+    best = None
+    for _ in range(KMEANS_RESTARTS):
+        run = _oracle_lloyd_once(points, k, rng, stats)
+        if best is None or run[2][-1] < best[2][-1]:
+            best = run
+    return best
+
+
+def assert_matches_oracle(points, k, seed):
+    ids = [f"d{i}" for i in range(len(points))]
+    oracle_rng, rng = seeded_rng(seed), seeded_rng(seed)
+    assign, centroids, history = oracle_kmeans(points, k, oracle_rng)
+    cs = kmeans_cluster(ids, points, k, rng)
+    assert [cs.assignments[d] for d in ids] == assign.tolist()
+    assert cs.centroids.tobytes() == centroids.tobytes()
+    assert cs.sse_history == tuple(history)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def clustering_cases(draw):
+    """Points with ties: a pool of ``distinct`` rows, each point a copy of one,
+    optionally rounded to one decimal so that distances tie more often."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    k = draw(st.integers(min_value=1, max_value=n))
+    d = draw(st.sampled_from([2, 8]))
+    distinct = draw(st.integers(min_value=1, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    gen = np.random.default_rng(seed)
+    pool = gen.normal(size=(distinct, d))
+    if draw(st.booleans()):
+        pool = np.round(pool * 0.5, 1)
+    return pool[gen.integers(distinct, size=n)], k, seed
 
 
 class TestKMeans:
@@ -119,6 +219,37 @@ class TestKMeans:
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
+class TestBatchedRestartsMatchSequential:
+    @given(case=clustering_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_points_match_the_oracle(self, case):
+        # With more clusters than distinct points, the repair moves a tied
+        # point back and forth and every restart runs to the iteration cap.
+        # Both versions read the cap from the module, so a lower one keeps
+        # these cases cheap and exercises the cap exit more often.
+        points, k, seed = case
+        with mock.patch.object(clustering, "KMEANS_MAX_ITERS", 6):
+            assert_matches_oracle(points, k, seed)
+
+    def test_ties_reach_the_repair_and_the_zero_total_draw(self):
+        # All points equal: after the first center every k-means++ draw
+        # falls back to a uniform index, and argmin leaves every cluster but
+        # the first empty.
+        points = np.ones((4, 2))
+        stats = {"repairs": 0, "zero_totals": 0}
+        oracle_kmeans(points, 3, seeded_rng(0), stats)
+        assert stats["repairs"] > 0
+        assert stats["zero_totals"] == 2 * KMEANS_RESTARTS
+        assert_matches_oracle(points, 3, 0)
+
+    @pytest.mark.parametrize("query", range(8))
+    @pytest.mark.parametrize("n,k", [(4, 2), (15, 6)])
+    def test_benchmark_shapes_match_the_oracle(self, n, k, query):
+        script = MockScript()
+        rows = script.embed(f"query {query}", [f"document {i} of {query}" for i in range(n)])
+        assert_matches_oracle(unit_rows(rows["embeddings"]), k, query)
+
+
 class TestUnitRows:
     def test_normalized_has_unit_norm(self):
         rows = unit_rows([[3.0, 4.0], [0.0, -2.0]])
@@ -155,6 +286,22 @@ class TestUnitRows:
     def test_row_that_is_not_a_list_of_numbers_rejected(self, rows):
         with pytest.raises(DataError, match="row 1 is not a list of numbers"):
             unit_rows(rows)
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(DataError, match="beyond the float range"):
+            unit_rows([[10**400, 1]])
+
+    @given(rows=st.lists(st.lists(NUMBERS, min_size=1, max_size=3) | JSON_VALUES, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_rows_give_unit_rows_or_a_data_error(self, rows):
+        try:
+            got = unit_rows(rows)
+        except DataError:
+            return
+        assert got.shape[0] == len(rows)
+        for row in got:
+            assert np.all(np.isfinite(row))
+            assert np.linalg.norm(row) == pytest.approx(1.0)
 
 
 def _endpoint(url):

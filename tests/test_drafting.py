@@ -22,6 +22,7 @@ from draftrag.drafting import (
     sequence_logprob,
 )
 from draftrag.mock_server import MockScript, uniform_tokens
+from json_strategies import ANY_TEXT, JSON_VALUES
 from reference_texts import (
     NIRVANA_ANSWER,
     NIRVANA_COMPLETION,
@@ -136,6 +137,28 @@ class TestParseDraft:
         assert parsed.rationale == rationale
         assert parsed.answer == answer
 
+    def test_text_with_a_lone_surrogate_is_a_parse_error(self):
+        with pytest.raises(DraftParseError, match="not encodable as UTF-8"):
+            parse_draft("## Rationale: r ## Response: \ud800")
+
+    @given(
+        pieces=st.lists(
+            st.sampled_from(["## Rationale:", "## Response:", " ", "\n"]) | ANY_TEXT,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_string_parses_or_is_a_parse_error(self, pieces):
+        raw = "".join(pieces)
+        try:
+            parsed = parse_draft(raw)
+        except DraftParseError:
+            return
+        data = raw.encode("utf-8")
+        span = parsed.answer_span
+        assert parsed.answer and data[span.start : span.end].decode("utf-8") == parsed.answer
+        assert parsed.rationale_span.end <= span.start
+
 
 class TestParseTokenPayload:
     TEXT = "ab é"  # 5 bytes in UTF-8
@@ -190,6 +213,34 @@ class TestParseTokenPayload:
     def test_integer_logprob_beyond_the_float_range_is_rejected(self):
         with pytest.raises(MalformedResponseError, match="token 1 has logprob"):
             parse_token_payload(self.payload(logprob=-(10**400)), "u", self.TEXT)
+
+    def test_text_with_a_lone_surrogate_is_rejected(self):
+        with pytest.raises(MalformedResponseError, match="not encodable as UTF-8"):
+            parse_token_payload([], "u", "ab \ud800")
+
+    token_like = st.fixed_dictionaries(
+        {
+            "text": ANY_TEXT | JSON_VALUES,
+            "logprob": st.floats(max_value=0.0) | JSON_VALUES,
+            "start": st.integers(-1, 6) | JSON_VALUES,
+            "end": st.integers(-1, 6) | JSON_VALUES,
+        }
+    )
+
+    @given(
+        raw=JSON_VALUES | st.lists(token_like | JSON_VALUES, max_size=4),
+        text=st.sampled_from([TEXT, "", "\ud800"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value_decodes_or_is_malformed(self, raw, text):
+        try:
+            tokens = parse_token_payload(raw, "u", text)
+        except MalformedResponseError:
+            return
+        for t in tokens:
+            assert type(t.token_text) is str
+            assert math.isfinite(t.logprob) and t.logprob <= 0.0
+            assert 0 <= t.char_start <= t.char_end <= len(text.encode("utf-8"))
 
 
 def tok(lp, start, end, text="t"):

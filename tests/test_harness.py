@@ -242,6 +242,21 @@ class TokenlessGeneration(MockScript):
         return {"text": super().generate(prompt)["text"]}
 
 
+@dataclass
+class FirstDraftNotUtf8(MockScript):
+    """Replies to the first generation request with a text that JSON can
+    carry but UTF-8 cannot encode: a lone surrogate."""
+
+    _sent: bool = False
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def generate(self, prompt):
+        with self._lock:
+            first, self._sent = not self._sent, True
+        reply = super().generate(prompt)
+        return {**reply, "text": "\ud800"} if first else reply
+
+
 @pytest.fixture(scope="module")
 def rigged():
     cfg = PipelineConfig(top_n=4, rng_seed=42)
@@ -412,6 +427,20 @@ class TestPipelines:
         with pytest.raises(PipelineError, match='lacks a "tokens" list') as info:
             run_standard_baseline(rigged.records[0], cfg, make_backends(cfg))
         assert isinstance(info.value.__cause__, MalformedResponseError)
+
+    def test_reply_text_that_is_not_utf8_drops_one_draft(self, rigged, server_factory):
+        server = server_factory(script=FirstDraftNotUtf8())
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
+        dropped = [c for c in result.candidates if c["dropped"]]
+        assert len(dropped) == 1
+        assert "not encodable as UTF-8" in dropped[0]["drop_reason"]
+        assert result.final_answer
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must
