@@ -58,8 +58,7 @@ class NoValidDraftsError(PipelineError):
     pass
 
 
-@dataclass(frozen=True)
-class TokenLogprob:
+class TokenLogprob(NamedTuple):
     """One completion token with its log-probability and byte offsets."""
 
     token_text: str

@@ -151,14 +151,24 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
     def fail(msg: str) -> DatasetError:
         return DatasetError(f"line {line_no}: {msg}")
 
+    def encodable(value: str, what: str) -> None:
+        # A JSON string may hold a lone surrogate ("\ud800"), which no
+        # request body can carry: every endpoint would refuse the record.
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise fail(f"{what} holds a lone surrogate, which UTF-8 cannot encode")
+
     if not isinstance(obj, dict):
         raise fail("record is not a JSON object")
     qid = obj.get("id")
     if not isinstance(qid, str) or not qid:
         raise fail('missing or empty "id"')
+    encodable(qid, '"id"')
     question = obj.get("question")
     if not isinstance(question, str) or not question:
         raise fail('missing or empty "question"')
+    encodable(question, '"question"')
     kind_raw = obj.get("task_kind", TaskKind.FREE_FORM.value)
     if kind_raw not in _TASK_KINDS:
         raise fail(f'unknown task_kind "{kind_raw}"')
@@ -174,6 +184,9 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             raise fail("choices must be [label, text] pairs")
         if not all(isinstance(part, str) for c in choices_raw for part in c):
             raise fail("choice labels and texts must be strings")
+        for j, (label, text) in enumerate(choices_raw):
+            encodable(label, f"choice {j} label")
+            encodable(text, f"choice {j} text")
         choices = tuple((lbl, txt) for lbl, txt in choices_raw)
     elif choices_raw:
         raise fail("choices are only allowed for closed_set_choice records")
@@ -185,6 +198,8 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         raise fail('missing "answers" list')
     if not all(isinstance(a, str) for a in answers):
         raise fail("every answer must be a string")
+    for j, answer in enumerate(answers):
+        encodable(answer, f"answer {j}")
 
     docs_raw = obj.get("documents")
     if not isinstance(docs_raw, list):
@@ -198,6 +213,7 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         text = d.get("text")
         if not isinstance(did, str) or not did:
             raise fail(f"document {j} missing id")
+        encodable(did, f"document {j} id")
         if did in seen_ids:
             raise fail(f'duplicate document id "{did}"')
         if not isinstance(text, str) or not text:
@@ -205,6 +221,8 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         title = d.get("title", "")
         if not isinstance(title, str):
             raise fail(f'document "{did}" has a title that is not a string')
+        encodable(text, f'document "{did}" text')
+        encodable(title, f'document "{did}" title')
         seen_ids.add(did)
         docs.append(Document(id=did, title=title, text=text))
 
@@ -327,17 +345,27 @@ def plan_subsets(
 ) -> SubsetPlan:
     """Cluster the embedded documents and sample the draft subsets.
 
-    k is clamped to the document count (with a notice); clustering and
-    sampling draw from the ``"kmeans"`` and ``"sampling"`` substreams of the
-    query, and their wall times go to ``timings``. The rigged-fixture
-    generator plans through this same function, so its scripted prompts
-    match the ones the pipeline sends.
+    k is clamped to the document count, then to the number of distinct
+    embedding rows, each with a notice: k-means cannot settle with more
+    clusters than distinct points (duplicated documents), and would run to
+    its iteration cap. Clustering and sampling draw from the ``"kmeans"``
+    and ``"sampling"`` substreams of the query, and their wall times go to
+    ``timings``. The rigged-fixture generator plans through this same
+    function, so its scripted prompts match the ones the pipeline sends.
     """
     notices: list[str] = []
     k = cfg.num_clusters
     if k > len(docs):
         notices.append(f"num_clusters clamped from {k} to {len(docs)}")
         k = len(docs)
+    # Adding 0.0 turns -0.0 into 0.0, so rows equal as numbers are equal as
+    # bytes; hashing the bytes is ten times cheaper than np.unique here.
+    distinct = len({row.tobytes() for row in vectors + 0.0})
+    if k > distinct:
+        notices.append(
+            f"num_clusters clamped from {k} to {distinct} distinct document embeddings"
+        )
+        k = distinct
     with _stage(timings, "cluster"):
         clusters = kmeans_cluster(
             [d.id for d in docs],

@@ -17,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftrag.backend import (
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
     EndpointConnectionError,
     EndpointDescriptor,
     EndpointRole,
     EndpointTimeout,
     EndpointUnavailableError,
     MalformedResponseError,
+    TransportError,
     dispatch,
     fan_out,
     round_robin_assign,
@@ -35,6 +38,7 @@ from draftrag.mock_server import (
     fallback_completion,
     whitespace_token_spans,
 )
+from json_strategies import JSON_VALUES
 from reference_texts import NIRVANA_COMPLETION, NIRVANA_PROMPT
 
 
@@ -222,6 +226,296 @@ class TestKeepAlive:
         del ep
         gc.collect()
         assert conn.sock is None
+
+
+class ScriptedServer:
+    """A raw TCP server that answers every request with scripted bytes.
+
+    Connections are served one at a time: the request is read in full, then
+    ``reply`` is sent as it is and the connection is closed if ``close`` is
+    set, or else held open until the next connection arrives.
+    """
+
+    def __init__(self):
+        self.reply = b""
+        self.close = True
+        self.requests: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/generate"
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        held = []
+        try:
+            while not self._stopping.is_set():
+                try:
+                    conn, _ = self._listener.accept()
+                except TimeoutError:
+                    continue
+                for old in held:
+                    old.close()
+                held = [conn]
+                conn.settimeout(5)
+                try:
+                    self.requests.append(read_request(conn))
+                    conn.sendall(self.reply)
+                except OSError:
+                    pass
+                if self.close:
+                    conn.close()
+        finally:
+            for old in held:
+                old.close()
+
+    def stop(self):
+        self._stopping.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+def read_request(conn: socket.socket) -> bytes:
+    """One request: its head, then as many body bytes as it says."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    fields = dict(line.split(b": ", 1) for line in head.split(b"\r\n")[1:])
+    while len(body) < int(fields.get(b"Content-Length", b"0")):
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        body += chunk
+    return head + b"\r\n\r\n" + body
+
+
+@pytest.fixture(scope="module")
+def scripted():
+    server = ScriptedServer()
+    yield server
+    server.stop()
+
+
+def reply_with(body: bytes, *headers: bytes, status=b"HTTP/1.1 200 OK") -> bytes:
+    return b"\r\n".join([status, *headers, b"", body])
+
+
+def chunked(*pieces: bytes) -> bytes:
+    return b"".join(b"%x\r\n%s\r\n" % (len(p), p) for p in pieces) + b"0\r\n\r\n"
+
+
+class TestFraming:
+    def test_chunked_reply_decodes_and_is_pooled(self, scripted):
+        body = b'3;ext=1\r\n{"t\r\n' + chunked(b'ext": ', b'"hi"}')
+        # One trailer line between the last chunk and the closing blank line.
+        body = body[:-2] + b"X-Trailer: 1\r\n\r\n"
+        scripted.reply = reply_with(body, b"Transfer-Encoding: chunked")
+        scripted.close = False
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "hi"}
+        assert len(ep._idle) == 1
+        assert ep.consecutive_failures == 0
+
+    @pytest.mark.parametrize("version", [b"HTTP/1.0", b"HTTP/1.1"])
+    def test_reply_without_a_length_is_read_to_close_and_not_pooled(
+        self, scripted, version
+    ):
+        scripted.reply = reply_with(b'{"text": "to the end"}', status=version + b" 200 OK")
+        scripted.close = True
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "to the end"}
+        assert ep._idle == []
+
+    def test_http_1_0_reply_with_a_length_is_not_pooled(self, scripted):
+        body = b'{"text": "old"}'
+        scripted.reply = reply_with(
+            body, b"Content-Length: %d" % len(body), status=b"HTTP/1.0 200 OK"
+        )
+        scripted.close = False
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "old"}
+        assert ep._idle == []
+
+    def test_connection_close_reply_is_not_pooled(self, scripted):
+        body = b'{"text": "bye"}'
+        scripted.reply = reply_with(
+            body, b"Content-Length: %d" % len(body), b"Connection: Close"
+        )
+        scripted.close = False
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "bye"}
+        assert ep._idle == []
+
+    def test_headers_at_the_limits_are_accepted(self, scripted):
+        body = b'{"text": "many"}'
+        longest = b"X-Long: " + b"a" * (MAX_LINE_BYTES - len(b"X-Long: \r\n"))
+        headers = [longest] + [b"X-H%d: v" % i for i in range(MAX_HEADERS - 2)]
+        scripted.reply = reply_with(body, *headers, b"Content-Length: %d" % len(body))
+        scripted.close = False
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "many"}
+        assert len(ep._idle) == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(reply_with(b'{"text"', b"Content-Length: 100"), id="cut-body"),
+            pytest.param(
+                reply_with(b"5\r\n{}", b"Transfer-Encoding: chunked"), id="cut-chunk"
+            ),
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Le", id="cut-head"),
+            pytest.param(reply_with(b"{}", status=b"HTTQ/1.1 200 OK"), id="bad-version"),
+            pytest.param(reply_with(b"{}", status=b"HTTP/1.1 2x0 OK"), id="bad-status"),
+            pytest.param(b"HTTP/1.1 200 OK", id="status-line-unterminated"),
+            pytest.param(
+                reply_with(b"{}", b"X-Long: " + b"a" * MAX_LINE_BYTES), id="long-header"
+            ),
+            pytest.param(
+                reply_with(b"{}", *[b"X-H%d: v" % i for i in range(MAX_HEADERS + 1)]),
+                id="101-headers",
+            ),
+            pytest.param(reply_with(b"{}", b"no colon"), id="bad-header"),
+            pytest.param(
+                reply_with(b"{}", b"Content-Length: -2"), id="bad-content-length"
+            ),
+            pytest.param(
+                reply_with(b"zz\r\n", b"Transfer-Encoding: chunked"), id="bad-chunk-size"
+            ),
+            pytest.param(
+                reply_with(b"2\r\n{}XX0\r\n\r\n", b"Transfer-Encoding: chunked"),
+                id="chunk-without-crlf",
+            ),
+            pytest.param(
+                reply_with(b"{}", b"Transfer-Encoding: gzip"), id="unknown-coding"
+            ),
+        ],
+    )
+    def test_broken_framing_is_a_connection_error_counted_once(self, scripted, reply):
+        scripted.reply = reply
+        scripted.close = True
+        ep = drafter(scripted.url)
+        with pytest.raises(EndpointConnectionError):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert ep.consecutive_failures == 1
+        assert ep._idle == []
+
+    def test_request_carries_host_type_and_exact_length(self, scripted):
+        body = b'{"text": "ok"}'
+        scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
+        scripted.close = True
+        scripted.requests.clear()
+        payload = {"prompt": "café ☃", "max_tokens": 8}
+        dispatch(drafter(scripted.url), payload, 5000)
+        [request] = scripted.requests
+        head, _, sent = request.partition(b"\r\n\r\n")
+        request_line, *header_lines = head.split(b"\r\n")
+        fields = {}
+        for line in header_lines:
+            name, _, value = line.partition(b": ")
+            fields[name.lower()] = value
+        assert request_line == b"POST /generate HTTP/1.1"
+        assert fields[b"host"] == urlsplit(scripted.url).netloc.encode()
+        assert fields[b"content-type"] == b"application/json"
+        assert fields[b"content-length"] == str(len(sent)).encode()
+        assert json.loads(sent) == payload
+
+
+FUZZ_TIMEOUT_MS = 150
+HEADER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
+    lambda name: b"X-" + name.encode()
+)
+HEADER_VALUES = st.binary(max_size=16).map(
+    lambda value: value.replace(b"\r", b"").replace(b"\n", b"")
+)
+
+
+def json_bytes(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+@st.composite
+def scripted_replies(draw):
+    """(reply bytes, the body if the reply is a complete HTTP/1.1 200 that
+    the client may pool, else None)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=300)), None
+    version = draw(st.sampled_from([b"HTTP/1.1"] * 6 + [b"HTTP/1.0", b"HTTP/2", b"http/1.1"]))
+    if draw(st.integers(0, 9)):
+        status = draw(st.sampled_from([b"200"] * 8 + [b"204", b"404", b"100", b"2000"]))
+    else:
+        status = draw(st.binary(max_size=4))
+    reason = draw(st.sampled_from([b" OK", b"", b" ", b" \xff weird"]))
+    end_of_line = draw(st.sampled_from([b"\r\n", b"\r\n", b"\n"]))
+    body = draw(
+        st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3).map(json_bytes)
+        | JSON_VALUES.map(json_bytes)
+        | st.binary(max_size=64)
+    )
+    headers = draw(st.lists(st.tuples(HEADER_NAMES, HEADER_VALUES), max_size=4))
+    head = [b"%s: %s" % pair for pair in headers]
+    framing = draw(
+        st.sampled_from(["length", "length", "chunked", "chunked", "long", "none", "close"])
+    )
+    if framing == "chunked":
+        split = draw(st.integers(0, len(body)))
+        head.append(b"Transfer-Encoding: chunked")
+        payload = chunked(*[p for p in (body[:split], body[split:]) if p])
+    else:
+        if framing != "none":
+            extra = draw(st.integers(1, 5)) if framing == "long" else 0
+            head.append(b"Content-Length: %d" % (len(body) + extra))
+        if framing == "close":
+            head.append(b"Connection: close")
+        payload = body
+    reply = version + b" " + status + reason + end_of_line
+    reply += b"".join(line + b"\r\n" for line in head) + b"\r\n" + payload
+    cut = draw(st.integers(0, len(reply) - 1)) if draw(st.integers(0, 3)) == 0 else None
+    complete = (
+        version == b"HTTP/1.1"
+        and status == b"200"
+        and framing in ("length", "chunked")
+        and cut is None
+    )
+    return (reply if cut is None else reply[:cut]), (body if complete else None)
+
+
+class TestReplyFuzz:
+    @given(scripted_replies(), st.sampled_from([True, True, True, False]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_reply_gives_a_body_or_a_transport_error(self, scripted, reply, close):
+        raw, body = reply
+        scripted.reply, scripted.close = raw, close
+        ep = drafter(scripted.url)
+        start = time.monotonic()
+        try:
+            result = dispatch(ep, {"prompt": "fuzz"}, FUZZ_TIMEOUT_MS)
+        except TransportError as exc:
+            result = exc
+        elapsed = time.monotonic() - start
+        pooled = len(ep._idle) == 1
+        for _, conn in ep._idle:
+            conn.close()
+        assert elapsed < FUZZ_TIMEOUT_MS / 1000 + 1.0
+        assert isinstance(result, (dict, TransportError))
+        if body is None:
+            assert not pooled
+        elif not isinstance(result, EndpointTimeout):
+            # A complete 200: pooled, and its body decoded as sent.
+            assert pooled
+            try:
+                sent = json.loads(body)
+            except ValueError:
+                sent = None
+            if isinstance(sent, dict):
+                assert json.dumps(result) == json.dumps(sent)
+            else:
+                assert isinstance(result, MalformedResponseError)
 
 
 class TestFanOut:

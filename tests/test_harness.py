@@ -3,6 +3,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from draftrag.core import (
     TaskKind,
 )
 from draftrag import harness
+from draftrag.clustering import KMEANS_MAX_ITERS, embedding_input, kmeans_cluster
 from draftrag.harness import (
     DatasetError,
     DatasetRecord,
@@ -135,12 +137,69 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"line 2: {message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"question": "who \ud800 is"}, '"question"'),
+            ({"answers": ["ok", "x\udfff"]}, "answer 1"),
+            (
+                {"documents": [{"id": "d0", "title": "T", "text": "\ud83d"}]},
+                'document "d0" text',
+            ),
+            (
+                {"documents": [{"id": "d0", "title": "\udc00", "text": "t"}]},
+                'document "d0" title',
+            ),
+            (
+                {
+                    "task_kind": "closed_set_choice",
+                    "choices": [["A", "fine"], ["B", "no\ud800"]],
+                },
+                "choice 1 text",
+            ),
+        ],
+    )
+    def test_lone_surrogate_is_rejected_with_its_line(self, tmp_path, overrides, field):
+        path = tmp_path / "data.jsonl"
+        good, bad = record_line("q1"), record_line("q2", **overrides)
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"line 2: {field} holds a lone surrogate"):
+            load_dataset(path)
+
     def test_write_then_load_round_trip(self, tmp_path):
         cfg = PipelineConfig(top_n=4)
         fixture = make_rigged_fixture(cfg, num_records=2)
         path = tmp_path / "out.jsonl"
         write_dataset(fixture.records, path)
         assert load_dataset(path) == fixture.records
+
+
+class TestPlanSubsets:
+    @pytest.mark.parametrize(
+        "texts, k, distinct",
+        [(["a"] * 4 + ["b"] * 4, 3, 2), (["same"] * 7, 7, 1)],
+    )
+    def test_k_is_clamped_to_distinct_embeddings(self, monkeypatch, texts, k, distinct):
+        docs = [Document(id=f"d{i}", title="", text=t) for i, t in enumerate(texts)]
+        query = Query(id="q", text="which?")
+        inputs = [embedding_input(d) for d in docs]
+        vectors = np.array(MockScript().embed(query.text, inputs)["embeddings"])
+        runs = []
+
+        def recorded(*args):
+            runs.append(kmeans_cluster(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "kmeans_cluster", recorded)
+        cfg = PipelineConfig(num_clusters=k, rng_seed=3)
+        plan = harness.plan_subsets(query, docs, vectors, cfg, StageTimings())
+        [clusters] = runs
+        assert clusters.k == distinct
+        assert len(clusters.sse_history) < KMEANS_MAX_ITERS
+        assert f"num_clusters clamped from {k} to {distinct} distinct" in " ".join(
+            plan.notices
+        )
+        assert plan.subsets
 
 
 class TestEvaluateAnswer:
