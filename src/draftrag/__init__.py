@@ -74,7 +74,6 @@ from .harness import (
 )
 from .mock_server import MockLMServer, MockScript
 from .verification import (
-    ReflectionStatement,
     VerificationResult,
     build_verify_prompt,
     combine_scores,

@@ -271,11 +271,13 @@ class _Connection:
 
 def _post_request(url: SplitResult, body: bytes) -> bytes:
     """Request line, headers and body of a JSON POST, in one buffer."""
-    path = url.path or "/"
-    if _NOT_IN_REQUEST_HEAD.search(url.netloc + path):
+    target = url.path or "/"
+    if url.query:
+        target += f"?{url.query}"
+    if _NOT_IN_REQUEST_HEAD.search(url.netloc + target):
         raise _ProtocolError(f"URL {url.geturl()!r} has a space or non-ASCII character")
     head = (
-        f"POST {path} HTTP/1.1\r\nHost: {url.netloc}\r\n"
+        f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
     )
     return head.encode("ascii") + body

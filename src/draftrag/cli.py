@@ -28,7 +28,6 @@ from .core import (
 )
 from .harness import (
     DatasetError,
-    ablation_grid,
     load_dataset,
     report_latency,
     run_ablations,
@@ -59,9 +58,20 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _make_out_dir(out: str | None) -> None:
+    """Create the ``--out`` directory up front, so a path that cannot be one
+    fails before any request rather than after every record has run."""
+    if out:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {out}: {exc}")
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     records = load_dataset(args.dataset)
+    _make_out_dir(args.out)
     summary = run_experiment(
         records, cfg, mode=args.mode, name=args.mode, out_dir=args.out
     )
@@ -84,13 +94,7 @@ def _cmd_ablate(args) -> int:
     variants = None
     if args.grid and args.grid != "all":
         variants = [v.strip() for v in args.grid.split(",") if v.strip()]
-        known = [name for name, _ in ablation_grid(cfg)]
-        unknown = [v for v in variants if v not in known]
-        if unknown:
-            raise ConfigError(
-                f"unknown --grid variants: {', '.join(unknown)} "
-                f"(known: {', '.join(known)})"
-            )
+    _make_out_dir(args.out)
     summaries = run_ablations(records, cfg, variants=variants, out_dir=args.out)
     for summary in summaries:
         print(
@@ -120,6 +124,7 @@ def _cmd_sweep(args) -> int:
     subset_sizes = _parse_counts(args.subset_sizes, "--subset-sizes")
     if not m_values and not subset_sizes:
         raise ConfigError("sweep requires --m-values and/or --subset-sizes")
+    _make_out_dir(args.out)
     summaries = run_sweep(
         records,
         cfg,

@@ -11,10 +11,6 @@ import numpy as np
 
 MAX_SEED = 2**64 - 1
 
-DEFAULT_REFLECTION_STATEMENT = (
-    "Do you think the explanation supports the answers? (Yes or No)"
-)
-
 
 class TaskKind(str, Enum):
     FREE_FORM = "free_form"
@@ -91,14 +87,12 @@ class PipelineConfig:
     num_drafts: int = 5
     num_clusters: int = 2
     top_n: int = 10
-    reflection_statement: str = DEFAULT_REFLECTION_STATEMENT
     verification_context_mode: VerificationContextMode = (
         VerificationContextMode.RATIONALE_ONLY
     )
     score_terms: frozenset[ScoreTerm] = ALL_SCORE_TERMS
     sampling_mode: SamplingMode = SamplingMode.MULTI_PERSPECTIVE
     selection_mode: SelectionMode = SelectionMode.ARGMAX
-    length_normalize_logprobs: bool = False
     rng_seed: int = 0
     # Defaults target a local mock server (`draftrag mock-serve --port 8080`).
     drafter_endpoints: tuple[str, ...] = ("http://127.0.0.1:8080/generate",)
@@ -136,8 +130,8 @@ class PipelineConfig:
         return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
-class ConfigError(Exception):
-    """Raised when a config file cannot even be parsed into a PipelineConfig."""
+class ConfigError(ValueError):
+    """A config, flag value or variant name the pipeline cannot run with."""
 
 
 def _json_value(value: object) -> object:
@@ -173,7 +167,7 @@ def _field_value(key: str, value: object, default: object) -> object:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise fail("a list of strings")
         return tuple(value)
-    if type(value) is not type(default):  # so a bool is no int, nor 1 a bool
+    if type(value) is not type(default):  # exact, so a bool is no int
         raise fail(type(default).__name__)
     return value
 
@@ -218,8 +212,6 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
             f"num_clusters must satisfy k ≤ n "
             f"(got k={cfg.num_clusters}, n={cfg.top_n})"
         )
-    if not cfg.reflection_statement:
-        violations.append("reflection_statement must be non-empty")
     if not cfg.drafter_endpoints:
         violations.append("drafter_endpoints must be non-empty")
     if not cfg.verifier_endpoint:

@@ -185,29 +185,23 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
     )
 
 
-def sequence_logprob(
-    tokens: Sequence[TokenLogprob], span: Span, normalize: bool = False
-) -> float:
+def sequence_logprob(tokens: Sequence[TokenLogprob], span: Span) -> float:
     """Sum of log-probabilities of tokens overlapping a byte span.
 
     A token counts when its byte range intersects the span at all, so spans
     need not align to token boundaries. An empty span scores 0 (probability
-    1). With ``normalize`` the sum is divided by the token count.
+    1).
     """
     if span.empty:
         return 0.0
     total = 0.0
-    count = 0
     for tok in tokens:
         if tok.char_start < span.end and tok.char_end > span.start:
             total += tok.logprob
-            count += 1
-    if normalize and count > 0:
-        return total / count
     return total
 
 
-def compute_rho_draft(candidate: DraftCandidate, normalize: bool = False) -> float:
+def compute_rho_draft(candidate: DraftCandidate) -> float:
     """Draft confidence in log domain.
 
     The score is the *sum* of the rationale and answer sequence
@@ -215,12 +209,9 @@ def compute_rho_draft(candidate: DraftCandidate, normalize: bool = False) -> flo
     the two span log-probabilities. It can exceed probability 1 by design;
     it is a ranking score, not a distribution.
     """
-    l_rationale = sequence_logprob(
-        candidate.completion_tokens, candidate.rationale_span, normalize
-    )
-    l_answer = sequence_logprob(
-        candidate.completion_tokens, candidate.answer_span, normalize
-    )
+    tokens = candidate.completion_tokens
+    l_rationale = sequence_logprob(tokens, candidate.rationale_span)
+    l_answer = sequence_logprob(tokens, candidate.answer_span)
     return float(np.logaddexp(l_rationale, l_answer))
 
 
@@ -282,10 +273,7 @@ def parse_token_payload(
 
 
 def draft_candidate(
-    subset: DocumentSubset,
-    text: str,
-    tokens: tuple[TokenLogprob, ...],
-    normalize: bool,
+    subset: DocumentSubset, text: str, tokens: tuple[TokenLogprob, ...]
 ) -> DraftCandidate:
     """Parse a drafter completion for ``subset`` and score its ``rho_draft``.
 
@@ -303,7 +291,7 @@ def draft_candidate(
         completion_tokens=tokens,
         rho_draft_log=0.0,
     )
-    return replace(candidate, rho_draft_log=compute_rho_draft(candidate, normalize))
+    return replace(candidate, rho_draft_log=compute_rho_draft(candidate))
 
 
 def generate(
@@ -339,7 +327,6 @@ def draft_subset(
     docs_by_id: Mapping[str, Document],
     endpoint: EndpointDescriptor,
     timeout_ms: int,
-    normalize: bool,
 ) -> DraftCandidate | DroppedDraft:
     """Draft one subset with one ``generate`` request.
 
@@ -349,7 +336,7 @@ def draft_subset(
     try:
         prompt = build_draft_prompt(query, subset, docs_by_id)
         text, tokens = generate(endpoint, prompt, timeout_ms)
-        return draft_candidate(subset, text, tokens, normalize)
+        return draft_candidate(subset, text, tokens)
     except (TransportError, DraftParseError) as exc:
         logger.warning("draft for subset %d dropped: %s", subset.subset_index, exc)
         return DroppedDraft(subset.subset_index, str(exc))
@@ -361,7 +348,6 @@ def generate_drafts(
     docs_by_id: Mapping[str, Document],
     endpoints: Sequence[EndpointDescriptor],
     timeout_ms: int,
-    normalize: bool = False,
 ) -> DraftBatch:
     """Draft all subsets concurrently, round-robin over the endpoint pool.
 
@@ -376,7 +362,7 @@ def generate_drafts(
     outcomes = fan_out(
         draft_subset,
         [
-            (query, subset, docs_by_id, endpoint, timeout_ms, normalize)
+            (query, subset, docs_by_id, endpoint, timeout_ms)
             for subset, endpoint in zip(subsets, assigned)
         ],
     )

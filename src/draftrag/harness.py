@@ -40,6 +40,7 @@ from .clustering import (
     sample_subsets,
 )
 from .core import (
+    ConfigError,
     DataError,
     Document,
     PipelineConfig,
@@ -61,7 +62,6 @@ from .drafting import (
     instruction_text,
 )
 from .verification import (
-    ReflectionStatement,
     VerificationResult,
     select_best,
     verify_candidate,
@@ -242,13 +242,26 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Load a line-delimited JSON dataset, validating every record.
 
     Errors carry the offending line number; duplicate query ids are
-    rejected. An empty file loads as an empty list with a warning.
+    rejected. A path that cannot be read, or a line that is not UTF-8,
+    raises ``DatasetError`` naming the path. An empty file loads as an
+    empty list with a warning.
     """
     path = Path(path)
     records: list[DatasetRecord] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}")
+    with fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(
+                    f"{path}: line {line_no}: not UTF-8 "
+                    f"({exc.reason} at byte {exc.start})"
+                )
             if not line.strip():
                 continue
             try:
@@ -428,12 +441,7 @@ def _draft_then_verify(
     """
     with _stage_errors("draft"):
         draft = draft_subset(
-            query,
-            subset,
-            docs_by_id,
-            drafter,
-            cfg.request_timeout_ms,
-            cfg.length_normalize_logprobs,
+            query, subset, docs_by_id, drafter, cfg.request_timeout_ms
         )
     drafted_at = time.perf_counter()
     if isinstance(draft, DroppedDraft) or cfg.selection_mode is SelectionMode.RANDOM:
@@ -444,11 +452,9 @@ def _draft_then_verify(
             draft,
             docs_by_id,
             cfg.verification_context_mode,
-            ReflectionStatement(text=cfg.reflection_statement),
             verifier,
             cfg.request_timeout_ms,
             cfg.score_terms,
-            cfg.length_normalize_logprobs,
         )
     return _SubsetOutcome(draft, drafted_at, verification, time.perf_counter())
 
@@ -821,12 +827,20 @@ def run_ablations(
     variants: Sequence[str] | None = None,
     out_dir: str | Path | None = None,
 ) -> list[EvalSummary]:
+    """Run the named variants of ``ablation_grid`` (all of them by default).
+
+    An unknown variant name raises ``ConfigError`` listing the known ones,
+    before any record is run.
+    """
     grid = ablation_grid(cfg)
     if variants is not None:
-        known = {name for name, _ in grid}
-        unknown = sorted(set(variants) - known)
+        known = [name for name, _ in grid]
+        unknown = sorted(set(variants) - set(known))
         if unknown:
-            raise ValueError(f"unknown ablation variants: {', '.join(unknown)}")
+            raise ConfigError(
+                f"unknown ablation variants: {', '.join(unknown)} "
+                f"(known: {', '.join(known)})"
+            )
         grid = [(name, c) for name, c in grid if name in set(variants)]
     return [
         run_experiment(
@@ -850,28 +864,15 @@ def run_sweep(
     out_dir: str | Path | None = None,
 ) -> list[EvalSummary]:
     """Draft-count and subset-size sweeps (one summary per grid point)."""
-    summaries = []
-    for m in m_values:
-        summaries.append(
-            run_experiment(
-                records,
-                replace(cfg, num_drafts=m),
-                backends=backends,
-                name=f"m_{m}",
-                out_dir=out_dir,
-            )
+    grid = [(f"m_{m}", replace(cfg, num_drafts=m)) for m in m_values] + [
+        (f"subset_{size}", replace(cfg, num_clusters=size)) for size in subset_sizes
+    ]
+    return [
+        run_experiment(
+            records, point_cfg, backends=backends, name=name, out_dir=out_dir
         )
-    for size in subset_sizes:
-        summaries.append(
-            run_experiment(
-                records,
-                replace(cfg, num_clusters=size),
-                backends=backends,
-                name=f"subset_{size}",
-                out_dir=out_dir,
-            )
-        )
-    return summaries
+        for name, point_cfg in grid
+    ]
 
 
 def report_latency(by_mode: Mapping[str, Sequence[StageTimings]]) -> str:

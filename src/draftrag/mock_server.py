@@ -307,8 +307,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    @property
+    def _route(self) -> str:
+        """The request path without its query string."""
+        return self.path.partition("?")[0]
+
     def do_GET(self):
-        if self.path == "/requests":
+        if self._route == "/requests":
             self._send_json(200, self.mock.request_log_snapshot())
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
@@ -324,7 +329,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post(self) -> None:
         body = self._read_body()
-        if self.path == "/generate":
+        if self._route == "/generate":
             prompt = _string_field(body, "prompt")
             kind = "echo" if body.get("echo") else "generate"
             self.mock.log_request_entry(kind, prompt_sha256(prompt), prompt=prompt)
@@ -332,7 +337,7 @@ class _Handler(BaseHTTPRequestHandler):
             script = self.mock.script
             result = script.echo(prompt) if kind == "echo" else script.generate(prompt)
             self._send_json(200, result)
-        elif self.path == "/embed":
+        elif self._route == "/embed":
             instruction = _string_field(body, "instruction")
             inputs = body.get("inputs", [])
             if not isinstance(inputs, list) or not all(
@@ -347,7 +352,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self.mock.apply_delay()
             self._send_json(200, self.mock.script.embed(instruction, inputs))
-        elif self.path == "/script":
+        elif self._route == "/script":
             self.mock.load_script(MockScript.from_dict(body))
             self.mock.log_request_entry("script", None)
             self._send_json(200, {"ok": True})

@@ -19,7 +19,7 @@ from .core import Document, PipelineConfig, Query, StageTimings
 from .drafting import build_draft_prompt, draft_candidate
 from .harness import DatasetRecord, plan_subsets, prepare_record
 from .mock_server import MockScript, uniform_tokens
-from .verification import ReflectionStatement, build_verify_prompt
+from .verification import build_verify_prompt
 
 GOLD_TOKEN_LOGPROB = -0.05
 WRONG_TOKEN_LOGPROB = -2.5
@@ -85,7 +85,6 @@ def _script_record(
     docs_by_id = {d.id: d for d in docs}
     gold_id = docs[0].id
     i = int(query.id.rsplit("-", 1)[1])
-    reflection = ReflectionStatement(text=cfg.reflection_statement)
 
     for subset in plan.subsets:
         has_gold = gold_id in subset.member_doc_ids
@@ -100,11 +99,9 @@ def _script_record(
         script.script_completion(prompt, completion, uniform_tokens(completion, token_lp))
 
         # The verifier prompt reads only the parsed answer and rationale.
-        candidate = draft_candidate(
-            subset, completion, (), cfg.length_normalize_logprobs
-        )
+        candidate = draft_candidate(subset, completion, ())
         verify_prompt = build_verify_prompt(
-            query, candidate, docs_by_id, cfg.verification_context_mode, reflection
+            query, candidate, docs_by_id, cfg.verification_context_mode
         )
         echo_lp = GOLD_ECHO_LOGPROB if has_gold else WRONG_ECHO_LOGPROB
         script.script_echo(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .backend import EndpointDescriptor, TransportError, dispatch, fan_out
 from .core import (
-    DEFAULT_REFLECTION_STATEMENT,
     Document,
     PipelineError,
     Query,
@@ -38,17 +37,10 @@ from .drafting import (
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ReflectionStatement:
-    """The statement prompting the verifier to affirm or reject a draft."""
-
-    text: str = DEFAULT_REFLECTION_STATEMENT
-    expected_affirmation: str = "Yes"
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("reflection statement must be non-empty")
+# The statement prompting the verifier to affirm or reject a draft, and the
+# affirmation whose probability is the self-reflection score.
+REFLECTION_STATEMENT = "Do you think the explanation supports the answers? (Yes or No)"
+AFFIRMATION = "Yes"
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,6 @@ def build_verify_prompt(
     candidate: DraftCandidate,
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
-    reflection: ReflectionStatement,
 ) -> VerifyPrompt:
     """Lay out [question, answer, context, reflection, "Yes"] with known spans.
 
@@ -127,8 +118,8 @@ def build_verify_prompt(
         b.add("\n## Rationale: ")
         spans.append(b.add(candidate.rationale))
 
-    b.add(f"\n{reflection.text}\n")
-    affirmation_span = b.add(reflection.expected_affirmation)
+    b.add(f"\n{REFLECTION_STATEMENT}\n")
+    affirmation_span = b.add(AFFIRMATION)
     return VerifyPrompt(
         text=b.text,
         consistency_spans=tuple(spans),
@@ -137,10 +128,7 @@ def build_verify_prompt(
 
 
 def score_candidate(
-    prompt: VerifyPrompt,
-    endpoint: EndpointDescriptor,
-    timeout_ms: int,
-    normalize: bool = False,
+    prompt: VerifyPrompt, endpoint: EndpointDescriptor, timeout_ms: int
 ) -> tuple[float, float]:
     """Echo-score one prompt: returns (self-consistency, self-reflection) logs.
 
@@ -158,10 +146,8 @@ def score_candidate(
         timeout_ms,
     )
     tokens = parse_token_payload(body.get("tokens"), endpoint.url, prompt.text)
-    rho_sc = sum(
-        sequence_logprob(tokens, span, normalize) for span in prompt.consistency_spans
-    )
-    rho_sr = sequence_logprob(tokens, prompt.affirmation_span, normalize)
+    rho_sc = sum(sequence_logprob(tokens, span) for span in prompt.consistency_spans)
+    rho_sr = sequence_logprob(tokens, prompt.affirmation_span)
     return float(rho_sc), float(rho_sr)
 
 
@@ -208,11 +194,9 @@ def verify_candidate(
     candidate: DraftCandidate,
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
-    reflection: ReflectionStatement,
     endpoint: EndpointDescriptor,
     timeout_ms: int,
     score_terms: frozenset[ScoreTerm],
-    normalize: bool,
 ) -> VerificationResult:
     """Score one candidate with one echo request.
 
@@ -223,8 +207,8 @@ def verify_candidate(
     rho_sc = rho_sr = 0.0
     if score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}:
         try:
-            prompt = build_verify_prompt(query, candidate, docs_by_id, mode, reflection)
-            rho_sc, rho_sr = score_candidate(prompt, endpoint, timeout_ms, normalize)
+            prompt = build_verify_prompt(query, candidate, docs_by_id, mode)
+            rho_sc, rho_sr = score_candidate(prompt, endpoint, timeout_ms)
         except TransportError as exc:
             logger.warning(
                 "verification for subset %d dropped: %s", candidate.subset_index, exc
@@ -250,28 +234,16 @@ def verify_candidates(
     candidates: Sequence[DraftCandidate],
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
-    reflection: ReflectionStatement,
     endpoint: EndpointDescriptor,
     timeout_ms: int,
     score_terms: frozenset[ScoreTerm],
-    normalize: bool = False,
 ) -> list[VerificationResult]:
     """Score every candidate concurrently, one echo request each, results in
     subset order (see ``verify_candidate``)."""
     results = fan_out(
         verify_candidate,
         [
-            (
-                query,
-                c,
-                docs_by_id,
-                mode,
-                reflection,
-                endpoint,
-                timeout_ms,
-                score_terms,
-                normalize,
-            )
+            (query, c, docs_by_id, mode, endpoint, timeout_ms, score_terms)
             for c in candidates
         ],
     )

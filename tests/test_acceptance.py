@@ -41,7 +41,6 @@ from draftrag.harness import run_ablations, run_experiment
 from draftrag.mock_server import MockLMServer, MockScript, whitespace_token_spans
 from draftrag.synthetic import make_rigged_fixture
 from draftrag.verification import (
-    ReflectionStatement,
     build_verify_prompt,
     combine_scores,
     select_best,
@@ -101,7 +100,6 @@ def test_criterion_2_scoring_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     words = ["alpha", "beta", "gamma", "delta", "nu", "sigma", "tau", "omega"]
-    reflection = ReflectionStatement()
     worst = 0.0
 
     def brute_product(tokens, span):
@@ -153,7 +151,6 @@ def test_criterion_2_scoring_oracle_equivalence():
             candidate,
             {"d1": Document("d1", "T", "body")},
             VerificationContextMode.RATIONALE_ONLY,
-            reflection,
         )
         echo_tokens = tuple(
             TokenLogprob(text, float(-rng.random() * 2), start, end)

@@ -48,9 +48,11 @@ def drafter(url: str) -> EndpointDescriptor:
 
 def http(method: str, url: str, body: bytes | None = None):
     """(status, decoded JSON body) of one request to a mock route."""
-    conn = HTTPConnection(urlsplit(url).netloc, timeout=5)
+    parts = urlsplit(url)
+    target = f"{parts.path}?{parts.query}" if parts.query else parts.path
+    conn = HTTPConnection(parts.netloc, timeout=5)
     try:
-        conn.request(method, urlsplit(url).path, body)
+        conn.request(method, target, body)
         resp = conn.getresponse()
         return resp.status, json.loads(resp.read())
     finally:
@@ -425,6 +427,22 @@ class TestFraming:
         assert fields[b"content-length"] == str(len(sent)).encode()
         assert json.loads(sent) == payload
 
+    def test_request_line_carries_the_query_string(self, scripted):
+        body = b'{"text": "ok"}'
+        scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
+        scripted.close = True
+        scripted.requests.clear()
+        dispatch(drafter(f"{scripted.url}?key=abc&v=1"), {"prompt": "a"}, 5000)
+        [request] = scripted.requests
+        assert request.split(b"\r\n", 1)[0] == b"POST /generate?key=abc&v=1 HTTP/1.1"
+
+    def test_space_in_the_query_string_is_refused_unsent(self, scripted):
+        scripted.requests.clear()
+        ep = drafter(f"{scripted.url}?key=a b")
+        with pytest.raises(EndpointConnectionError, match="space or non-ASCII"):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert scripted.requests == []
+
 
 FUZZ_TIMEOUT_MS = 150
 HEADER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
@@ -682,6 +700,14 @@ class TestServerEndpoints:
         assert http("POST", f"{mock_server.url}/script", body) == (200, {"ok": True})
         body = dispatch(drafter(mock_server.generate_url), {"prompt": "magic prompt"}, 5000)
         assert body["text"] == "## Rationale: r\n## Response: a"
+
+    def test_query_string_is_not_part_of_the_route(self, mock_server):
+        url = f"{mock_server.generate_url}?key=abc"
+        status, body = http("POST", url, b'{"prompt": "x"}')
+        assert status == 200 and "text" in body
+        status, log = http("GET", f"{mock_server.url}/requests?since=0")
+        assert status == 200
+        assert [entry["kind"] for entry in log] == ["generate"]
 
     def test_echo_flag_routes_to_prompt_scoring(self, mock_server):
         body = dispatch(

@@ -15,15 +15,19 @@ def rigged():
 
 
 @pytest.fixture
-def cli_env(rigged, server_factory, tmp_path):
-    server = server_factory(script=rigged.script)
+def cli_server(rigged, server_factory):
+    return server_factory(script=rigged.script)
+
+
+@pytest.fixture
+def cli_env(rigged, cli_server, tmp_path):
     dataset = tmp_path / "dataset.jsonl"
     write_dataset(rigged.records, dataset)
     cfg = replace(
         rigged.config,
-        drafter_endpoints=(server.generate_url,),
-        verifier_endpoint=server.generate_url,
-        embedding_endpoint=server.embed_url,
+        drafter_endpoints=(cli_server.generate_url,),
+        verifier_endpoint=cli_server.generate_url,
+        embedding_endpoint=cli_server.embed_url,
     )
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
@@ -93,7 +97,11 @@ def test_scheme_less_endpoint_exits_two(cli_env, capsys):
         ({"sampling_mode": "bogus"}, "sampling_mode"),
         ({"score_terms": "draft"}, "score_terms"),
         ({"rng_seed": 1.5}, "rng_seed"),
-        ({"length_normalize_logprobs": "no"}, "length_normalize_logprobs"),
+        # A removed field: config files from before its removal are refused.
+        (
+            {"length_normalize_logprobs": False},
+            "unknown config keys: length_normalize_logprobs",
+        ),
         ({"drafter_endpoints": "http://127.0.0.1:8080/generate"}, "drafter_endpoints"),
         (None, "JSON object"),  # the whole config wrapped in an array
     ],
@@ -115,6 +123,41 @@ def test_missing_dataset_exits_two(cli_env):
     _, config, tmp = cli_env
     code = main(["run", "--dataset", str(tmp / "nope.jsonl"), "--config", str(config)])
     assert code == 2
+
+
+def test_dataset_that_is_a_directory_exits_two(cli_env, capsys):
+    _, config, tmp = cli_env
+    code = main(["run", "--dataset", str(tmp), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"cannot read dataset {tmp}" in err
+
+
+def test_dataset_that_is_not_utf8_exits_two_naming_the_line(cli_env, capsys):
+    dataset, config, _ = cli_env
+    lines = dataset.read_bytes().splitlines(keepends=True)
+    dataset.write_bytes(lines[0] + b'{"id": "caf\xe9"}\n' + b"".join(lines[1:]))
+    code = main(["run", "--dataset", str(dataset), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}: line 2: not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+def test_out_naming_a_file_exits_two_before_any_request(
+    cli_env, cli_server, capsys, command
+):
+    dataset, config, tmp = cli_env
+    taken = tmp / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    args = [command, "--dataset", str(dataset), "--config", str(config)]
+    extra = ["--m-values", "2"] if command == "sweep" else []
+    code = main(args + ["--out", str(taken)] + extra)
+    assert code == 2
+    assert f"cannot use --out {taken}" in capsys.readouterr().err
+    assert cli_server.request_counts() == {}
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_unreachable_backend_exits_three(cli_env, capsys):

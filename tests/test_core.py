@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,9 +72,6 @@ class TestConfig:
     def test_default_profile_values(self):
         cfg = PipelineConfig()
         assert (cfg.num_drafts, cfg.num_clusters, cfg.top_n) == (5, 2, 10)
-        assert cfg.reflection_statement == (
-            "Do you think the explanation supports the answers? (Yes or No)"
-        )
         assert cfg.verification_context_mode.value == "rationale_only"
         assert sorted(t.value for t in cfg.score_terms) == [
             "draft",
@@ -79,7 +80,6 @@ class TestConfig:
         ]
         assert cfg.sampling_mode.value == "multi_perspective"
         assert cfg.selection_mode.value == "argmax"
-        assert cfg.length_normalize_logprobs is False
 
     def test_musique_profile_values(self):
         cfg = PipelineConfig.musique_profile()
@@ -118,7 +118,7 @@ class TestConfig:
         cfg = PipelineConfig(
             num_drafts=0,
             num_clusters=0,
-            reflection_statement="",
+            top_n=0,
             drafter_endpoints=(),
             request_timeout_ms=0,
         )
@@ -137,7 +137,6 @@ class TestConfig:
         "raw,match",
         [
             ({"num_drafts": True}, "num_drafts must be int"),
-            ({"length_normalize_logprobs": 0}, "must be bool"),
             ({"verifier_endpoint": 3}, "verifier_endpoint must be str"),
             ({"score_terms": ["draft", "bogus"]}, "got 'bogus'"),
             ({"drafter_endpoints": [1]}, "drafter_endpoints must be a list"),
@@ -150,6 +149,16 @@ class TestConfig:
     def test_score_terms_parsed_from_strings(self):
         cfg = PipelineConfig.from_dict({"score_terms": ["draft"]})
         assert sorted(t.value for t in cfg.score_terms) == ["draft"]
+
+    def test_readme_configuration_table_names_exactly_the_fields(self):
+        readme = Path(__file__).parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+        section = section.split("\n## ", 1)[0]
+        named = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):  # a table row; its first cell names fields
+                named.update(re.findall(r"`(\w+)`", line.split(" | ")[0]))
+        assert named == {f.name for f in fields(PipelineConfig)}
 
 
 class TestQuery:

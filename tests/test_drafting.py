@@ -265,10 +265,6 @@ class TestSequenceLogprob:
         tokens = [tok(-0.1, 0, 4), tok(-0.2, 4, 8)]
         assert sequence_logprob(tokens, Span(3, 5)) == pytest.approx(-0.3)
 
-    def test_normalization_divides_by_token_count(self):
-        tokens = [tok(-0.2, 0, 2), tok(-0.4, 2, 4)]
-        assert sequence_logprob(tokens, Span(0, 4), normalize=True) == pytest.approx(-0.3)
-
     @given(
         logprobs=st.lists(
             st.floats(min_value=-5.0, max_value=0.0), min_size=1, max_size=50

@@ -17,7 +17,6 @@ from draftrag.core import (
 from draftrag.drafting import DraftCandidate, Span, parse_draft
 from draftrag.mock_server import whitespace_token_spans
 from draftrag.verification import (
-    ReflectionStatement,
     build_verify_prompt,
     combine_scores,
     score_candidate,
@@ -29,9 +28,7 @@ from reference_texts import WORKED_SCORES_A, WORKED_SCORES_B
 ALL_TERMS = frozenset(
     {ScoreTerm.DRAFT, ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}
 )
-REFLECTION = ReflectionStatement(
-    text="Do you think the explanation supports the answers? (Yes or No)"
-)
+REFLECTION = "Do you think the explanation supports the answers? (Yes or No)"
 
 
 def make_candidate(answer="the answer", rationale="the rationale", doc_ids=("d1",)):
@@ -67,16 +64,15 @@ class TestBuildVerifyPrompt:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         assert vp.text == (
             "## Instruction: why?\n"
             "## Response: the answer\n"
             "## Rationale: the rationale\n"
-            f"{REFLECTION.text}\n"
+            f"{REFLECTION}\n"
             "Yes"
         )
-        assert vp.text.endswith(f"{REFLECTION.text}\nYes")
+        assert vp.text.endswith(f"{REFLECTION}\nYes")
         assert [span_text(vp.text, s) for s in vp.consistency_spans] == [
             "the answer",
             "the rationale",
@@ -91,7 +87,6 @@ class TestBuildVerifyPrompt:
             candidate,
             DOCS,
             VerificationContextMode.DOCUMENTS_ONLY,
-            REFLECTION,
         )
         assert "## Rationale:" not in vp.text
         assert "## Evidence: \n[1] First\nfirst document text" in vp.text
@@ -106,7 +101,6 @@ class TestBuildVerifyPrompt:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_AND_DOCUMENTS,
-            REFLECTION,
         )
         assert len(vp.consistency_spans) == 3
         assert vp.text.index("## Response:") < vp.text.index("## Evidence:")
@@ -119,7 +113,6 @@ class TestBuildVerifyPrompt:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         rationale_span = vp.consistency_spans[1]
         assert rationale_span.empty
@@ -145,7 +138,6 @@ class TestScoreCandidate:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         rng = seeded_rng(17)
         tokens = [
@@ -174,7 +166,6 @@ class TestScoreCandidate:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         from draftrag.mock_server import uniform_tokens
 
@@ -189,7 +180,6 @@ class TestScoreCandidate:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         score_candidate(vp, _verifier(mock_server), 5000)
         counts = mock_server.request_counts()
@@ -207,7 +197,6 @@ class TestScoreCandidate:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         rho_sc, _ = score_candidate(vp, _verifier(mock_server), 5000)
         rule_tokens = tuple(
@@ -314,7 +303,6 @@ class TestVerifyCandidates:
             candidates,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
             _verifier(mock_server),
             5000,
             frozenset({ScoreTerm.DRAFT}),
@@ -336,7 +324,6 @@ class TestVerifyCandidates:
             candidates,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
             EndpointDescriptor(dead, EndpointRole.VERIFIER),
             500,
             ALL_TERMS,
@@ -358,7 +345,6 @@ class TestVerifyCandidates:
             candidate,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
         )
         tokens = tokens_from_rule(vp.text)
         tokens[-1].update(change)
@@ -368,7 +354,6 @@ class TestVerifyCandidates:
             [candidate],
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            REFLECTION,
             _verifier(mock_server),
             5000,
             ALL_TERMS,
@@ -405,7 +390,6 @@ def test_prompt_builders_never_read_gold_answers():
         make_candidate(),
         DOCS,
         VerificationContextMode.RATIONALE_AND_DOCUMENTS,
-        REFLECTION,
     )
     assert GuardedQuery.touched is False
     assert "LEAK-SENTINEL-314159" not in draft_prompt
