@@ -11,7 +11,6 @@ testable without model weights.
 from .backend import (
     EndpointConnectionError,
     EndpointDescriptor,
-    EndpointRole,
     EndpointTimeout,
     EndpointUnavailableError,
     MalformedResponseError,

@@ -1,7 +1,8 @@
 """Endpoint descriptors, the HTTP dispatch layer and the fan-out executor.
 
-Three endpoint roles exist: drafter (generation), verifier (echo scoring of a
-prompt's own tokens), and embedder. All speak JSON over HTTP POST:
+Endpoints serve three kinds of request: generation (drafts), echo scoring of
+a prompt's own tokens (verification), and embedding. All speak JSON over
+HTTP POST:
 
 - generation:  {"prompt", "max_tokens", "temperature", "logprobs"}
                -> {"text", "tokens": [{"text", "logprob", "start", "end"}]}
@@ -31,7 +32,6 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterable, TypeVar
 from urllib.parse import SplitResult, urlsplit
 
@@ -47,12 +47,6 @@ _NOT_IN_REQUEST_HEAD = re.compile(r"[^\x21-\x7e]")
 _BLANK_LINES = (b"\r\n", b"\n")
 
 T = TypeVar("T")
-
-
-class EndpointRole(str, Enum):
-    DRAFTER = "drafter"
-    VERIFIER = "verifier"
-    EMBEDDER = "embedder"
 
 
 class TransportError(Exception):
@@ -90,7 +84,6 @@ class EndpointDescriptor:
     """
 
     url: str
-    role: EndpointRole
     healthy: bool = True
     consecutive_failures: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)

@@ -28,6 +28,7 @@ from .core import (
 )
 from .harness import (
     DatasetError,
+    ablation_grid,
     load_dataset,
     report_latency,
     run_ablations,
@@ -94,6 +95,7 @@ def _cmd_ablate(args) -> int:
     variants = None
     if args.grid and args.grid != "all":
         variants = [v.strip() for v in args.grid.split(",") if v.strip()]
+    ablation_grid(cfg, variants)  # an unknown name fails before --out is made
     _make_out_dir(args.out)
     summaries = run_ablations(records, cfg, variants=variants, out_dir=args.out)
     for summary in summaries:
@@ -149,7 +151,10 @@ def _cmd_mock_serve(args) -> int:
             raise ConfigError(f"cannot load mock script {args.script}: {exc}")
     if args.delay_ms is not None:
         script.delay_ms = args.delay_ms
-    server = MockLMServer(script=script, port=args.port)
+    try:
+        server = MockLMServer(script=script, port=args.port)
+    except (OverflowError, OSError) as exc:  # a port out of range, or taken
+        raise ConfigError(f"cannot serve on port {args.port}: {exc}")
     print(f"mock LM server on {server.url}")
     print(f"  generation/echo: POST {server.generate_url}")
     print(f"  embeddings:      POST {server.embed_url}")

@@ -10,6 +10,10 @@ from urllib.parse import urlsplit
 import numpy as np
 
 MAX_SEED = 2**64 - 1
+# The most milliseconds a C int holds, about 24.8 days. Socket timeouts take
+# it on every platform; one near 10**13 ms overflows the time conversion
+# inside the socket calls, so every request would fail.
+MAX_REQUEST_TIMEOUT_MS = 2**31 - 1
 
 
 class TaskKind(str, Enum):
@@ -221,8 +225,10 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
     for url in (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint):
         if url and not _is_http_url(url):
             violations.append(f"endpoint {url!r} must be an http(s) URL with a host")
-    if cfg.request_timeout_ms < 1:
-        violations.append("request_timeout_ms must be positive")
+    if not (1 <= cfg.request_timeout_ms <= MAX_REQUEST_TIMEOUT_MS):
+        violations.append(
+            f"request_timeout_ms must be between 1 and {MAX_REQUEST_TIMEOUT_MS}"
+        )
     if not (0 <= cfg.rng_seed <= MAX_SEED):
         violations.append("rng_seed must be an unsigned 64-bit integer")
     return violations

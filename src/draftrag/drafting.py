@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -59,9 +59,8 @@ class NoValidDraftsError(PipelineError):
 
 
 class TokenLogprob(NamedTuple):
-    """One completion token with its log-probability and byte offsets."""
+    """One token's log-probability and byte offsets."""
 
-    token_text: str
     logprob: float
     char_start: int
     char_end: int
@@ -77,7 +76,7 @@ class ParsedDraft:
 
 @dataclass(frozen=True)
 class DraftCandidate:
-    """One parsed draft: answer, rationale, tokens, and draft confidence.
+    """One parsed draft: answer, rationale, and draft confidence.
 
     ``subset_doc_ids`` records which documents the draft was grounded on so
     the verifier can reconstruct the evidence context when asked to.
@@ -87,9 +86,6 @@ class DraftCandidate:
     subset_doc_ids: tuple[str, ...]
     rationale: str
     answer: str
-    rationale_span: Span
-    answer_span: Span
-    completion_tokens: tuple[TokenLogprob, ...]
     rho_draft_log: float
 
 
@@ -201,17 +197,17 @@ def sequence_logprob(tokens: Sequence[TokenLogprob], span: Span) -> float:
     return total
 
 
-def compute_rho_draft(candidate: DraftCandidate) -> float:
-    """Draft confidence in log domain.
+def compute_rho_draft(tokens: Sequence[TokenLogprob], parsed: ParsedDraft) -> float:
+    """Draft confidence in log domain, from the completion's tokens and the
+    spans ``parse_draft`` found in it.
 
     The score is the *sum* of the rationale and answer sequence
     probabilities (not their product), so in log domain it is a logaddexp of
     the two span log-probabilities. It can exceed probability 1 by design;
     it is a ranking score, not a distribution.
     """
-    tokens = candidate.completion_tokens
-    l_rationale = sequence_logprob(tokens, candidate.rationale_span)
-    l_answer = sequence_logprob(tokens, candidate.answer_span)
+    l_rationale = sequence_logprob(tokens, parsed.rationale_span)
+    l_answer = sequence_logprob(tokens, parsed.answer_span)
     return float(np.logaddexp(l_rationale, l_answer))
 
 
@@ -237,16 +233,17 @@ def parse_token_payload(
     out = []
     for i, t in enumerate(raw_tokens):
         try:
-            token_text, logprob = t["text"], t["logprob"]
+            tok_text, logprob = t["text"], t["logprob"]
             start, end = t["start"], t["end"]
         except (KeyError, TypeError):
             raise MalformedResponseError(
                 url, f"token {i} is not an object with text, logprob, start and end"
             )
         # Exact types: JSON decodes to exactly str, int or float, and
-        # type(True) is bool, so a bool fails every check.
+        # type(True) is bool, so a bool fails every check. The token's text
+        # is checked but not kept: its offsets locate it.
         if not (
-            type(token_text) is str
+            type(tok_text) is str
             and type(logprob) in (int, float)
             and type(start) is int
             and type(end) is int
@@ -268,7 +265,7 @@ def parse_token_payload(
                 f"token {i} spans bytes [{start}, {end}) "
                 f"outside the {text_bytes}-byte text",
             )
-        out.append(TokenLogprob(token_text, logprob, start, end))
+        out.append(TokenLogprob(logprob, start, end))
     return tuple(out)
 
 
@@ -281,17 +278,13 @@ def draft_candidate(
     empty.
     """
     parsed = parse_draft(text)
-    candidate = DraftCandidate(
+    return DraftCandidate(
         subset_index=subset.subset_index,
         subset_doc_ids=subset.member_doc_ids,
         rationale=parsed.rationale,
         answer=parsed.answer,
-        rationale_span=parsed.rationale_span,
-        answer_span=parsed.answer_span,
-        completion_tokens=tokens,
-        rho_draft_log=0.0,
+        rho_draft_log=compute_rho_draft(tokens, parsed),
     )
-    return replace(candidate, rho_draft_log=compute_rho_draft(candidate))
 
 
 def generate(

@@ -26,7 +26,6 @@ import numpy as np
 
 from .backend import (
     EndpointDescriptor,
-    EndpointRole,
     TransportError,
     dispatch,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     fan_out,
@@ -131,12 +130,9 @@ class PipelineBackends:
 
 def make_backends(cfg: PipelineConfig) -> PipelineBackends:
     return PipelineBackends(
-        drafters=[
-            EndpointDescriptor(url, EndpointRole.DRAFTER)
-            for url in cfg.drafter_endpoints
-        ],
-        verifier=EndpointDescriptor(cfg.verifier_endpoint, EndpointRole.VERIFIER),
-        embedder=EndpointDescriptor(cfg.embedding_endpoint, EndpointRole.EMBEDDER),
+        drafters=[EndpointDescriptor(url) for url in cfg.drafter_endpoints],
+        verifier=EndpointDescriptor(cfg.verifier_endpoint),
+        embedder=EndpointDescriptor(cfg.embedding_endpoint),
     )
 
 
@@ -748,33 +744,33 @@ def run_experiment(
 
 def write_experiment(
     out_dir: Path, name: str, summary: EvalSummary, results: Sequence[PipelineResult]
-) -> dict[str, Path]:
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "results": out_dir / f"{name}.results.jsonl",
-        "summary": out_dir / f"{name}.summary.json",
-        "config": out_dir / f"{name}.config.json",
-    }
-    with open(paths["results"], "w", encoding="utf-8") as fh:
+    with open(out_dir / f"{name}.results.jsonl", "w", encoding="utf-8") as fh:
         for result in results:
             fh.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-    paths["summary"].write_text(
+    (out_dir / f"{name}.summary.json").write_text(
         json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    paths["config"].write_text(
+    (out_dir / f"{name}.config.json").write_text(
         json.dumps(summary.config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return paths
 
 
-def ablation_grid(cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
+def ablation_grid(
+    cfg: PipelineConfig, variants: Sequence[str] | None
+) -> list[tuple[str, PipelineConfig]]:
     """Named config variants: sampling strategies, score-term removals,
-    random selection, and verification-context modes."""
+    random selection, and verification-context modes.
+
+    ``variants`` names the ones to keep (None keeps all); an unknown name
+    raises ``ConfigError`` listing the known ones.
+    """
     from .core import SamplingMode, VerificationContextMode
 
     all_terms = cfg.score_terms
-    return [
+    grid = [
         ("baseline", cfg),
         (
             "sampling_random_no_cluster",
@@ -818,6 +814,17 @@ def ablation_grid(cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
             ),
         ),
     ]
+    if variants is None:
+        return grid
+    known = [name for name, _ in grid]
+    wanted = set(variants)
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown ablation variants: {', '.join(unknown)} "
+            f"(known: {', '.join(known)})"
+        )
+    return [(name, c) for name, c in grid if name in wanted]
 
 
 def run_ablations(
@@ -832,16 +839,6 @@ def run_ablations(
     An unknown variant name raises ``ConfigError`` listing the known ones,
     before any record is run.
     """
-    grid = ablation_grid(cfg)
-    if variants is not None:
-        known = [name for name, _ in grid]
-        unknown = sorted(set(variants) - set(known))
-        if unknown:
-            raise ConfigError(
-                f"unknown ablation variants: {', '.join(unknown)} "
-                f"(known: {', '.join(known)})"
-            )
-        grid = [(name, c) for name, c in grid if name in set(variants)]
     return [
         run_experiment(
             records,
@@ -851,7 +848,7 @@ def run_ablations(
             name=name,
             out_dir=out_dir,
         )
-        for name, variant_cfg in grid
+        for name, variant_cfg in ablation_grid(cfg, variants)
     ]
 
 

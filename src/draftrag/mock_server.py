@@ -123,7 +123,7 @@ def _string_field(raw: dict, name: str) -> str:
 
 def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict]]:
     """(prompt sha256, entry) pairs of one ``to_dict`` table; each entry must
-    hold a field of each given type and a ``prompt_sha256`` or ``prompt``."""
+    hold a non-empty ``prompt_sha256`` string and a field of each given type."""
     entries = raw.get(name, [])
     if not isinstance(entries, list):
         raise ValueError(f'"{name}" must be a list')
@@ -133,13 +133,10 @@ def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict
             isinstance(entry.get(attr), kind) for attr, kind in types.items()
         ):
             raise ValueError(f"{name}[{i}] must be an object with {', '.join(types)}")
-        sha, prompt = entry.get("prompt_sha256"), entry.get("prompt")
-        if isinstance(sha, str) and sha:
-            pairs.append((sha, entry))
-        elif isinstance(prompt, str):
-            pairs.append((prompt_sha256(prompt), entry))
-        else:
-            raise ValueError(f"{name}[{i}] needs a prompt_sha256 or a prompt string")
+        sha = entry.get("prompt_sha256")
+        if not (isinstance(sha, str) and sha):
+            raise ValueError(f"{name}[{i}] needs a prompt_sha256 string")
+        pairs.append((sha, entry))
     return pairs
 
 
@@ -332,7 +329,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self._route == "/generate":
             prompt = _string_field(body, "prompt")
             kind = "echo" if body.get("echo") else "generate"
-            self.mock.log_request_entry(kind, prompt_sha256(prompt), prompt=prompt)
+            self.mock.log_request_entry(kind, prompt)
             self.mock.apply_delay()
             script = self.mock.script
             result = script.echo(prompt) if kind == "echo" else script.generate(prompt)
@@ -344,18 +341,9 @@ class _Handler(BaseHTTPRequestHandler):
                 isinstance(text, str) for text in inputs
             ):
                 raise ValueError('"inputs" must be a list of strings')
-            digest = hashlib.sha256(
-                json.dumps([instruction, inputs]).encode("utf-8")
-            ).hexdigest()
-            self.mock.log_request_entry(
-                "embed", digest, prompt="\x1f".join([instruction, *inputs])
-            )
+            self.mock.log_request_entry("embed", "\x1f".join([instruction, *inputs]))
             self.mock.apply_delay()
             self._send_json(200, self.mock.script.embed(instruction, inputs))
-        elif self._route == "/script":
-            self.mock.load_script(MockScript.from_dict(body))
-            self.mock.log_request_entry("script", None)
-            self._send_json(200, {"ok": True})
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
@@ -364,10 +352,11 @@ class MockLMServer:
     """Threaded HTTP server exposing the mock LM on an ephemeral port.
 
     Routes: POST /generate (generation, or echo scoring when the body sets
-    "echo"), POST /embed, GET /requests (the most recent
-    ``REQUEST_LOG_LIMIT`` entries of the request log; each entry's "index"
-    counts every request since the last reset), and POST /script (replace
-    the active script). Speaks HTTP/1.1 with keep-alive and handles
+    "echo"), POST /embed, and GET /requests (the most recent
+    ``REQUEST_LOG_LIMIT`` entries of the request log, each an object of
+    "index", "kind" and "prompt"; "index" counts every request since the
+    last reset, and an embed request's "prompt" is its instruction and
+    inputs joined by U+001F). Speaks HTTP/1.1 with keep-alive and handles
     concurrent connections; responses depend only on request content.
     ``stop`` also ends every open connection.
     """
@@ -426,24 +415,14 @@ class MockLMServer:
         self._serving = True
         self._httpd.serve_forever()
 
-    def load_script(self, script: MockScript) -> None:
-        self.script = script
-
     def apply_delay(self) -> None:
         if self.script.delay_ms > 0:
             time.sleep(self.script.delay_ms / 1000.0)
 
-    def log_request_entry(
-        self, kind: str, digest: str | None, prompt: str | None = None
-    ) -> None:
+    def log_request_entry(self, kind: str, prompt: str) -> None:
         with self._lock:
             self._log.append(
-                {
-                    "index": sum(self._counts.values()),
-                    "kind": kind,
-                    "sha256": digest,
-                    "prompt": prompt,
-                }
+                {"index": sum(self._counts.values()), "kind": kind, "prompt": prompt}
             )
             self._counts[kind] = self._counts.get(kind, 0) + 1
 

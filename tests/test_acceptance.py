@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from draftrag.backend import EndpointDescriptor, EndpointRole
+from draftrag.backend import EndpointDescriptor
 from draftrag.clustering import (
     DocumentSubset,
     kmeans_cluster,
@@ -117,17 +117,14 @@ def test_criterion_2_scoring_oracle_equivalence():
         from draftrag.drafting import TokenLogprob
 
         tokens = tuple(
-            TokenLogprob(text, float(-rng.random() * 3), start, end)
-            for text, start, end in whitespace_token_spans(completion)
+            TokenLogprob(float(-rng.random() * 3), start, end)
+            for _, start, end in whitespace_token_spans(completion)
         )
         candidate = DraftCandidate(
             subset_index=0,
             subset_doc_ids=("d1",),
             rationale=parsed.rationale,
             answer=parsed.answer,
-            rationale_span=parsed.rationale_span,
-            answer_span=parsed.answer_span,
-            completion_tokens=tokens,
             rho_draft_log=0.0,
         )
 
@@ -140,7 +137,7 @@ def test_criterion_2_scoring_oracle_equivalence():
             got = math.exp(sequence_logprob(tokens, span))
             worst = max(worst, abs(got - brute) / brute)
 
-        rho = math.exp(compute_rho_draft(candidate))
+        rho = math.exp(compute_rho_draft(tokens, parsed))
         worst = max(
             worst, abs(rho - (prod_rationale + prod_answer)) / (prod_rationale + prod_answer)
         )
@@ -153,8 +150,8 @@ def test_criterion_2_scoring_oracle_equivalence():
             VerificationContextMode.RATIONALE_ONLY,
         )
         echo_tokens = tuple(
-            TokenLogprob(text, float(-rng.random() * 2), start, end)
-            for text, start, end in whitespace_token_spans(vp.text)
+            TokenLogprob(float(-rng.random() * 2), start, end)
+            for _, start, end in whitespace_token_spans(vp.text)
         )
         for span in [*vp.consistency_spans, vp.affirmation_span]:
             brute = brute_product(echo_tokens, span)
@@ -276,9 +273,7 @@ def test_criterion_5_parallel_drafting_latency(server_factory):
     servers = [
         server_factory(script=MockScript(delay_ms=delay_ms)) for _ in range(5)
     ]
-    endpoints = [
-        EndpointDescriptor(s.generate_url, EndpointRole.DRAFTER) for s in servers
-    ]
+    endpoints = [EndpointDescriptor(s.generate_url) for s in servers]
     docs = {f"d{i}": Document(f"d{i}", f"T{i}", f"text {i}") for i in range(5)}
     subsets = [DocumentSubset(i, (f"d{i}",), (0,)) for i in range(5)]
     query = Query(id="q", text="which?")

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import socket
 import signal
 import subprocess
@@ -21,7 +22,6 @@ from draftrag.backend import (
     MAX_LINE_BYTES,
     EndpointConnectionError,
     EndpointDescriptor,
-    EndpointRole,
     EndpointTimeout,
     EndpointUnavailableError,
     MalformedResponseError,
@@ -43,7 +43,7 @@ from reference_texts import NIRVANA_COMPLETION, NIRVANA_PROMPT
 
 
 def drafter(url: str) -> EndpointDescriptor:
-    return EndpointDescriptor(url, EndpointRole.DRAFTER)
+    return EndpointDescriptor(url)
 
 
 def http(method: str, url: str, body: bytes | None = None):
@@ -633,8 +633,7 @@ class TestMockGenerate:
         b = dispatch(ep, {"prompt": "alpha beta"}, 5000)
         assert a == b
         log = mock_server.request_log_snapshot()
-        assert len(log) == 2
-        assert log[0]["sha256"] == log[1]["sha256"]
+        assert [entry["prompt"] for entry in log] == ["alpha beta", "alpha beta"]
 
 
 class TestMockEcho:
@@ -693,14 +692,6 @@ class TestServerEndpoints:
         assert len(log) == 1
         assert log[0]["kind"] == "generate"
 
-    def test_script_endpoint_replaces_script(self, mock_server):
-        payload = MockScript()
-        payload.script_completion("magic prompt", "## Rationale: r\n## Response: a")
-        body = json.dumps(payload.to_dict()).encode()
-        assert http("POST", f"{mock_server.url}/script", body) == (200, {"ok": True})
-        body = dispatch(drafter(mock_server.generate_url), {"prompt": "magic prompt"}, 5000)
-        assert body["text"] == "## Rationale: r\n## Response: a"
-
     def test_query_string_is_not_part_of_the_route(self, mock_server):
         url = f"{mock_server.generate_url}?key=abc"
         status, body = http("POST", url, b'{"prompt": "x"}')
@@ -718,7 +709,7 @@ class TestServerEndpoints:
         assert body["text"] == "alpha beta"
         assert mock_server.request_counts() == {"echo": 1}
 
-    @pytest.mark.parametrize("path", ["/generate", "/embed", "/script"])
+    @pytest.mark.parametrize("path", ["/generate", "/embed"])
     @pytest.mark.parametrize("body", ["[1]", '"prompt"', "null", "{broken"])
     def test_body_that_is_not_a_json_object_gets_400(self, mock_server, path, body):
         assert http("POST", f"{mock_server.url}{path}", body.encode()) == (
@@ -732,10 +723,6 @@ class TestServerEndpoints:
             ("/generate", {"prompt": 5}, "prompt"),
             ("/embed", {"inputs": [1]}, "inputs"),
             ("/embed", {"instruction": None, "inputs": ["a"]}, "instruction"),
-            ("/script", {"completions": [{"text": "x"}]}, "completions[0]"),
-            ("/script", {"echoes": [{"prompt": 1, "tokens": []}]}, "echoes[0]"),
-            ("/script", {"delay_ms": "slow"}, "delay_ms"),
-            ("/script", {"embed_dims": 0}, "embed_dims"),
         ],
     )
     def test_field_of_the_wrong_type_gets_400(self, mock_server, path, body, field):
@@ -743,9 +730,8 @@ class TestServerEndpoints:
         status, reply = http("POST", url, json.dumps(body).encode())
         assert status == 400
         assert field in reply["error"]
-        # The server keeps serving, with its script unchanged.
+        # The server keeps serving.
         assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
-        assert mock_server.script.delay_ms == 0
 
     @pytest.mark.parametrize("length", [b"abc", b"-1"])
     def test_connection_is_closed_after_a_400(self, mock_server, length):
@@ -773,7 +759,7 @@ class TestServerEndpoints:
     def test_request_log_keeps_the_most_recent_entries(self, mock_server):
         total = REQUEST_LOG_LIMIT + 5
         for i in range(total):
-            mock_server.log_request_entry("echo" if i % 2 else "generate", None)
+            mock_server.log_request_entry("echo" if i % 2 else "generate", "p")
         log = mock_server.request_log_snapshot()
         assert [entry["index"] for entry in log] == list(range(5, total))
         assert mock_server.request_counts() == {
@@ -784,7 +770,7 @@ class TestServerEndpoints:
         assert status == 200 and served == log
         mock_server.reset_log()
         assert mock_server.request_counts() == {}
-        mock_server.log_request_entry("embed", None)
+        mock_server.log_request_entry("embed", "p")
         assert [entry["index"] for entry in mock_server.request_log_snapshot()] == [0]
 
     def test_embed_endpoint_returns_unit_vectors(self, mock_server):
@@ -807,6 +793,21 @@ class TestServerEndpoints:
         assert loaded.generate("p1")["text"] == "## Rationale: r\n## Response: a"
         assert loaded.echo("p2")["tokens"][0]["logprob"] == -0.5
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"completions": [{"text": "x"}]}, "completions[0]"),
+            ({"echoes": [{"prompt": 1, "tokens": []}]}, "echoes[0]"),
+            ({"delay_ms": "slow"}, "delay_ms"),
+            ({"embed_dims": 0}, "embed_dims"),
+            # Entries are keyed by digest alone, as ``to_dict`` writes them.
+            ({"echoes": [{"prompt": "p", "tokens": []}]}, "prompt_sha256"),
+        ],
+    )
+    def test_script_with_a_bad_field_is_rejected(self, raw, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            MockScript.from_dict(raw)
+
 
 def test_runtime_imports_and_dispatch_work_without_requests():
     # ``sys.modules[name] = None`` makes any import of the package fail.
@@ -814,10 +815,10 @@ def test_runtime_imports_and_dispatch_work_without_requests():
 import sys
 sys.modules["requests"] = None
 import draftrag, draftrag.cli
-from draftrag.backend import EndpointDescriptor, EndpointRole, dispatch
+from draftrag.backend import EndpointDescriptor, dispatch
 from draftrag.mock_server import MockLMServer
 with MockLMServer() as server:
-    ep = EndpointDescriptor(server.generate_url, EndpointRole.DRAFTER)
+    ep = EndpointDescriptor(server.generate_url)
     print(dispatch(ep, {"prompt": "hi"}, 5000)["text"])
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

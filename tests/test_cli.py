@@ -1,4 +1,5 @@
 import json
+import socket
 from dataclasses import replace
 
 import pytest
@@ -161,8 +162,6 @@ def test_out_naming_a_file_exits_two_before_any_request(
 
 
 def test_unreachable_backend_exits_three(cli_env, capsys):
-    import socket
-
     dataset, config, tmp = cli_env
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -297,13 +296,29 @@ def test_sweep_value_below_one_exits_two_before_any_request(
     assert server.request_counts() == {}
 
 
-def test_ablate_unknown_variant_exits_two(cli_env, capsys):
-    dataset, config, _ = cli_env
-    code = main(
-        ["ablate", "--dataset", str(dataset), "--config", str(config), "--grid", "bogus"]
-    )
+def test_ablate_unknown_variant_exits_two(cli_env, cli_server, capsys):
+    dataset, config, tmp = cli_env
+    out = tmp / "ablations"
+    args = ["ablate", "--dataset", str(dataset), "--config", str(config)]
+    code = main(args + ["--grid", "bogus", "--out", str(out)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_server.request_counts() == {}
+
+
+def test_timeout_beyond_what_a_socket_holds_exits_two_before_any_request(
+    cli_env, cli_server, capsys
+):
+    dataset, config, tmp = cli_env
+    cfg = json.loads(config.read_text())
+    cfg["request_timeout_ms"] = 10**16
+    huge = tmp / "huge_timeout.json"
+    huge.write_text(json.dumps(cfg), encoding="utf-8")
+    code = main(["run", "--dataset", str(dataset), "--config", str(huge)])
+    assert code == 2
+    assert "request_timeout_ms" in capsys.readouterr().err
+    assert cli_server.request_counts() == {}
 
 
 @pytest.mark.parametrize("content", ["not json", "[1]", '{"delay_ms": "x"}'])
@@ -313,3 +328,19 @@ def test_mock_serve_bad_script_exits_two(tmp_path, capsys, content):
     code = main(["mock-serve", "--script", str(script), "--port", "0"])
     assert code == 2
     assert "cannot load mock script" in capsys.readouterr().err
+
+
+def test_mock_serve_port_out_of_range_exits_two(capsys):
+    code = main(["mock-serve", "--port", "99999"])
+    assert code == 2
+    assert "cannot serve on port 99999: " in capsys.readouterr().err
+
+
+def test_mock_serve_port_in_use_exits_two(capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = main(["mock-serve", "--port", str(port)])
+    assert code == 2
+    assert f"cannot serve on port {port}: " in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import EndpointConnectionError, EndpointDescriptor, EndpointRole
+from draftrag.backend import EndpointConnectionError, EndpointDescriptor
 from draftrag import clustering
 from draftrag.clustering import (
     KMEANS_RESTARTS,
@@ -305,7 +305,7 @@ class TestUnitRows:
 
 
 def _endpoint(url):
-    return EndpointDescriptor(url, EndpointRole.EMBEDDER)
+    return EndpointDescriptor(url)
 
 
 class TestEmbedDocuments:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import EndpointDescriptor, EndpointRole
+from draftrag.backend import EndpointDescriptor
 from draftrag.clustering import DocumentSubset
 from draftrag.core import DataError, Document, Query, TaskKind
 from draftrag.backend import MalformedResponseError
 from draftrag.drafting import (
     DraftParseError,
+    ParsedDraft,
     Span,
     TokenLogprob,
     build_draft_prompt,
@@ -172,8 +173,8 @@ class TestParseTokenPayload:
     def test_valid_tokens_decode(self):
         tokens = parse_token_payload(self.payload(logprob=0.0), "u", self.TEXT)
         assert tokens == (
-            TokenLogprob("ab ", -1.0, 0, 3),
-            TokenLogprob("é", 0.0, 3, 5),
+            TokenLogprob(-1.0, 0, 3),
+            TokenLogprob(0.0, 3, 5),
         )
 
     @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, 0.25])
@@ -237,14 +238,14 @@ class TestParseTokenPayload:
             tokens = parse_token_payload(raw, "u", text)
         except MalformedResponseError:
             return
+        assert all(type(t["text"]) is str for t in raw)
         for t in tokens:
-            assert type(t.token_text) is str
             assert math.isfinite(t.logprob) and t.logprob <= 0.0
             assert 0 <= t.char_start <= t.char_end <= len(text.encode("utf-8"))
 
 
-def tok(lp, start, end, text="t"):
-    return TokenLogprob(token_text=text, logprob=lp, char_start=start, char_end=end)
+def tok(lp, start, end):
+    return TokenLogprob(logprob=lp, char_start=start, char_end=end)
 
 
 class TestSequenceLogprob:
@@ -302,10 +303,9 @@ class TestSequenceLogprob:
         )
 
 
-def make_candidate(rationale_lp, answer_lp, n_rationale=1, n_answer=1):
-    """Candidate with synthetic tokens; spans cover the two token groups."""
-    from draftrag.drafting import DraftCandidate
-
+def scored_draft(rationale_lp, answer_lp, n_rationale=1, n_answer=1):
+    """Synthetic tokens and a parsed draft whose spans cover the two token
+    groups."""
     tokens = []
     pos = 0
     for _ in range(n_rationale):
@@ -316,28 +316,18 @@ def make_candidate(rationale_lp, answer_lp, n_rationale=1, n_answer=1):
     for _ in range(n_answer):
         tokens.append(tok(answer_lp, pos, pos + 2))
         pos += 2
-    return DraftCandidate(
-        subset_index=0,
-        subset_doc_ids=("d1",),
-        rationale="r",
-        answer="a",
-        rationale_span=r_span,
-        answer_span=Span(a_start, pos),
-        completion_tokens=tuple(tokens),
-        rho_draft_log=0.0,
-    )
+    return tuple(tokens), ParsedDraft("r", "a", r_span, Span(a_start, pos))
 
 
 class TestComputeRhoDraft:
     def test_half_plus_quarter(self):
-        candidate = make_candidate(math.log(0.5), math.log(0.25))
-        rho = compute_rho_draft(candidate)
+        rho = compute_rho_draft(*scored_draft(math.log(0.5), math.log(0.25)))
         assert rho == pytest.approx(-0.2876820724517809, rel=1e-9)
         assert math.exp(rho) == pytest.approx(0.75, rel=1e-9)
 
     def test_two_certain_spans_sum_to_two(self):
-        candidate = make_candidate(0.0, 0.0)
-        assert math.exp(compute_rho_draft(candidate)) == pytest.approx(2.0, rel=1e-12)
+        rho = compute_rho_draft(*scored_draft(0.0, 0.0))
+        assert math.exp(rho) == pytest.approx(2.0, rel=1e-12)
 
     @given(
         lp_r=st.floats(min_value=-10, max_value=0),
@@ -345,17 +335,14 @@ class TestComputeRhoDraft:
     )
     @settings(max_examples=60)
     def test_matches_linear_domain_sum(self, lp_r, lp_a):
-        candidate = make_candidate(lp_r, lp_a)
         expected = math.exp(lp_r) + math.exp(lp_a)
-        assert math.exp(compute_rho_draft(candidate)) == pytest.approx(
+        assert math.exp(compute_rho_draft(*scored_draft(lp_r, lp_a))) == pytest.approx(
             expected, rel=1e-9
         )
 
 
 def _drafters(*servers):
-    return [
-        EndpointDescriptor(s.generate_url, EndpointRole.DRAFTER) for s in servers
-    ]
+    return [EndpointDescriptor(s.generate_url) for s in servers]
 
 
 class TestGenerateDrafts:
@@ -455,15 +442,14 @@ class TestGenerateDrafts:
         subset = subset_of("d1", index=0)
         prompt = build_draft_prompt(query, subset, docs)
         completion = "## Rationale: alpha beta\n## Response: gamma"
-        from draftrag.mock_server import uniform_tokens
-
-        mock_server.script.script_completion(
-            prompt, completion, uniform_tokens(completion, -0.25)
-        )
+        wire_tokens = uniform_tokens(completion, -0.25)
+        mock_server.script.script_completion(prompt, completion, wire_tokens)
         batch = generate_drafts(query, [subset], docs, _drafters(mock_server), 5000)
         candidate = batch.candidates[0]
+        tokens = parse_token_payload(wire_tokens, "u", completion)
+        parsed = parse_draft(completion)
         expected = np.logaddexp(
-            sequence_logprob(candidate.completion_tokens, candidate.rationale_span),
-            sequence_logprob(candidate.completion_tokens, candidate.answer_span),
+            sequence_logprob(tokens, parsed.rationale_span),
+            sequence_logprob(tokens, parsed.answer_span),
         )
         assert candidate.rho_draft_log == pytest.approx(float(expected), rel=1e-12)

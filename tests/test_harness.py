@@ -521,7 +521,7 @@ class TestPipelines:
         run_speculative(spiked, cfg2, make_backends(cfg2))
         run_standard_baseline(spiked, cfg2, make_backends(cfg2))
         for entry in server.request_log_snapshot():
-            assert sentinel not in (entry["prompt"] or "")
+            assert sentinel not in entry["prompt"]
 
 
 class TestExperiments:

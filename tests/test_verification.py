@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import EndpointDescriptor, EndpointRole
+from draftrag.backend import EndpointDescriptor
 from draftrag.core import (
     Document,
     PipelineError,
@@ -39,9 +39,6 @@ def make_candidate(answer="the answer", rationale="the rationale", doc_ids=("d1"
         subset_doc_ids=tuple(doc_ids),
         rationale=parsed.rationale,
         answer=parsed.answer,
-        rationale_span=parsed.rationale_span,
-        answer_span=parsed.answer_span,
-        completion_tokens=(),
         rho_draft_log=-0.5,
     )
 
@@ -119,7 +116,7 @@ class TestBuildVerifyPrompt:
 
 
 def _verifier(server):
-    return EndpointDescriptor(server.generate_url, EndpointRole.VERIFIER)
+    return EndpointDescriptor(server.generate_url)
 
 
 def brute_force_span_sum(tokens: list[dict], span: Span) -> float:
@@ -200,7 +197,7 @@ class TestScoreCandidate:
         )
         rho_sc, _ = score_candidate(vp, _verifier(mock_server), 5000)
         rule_tokens = tuple(
-            TokenLogprob(t["text"], t["logprob"], t["start"], t["end"])
+            TokenLogprob(t["logprob"], t["start"], t["end"])
             for t in tokens_from_rule(vp.text)
         )
         per_span = [sequence_logprob(rule_tokens, s) for s in vp.consistency_spans]
@@ -324,7 +321,7 @@ class TestVerifyCandidates:
             candidates,
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
-            EndpointDescriptor(dead, EndpointRole.VERIFIER),
+            EndpointDescriptor(dead),
             500,
             ALL_TERMS,
         )
