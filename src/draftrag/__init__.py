@@ -60,16 +60,16 @@ from .harness import (
     EvalSummary,
     PipelineBackends,
     PipelineResult,
+    ablation_grid,
     build_standard_prompt,
     evaluate_answer,
     load_dataset,
     make_backends,
     report_latency,
-    run_ablations,
     run_experiment,
     run_speculative,
     run_standard_baseline,
-    run_sweep,
+    sweep_grid,
 )
 from .mock_server import MockLMServer, MockScript
 from .verification import (

@@ -27,13 +27,14 @@ import os
 import re
 import socket
 import ssl
-import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 from urllib.parse import SplitResult, urlsplit
+
+from .core import MAX_NUM_DRAFTS
 
 UNHEALTHY_AFTER_FAILURES = 3
 # Reply limits, the same as http.client's.
@@ -356,9 +357,10 @@ def round_robin_assign(
 
 
 def _fan_out_executor() -> ThreadPoolExecutor:
-    # No cap: the pool grows to the peak number of calls in flight (one per
-    # draft), and idle threads are reused by later queries.
-    return ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="fan-out")
+    # The pool grows to the peak number of calls in flight (one per draft),
+    # up to one thread per draft of the largest valid query, and idle
+    # threads are reused by later queries. Calls beyond the cap wait.
+    return ThreadPoolExecutor(max_workers=MAX_NUM_DRAFTS, thread_name_prefix="fan-out")
 
 
 _executor = _fan_out_executor()

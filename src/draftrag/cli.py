@@ -5,8 +5,12 @@ variant grid), ``sweep`` (draft-count / subset-size grids), ``mock-serve``
 (the deterministic mock LM server), and ``report`` (latency tables from
 results files).
 
-Exit codes: 0 success, 2 config or input error (a bad flag value, config,
-dataset, mock script or results line), 3 pipeline error.
+``run``, ``ablate`` and ``sweep`` share one path: each picks a list of named
+configs and runs ``run_experiment`` once per entry.
+
+Exit codes: 0 success, 2 config or input error (a bad flag value, an empty
+selection, config, dataset, mock script or results line), 3 pipeline error
+(including a run in which every record failed).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 
 from .backend import TransportError
 from .core import (
+    MAX_NUM_DRAFTS,
     ConfigError,
     DataError,
     PipelineConfig,
@@ -31,9 +36,8 @@ from .harness import (
     ablation_grid,
     load_dataset,
     report_latency,
-    run_ablations,
     run_experiment,
-    run_sweep,
+    sweep_grid,
 )
 from .mock_server import MockLMServer, MockScript
 
@@ -43,7 +47,7 @@ EXIT_PIPELINE = 3
 
 
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -51,7 +55,7 @@ def _load_config(args) -> PipelineConfig:
         cfg = PipelineConfig.from_dict(raw)
     else:
         cfg = PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
     violations = validate_config(cfg)
     if violations:
@@ -69,41 +73,11 @@ def _make_out_dir(out: str | None) -> None:
             raise ConfigError(f"cannot use --out {out}: {exc}")
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    records = load_dataset(args.dataset)
-    _make_out_dir(args.out)
-    summary = run_experiment(
-        records, cfg, mode=args.mode, name=args.mode, out_dir=args.out
-    )
-    print(
-        f"{summary.name}: accuracy {summary.accuracy:.4f} "
-        f"({summary.correct}/{summary.evaluated}, {summary.failures} failed)"
-    )
-    print(f"total latency mean: {summary.latency['total_ms']['mean']:.2f} ms")
-    if args.out:
-        print(f"results written to {args.out}")
-    if records and summary.evaluated == 0:
-        print("pipeline error: every record failed", file=sys.stderr)
-        return EXIT_PIPELINE
-    return EXIT_OK
-
-
-def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    records = load_dataset(args.dataset)
+def _ablate_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
     variants = None
-    if args.grid and args.grid != "all":
+    if args.grid != "all":
         variants = [v.strip() for v in args.grid.split(",") if v.strip()]
-    ablation_grid(cfg, variants)  # an unknown name fails before --out is made
-    _make_out_dir(args.out)
-    summaries = run_ablations(records, cfg, variants=variants, out_dir=args.out)
-    for summary in summaries:
-        print(
-            f"{summary.name}: accuracy {summary.accuracy:.4f} "
-            f"({summary.correct}/{summary.evaluated})"
-        )
-    return EXIT_OK
+    return ablation_grid(cfg, variants)
 
 
 def _parse_counts(raw: str | None, flag: str) -> list[int]:
@@ -119,26 +93,50 @@ def _parse_counts(raw: str | None, flag: str) -> list[int]:
     return values
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    records = load_dataset(args.dataset)
+def _sweep_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
     m_values = _parse_counts(args.m_values, "--m-values")
+    if any(m > MAX_NUM_DRAFTS for m in m_values):
+        raise ConfigError(
+            f"--m-values: every value must be at most {MAX_NUM_DRAFTS}, "
+            f"got {args.m_values!r}"
+        )
     subset_sizes = _parse_counts(args.subset_sizes, "--subset-sizes")
     if not m_values and not subset_sizes:
         raise ConfigError("sweep requires --m-values and/or --subset-sizes")
+    return sweep_grid(cfg, m_values, subset_sizes)
+
+
+def _cmd_experiments(args) -> int:
+    """``run``, ``ablate`` and ``sweep``: run each named config the command
+    selects over the dataset. Every input error exits 2 before ``--out`` is
+    made or any request is sent; a run whose records all fail exits 3 once
+    every run has ended."""
+    cfg = _load_config(args)
+    records = load_dataset(args.dataset)
+    configs = args.configs(args, cfg)
+    if not configs:
+        raise ConfigError(f"{args.command}: the selection is empty, nothing to run")
     _make_out_dir(args.out)
-    summaries = run_sweep(
-        records,
-        cfg,
-        m_values=m_values,
-        subset_sizes=subset_sizes,
-        out_dir=args.out,
-    )
-    for summary in summaries:
+    all_failed = []
+    for name, run_cfg in configs:
+        summary = run_experiment(
+            records, run_cfg, mode=args.mode, name=name, out_dir=args.out
+        )
         print(
             f"{summary.name}: accuracy {summary.accuracy:.4f} "
-            f"({summary.correct}/{summary.evaluated})"
+            f"({summary.correct}/{summary.evaluated}, {summary.failures} failed)"
         )
+        print(f"total latency mean: {summary.latency['total_ms']['mean']:.2f} ms")
+        if records and summary.evaluated == 0:
+            all_failed.append(name)
+    if args.out:
+        print(f"results written to {args.out}")
+    if all_failed:
+        print(
+            f"pipeline error: every record failed in {', '.join(all_failed)}",
+            file=sys.stderr,
+        )
+        return EXIT_PIPELINE
     return EXIT_OK
 
 
@@ -226,34 +224,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one mode over a dataset")
-    run.add_argument("--dataset", required=True)
-    run.add_argument("--config", help="JSON config file mirroring PipelineConfig")
-    run.add_argument("--mode", choices=["speculative", "standard"], default="speculative")
-    run.add_argument("--seed", type=int, help="override the config rng seed")
-    run.add_argument("--out", help="directory for results/summary/config files")
-    run.set_defaults(func=_cmd_run)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--dataset", required=True)
+    experiment.add_argument("--config", help="JSON config file mirroring PipelineConfig")
+    experiment.add_argument("--seed", type=int, help="override the config rng seed")
+    experiment.add_argument("--out", help="directory for results/summary/config files")
+    experiment.set_defaults(func=_cmd_experiments, mode="speculative")
 
-    ablate = sub.add_parser("ablate", help="run the ablation variant grid")
-    ablate.add_argument("--dataset", required=True)
-    ablate.add_argument("--config")
+    run = sub.add_parser("run", parents=[experiment], help="run one mode over a dataset")
+    run.add_argument("--mode", choices=["speculative", "standard"], default="speculative")
+    run.set_defaults(configs=lambda args, cfg: [(args.mode, cfg)])
+
+    ablate = sub.add_parser(
+        "ablate", parents=[experiment], help="run the ablation variant grid"
+    )
     ablate.add_argument(
         "--grid",
         default="all",
         help='comma-separated variant names, or "all" (default)',
     )
-    ablate.add_argument("--seed", type=int)
-    ablate.add_argument("--out")
-    ablate.set_defaults(func=_cmd_ablate)
+    ablate.set_defaults(configs=_ablate_configs)
 
-    sweep = sub.add_parser("sweep", help="sweep draft counts and subset sizes")
-    sweep.add_argument("--dataset", required=True)
-    sweep.add_argument("--config")
+    sweep = sub.add_parser(
+        "sweep", parents=[experiment], help="sweep draft counts and subset sizes"
+    )
     sweep.add_argument("--m-values", dest="m_values", help="e.g. 5,10,15,20")
     sweep.add_argument("--subset-sizes", dest="subset_sizes", help="e.g. 1,2,4,6")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out")
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(configs=_sweep_configs)
 
     serve = sub.add_parser("mock-serve", help="serve the deterministic mock LM")
     serve.add_argument("--script", help="JSON mock script file")

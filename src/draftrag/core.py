@@ -14,6 +14,10 @@ MAX_SEED = 2**64 - 1
 # it on every platform; one near 10**13 ms overflows the time conversion
 # inside the socket calls, so every request would fail.
 MAX_REQUEST_TIMEOUT_MS = 2**31 - 1
+# The most drafts one query may ask for. Each draft is one concurrent task
+# on the fan-out pool, which has this many threads; the paper's sweeps stop
+# at m = 20, and an unbounded m would start a thread per draft.
+MAX_NUM_DRAFTS = 128
 
 
 class TaskKind(str, Enum):
@@ -207,6 +211,8 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
     violations: list[str] = []
     if cfg.num_drafts < 1:
         violations.append("num_drafts must be ≥ 1")
+    elif cfg.num_drafts > MAX_NUM_DRAFTS:
+        violations.append(f"num_drafts must be at most {MAX_NUM_DRAFTS}")
     if cfg.num_clusters < 1:
         violations.append("num_clusters must be ≥ 1")
     if cfg.top_n < 1:

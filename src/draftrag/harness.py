@@ -683,7 +683,6 @@ def run_experiment(
     records: Sequence[DatasetRecord],
     cfg: PipelineConfig,
     mode: str = "speculative",
-    backends: PipelineBackends | None = None,
     name: str | None = None,
     out_dir: str | Path | None = None,
 ) -> EvalSummary:
@@ -697,7 +696,7 @@ def run_experiment(
     if mode not in _RUNNERS:
         raise ValueError(f"unknown mode {mode!r}; expected speculative or standard")
     runner = _RUNNERS[mode]
-    backends = backends or make_backends(cfg)
+    backends = make_backends(cfg)
     name = name or mode
 
     results: list[PipelineResult] = []
@@ -827,48 +826,13 @@ def ablation_grid(
     return [(name, c) for name, c in grid if name in wanted]
 
 
-def run_ablations(
-    records: Sequence[DatasetRecord],
-    cfg: PipelineConfig,
-    backends: PipelineBackends | None = None,
-    variants: Sequence[str] | None = None,
-    out_dir: str | Path | None = None,
-) -> list[EvalSummary]:
-    """Run the named variants of ``ablation_grid`` (all of them by default).
-
-    An unknown variant name raises ``ConfigError`` listing the known ones,
-    before any record is run.
-    """
-    return [
-        run_experiment(
-            records,
-            variant_cfg,
-            mode="speculative",
-            backends=backends,
-            name=name,
-            out_dir=out_dir,
-        )
-        for name, variant_cfg in ablation_grid(cfg, variants)
-    ]
-
-
-def run_sweep(
-    records: Sequence[DatasetRecord],
-    cfg: PipelineConfig,
-    backends: PipelineBackends | None = None,
-    m_values: Sequence[int] = (),
-    subset_sizes: Sequence[int] = (),
-    out_dir: str | Path | None = None,
-) -> list[EvalSummary]:
-    """Draft-count and subset-size sweeps (one summary per grid point)."""
-    grid = [(f"m_{m}", replace(cfg, num_drafts=m)) for m in m_values] + [
+def sweep_grid(
+    cfg: PipelineConfig, m_values: Sequence[int], subset_sizes: Sequence[int]
+) -> list[tuple[str, PipelineConfig]]:
+    """Named draft-count and subset-size points: ``m_{m}`` for each of
+    ``m_values``, then ``subset_{k}`` for each of ``subset_sizes``."""
+    return [(f"m_{m}", replace(cfg, num_drafts=m)) for m in m_values] + [
         (f"subset_{size}", replace(cfg, num_clusters=size)) for size in subset_sizes
-    ]
-    return [
-        run_experiment(
-            records, point_cfg, backends=backends, name=name, out_dir=out_dir
-        )
-        for name, point_cfg in grid
     ]
 
 

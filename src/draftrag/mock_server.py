@@ -39,6 +39,10 @@ REQUEST_LOG_LIMIT = 1024
 # ``stop`` waits until the serving thread next polls; socketserver's default
 # interval of 0.5 s made stopping a server take up to half a second.
 STOP_POLL_INTERVAL_S = 0.05
+# The largest request body the mock reads, far above any prompt or embed
+# batch the pipeline sends. A longer declared body gets a 400 before any of
+# it is read, so a huge Content-Length cannot make the server allocate it.
+MAX_REQUEST_BODY_BYTES = 16 * 2**20
 
 _NONSPACE = re.compile(rb"\S+")
 
@@ -282,9 +286,14 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.owner
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length < 0:
-            raise ValueError("Content-Length is negative")
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"Content-Length {raw!r} is not a non-negative integer")
+        length = int(raw)
+        if length > MAX_REQUEST_BODY_BYTES:
+            raise ValueError(
+                f"Content-Length {length} is above {MAX_REQUEST_BODY_BYTES} bytes"
+            )
         data = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(data.decode("utf-8"))

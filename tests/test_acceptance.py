@@ -37,7 +37,7 @@ from draftrag.drafting import (
     parse_draft,
     sequence_logprob,
 )
-from draftrag.harness import run_ablations, run_experiment
+from draftrag.harness import ablation_grid, run_experiment
 from draftrag.mock_server import MockLMServer, MockScript, whitespace_token_spans
 from draftrag.synthetic import make_rigged_fixture
 from draftrag.verification import (
@@ -330,7 +330,10 @@ def test_criterion_7_ablation_machinery(server_factory):
     cfg = _endpoints_for(server, base)
 
     def run_grid():
-        summaries = run_ablations(fixture.records, cfg)
+        summaries = [
+            run_experiment(fixture.records, variant_cfg, name=name)
+            for name, variant_cfg in ablation_grid(cfg, None)
+        ]
         return [
             {
                 "name": s.name,

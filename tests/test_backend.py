@@ -31,6 +31,7 @@ from draftrag.backend import (
     round_robin_assign,
 )
 from draftrag.mock_server import (
+    MAX_REQUEST_BODY_BYTES,
     REQUEST_LOG_LIMIT,
     MockLMServer,
     MockScript,
@@ -755,6 +756,28 @@ class TestServerEndpoints:
         assert b"\r\nConnection: close" in head
         assert set(json.loads(body)) == {"error"}
         assert mock_server.request_counts() == {}
+
+    @pytest.mark.parametrize(
+        "length",
+        [str(MAX_REQUEST_BODY_BYTES + 1).encode(), b"1" + b"0" * 19],
+        ids=["just-above-the-cap", "twenty-digits"],
+    )
+    def test_oversized_content_length_gets_400_before_any_body_is_read(
+        self, mock_server, capfd, length
+    ):
+        # No body follows: the reply must come from the headers alone.
+        raw = b"POST /generate HTTP/1.1\r\nHost: mock\r\nContent-Length: %s\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", mock_server.port), timeout=5) as s:
+            s.sendall(raw % length)
+            reply = b""
+            while chunk := s.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
+        assert capfd.readouterr().err == ""
 
     def test_request_log_keeps_the_most_recent_entries(self, mock_server):
         total = REQUEST_LOG_LIMIT + 5

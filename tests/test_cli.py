@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from draftrag.cli import main
-from draftrag.core import PipelineConfig
+from draftrag.core import MAX_NUM_DRAFTS, PipelineConfig
 from draftrag.harness import write_dataset
 from draftrag.synthetic import make_rigged_fixture
 
@@ -161,7 +161,12 @@ def test_out_naming_a_file_exits_two_before_any_request(
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_unreachable_backend_exits_three(cli_env, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["ablate", "--grid", "baseline"], ["sweep", "--m-values", "2"]],
+    ids=["run", "ablate", "sweep"],
+)
+def test_unreachable_backend_exits_three(cli_env, capsys, command):
     dataset, config, tmp = cli_env
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -173,8 +178,11 @@ def test_unreachable_backend_exits_three(cli_env, capsys):
     cfg["request_timeout_ms"] = 200
     dead_path = tmp / "dead.json"
     dead_path.write_text(json.dumps(cfg), encoding="utf-8")
-    code = main(["run", "--dataset", str(dataset), "--config", str(dead_path)])
+    code = main(command + ["--dataset", str(dataset), "--config", str(dead_path)])
     assert code == 3
+    captured = capsys.readouterr()
+    assert "accuracy 0.0000 (0/0, 3 failed)" in captured.out
+    assert "every record failed" in captured.err
 
 
 def test_seed_override_changes_config_snapshot(cli_env, tmp_path):
@@ -273,9 +281,16 @@ def test_report_bad_results_line_exits_two(tmp_path, capsys, line):
     assert f"{results}:2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--m-values", "--subset-sizes"])
-def test_sweep_value_below_one_exits_two_before_any_request(
-    rigged, server_factory, tmp_path, capsys, flag
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        pytest.param("--m-values", "2,0", id="--m-values"),
+        pytest.param("--subset-sizes", "2,0", id="--subset-sizes"),
+        pytest.param("--m-values", f"2,{MAX_NUM_DRAFTS + 1}", id="--m-values-above-max"),
+    ],
+)
+def test_sweep_value_out_of_range_exits_two_before_any_request(
+    rigged, server_factory, tmp_path, capsys, flag, values
 ):
     server = server_factory(script=rigged.script)
     dataset = tmp_path / "dataset.jsonl"
@@ -289,7 +304,7 @@ def test_sweep_value_below_one_exits_two_before_any_request(
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     code = main(
-        ["sweep", "--dataset", str(dataset), "--config", str(config), flag, "2,0"]
+        ["sweep", "--dataset", str(dataset), "--config", str(config), flag, values]
     )
     assert code == 2
     assert flag in capsys.readouterr().err
@@ -303,6 +318,17 @@ def test_ablate_unknown_variant_exits_two(cli_env, cli_server, capsys):
     code = main(args + ["--grid", "bogus", "--out", str(out)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_server.request_counts() == {}
+
+
+def test_ablate_empty_selection_exits_two(cli_env, cli_server, capsys):
+    dataset, config, tmp = cli_env
+    out = tmp / "ablations"
+    args = ["ablate", "--dataset", str(dataset), "--config", str(config)]
+    code = main(args + ["--grid", ",", "--out", str(out)])
+    assert code == 2
+    assert "nothing to run" in capsys.readouterr().err
     assert not out.exists()
     assert cli_server.request_counts() == {}
 

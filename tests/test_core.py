@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftrag.core import (
+    MAX_NUM_DRAFTS,
     ConfigError,
     PipelineConfig,
     Query,
@@ -89,6 +90,11 @@ class TestConfig:
     def test_zero_drafts_is_a_violation(self):
         violations = validate_config(PipelineConfig(num_drafts=0))
         assert any("num_drafts must be ≥ 1" in v for v in violations)
+
+    def test_drafts_above_the_bound_are_a_violation(self):
+        assert validate_config(PipelineConfig(num_drafts=MAX_NUM_DRAFTS)) == []
+        violations = validate_config(PipelineConfig(num_drafts=MAX_NUM_DRAFTS + 1))
+        assert violations == [f"num_drafts must be at most {MAX_NUM_DRAFTS}"]
 
     def test_k_exceeding_n_is_a_violation(self):
         violations = validate_config(PipelineConfig(num_clusters=11, top_n=10))

@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from draftrag.core import PipelineConfig
-from draftrag.harness import run_ablations, run_experiment
+from draftrag.harness import ablation_grid, run_experiment
 from draftrag.synthetic import make_rigged_fixture
 
 # (fixture config, make_rigged_fixture keywords, ablation variants run)
@@ -102,7 +102,8 @@ def case_digests(name, server_factory, out_dir) -> dict[str, str]:
         embedding_endpoint=server.embed_url,
     )
     run_experiment(fixture.records, cfg, mode="standard", name="standard", out_dir=out_dir)
-    run_ablations(fixture.records, cfg, variants=variants, out_dir=out_dir)
+    for variant, variant_cfg in ablation_grid(cfg, variants):
+        run_experiment(fixture.records, variant_cfg, name=variant, out_dir=out_dir)
     digests = {
         f"{name}/script": _sha256(json.dumps(fixture.script.to_dict(), sort_keys=True))
     }

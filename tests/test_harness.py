@@ -22,16 +22,16 @@ from draftrag.clustering import KMEANS_MAX_ITERS, embedding_input, kmeans_cluste
 from draftrag.harness import (
     DatasetError,
     DatasetRecord,
+    ablation_grid,
     build_standard_prompt,
     evaluate_answer,
     load_dataset,
     make_backends,
     report_latency,
-    run_ablations,
     run_experiment,
     run_speculative,
     run_standard_baseline,
-    run_sweep,
+    sweep_grid,
     write_dataset,
 )
 from draftrag.mock_server import MockScript
@@ -524,6 +524,10 @@ class TestPipelines:
             assert sentinel not in entry["prompt"]
 
 
+def run_grid(records, grid):
+    return [run_experiment(records, cfg, name=name) for name, cfg in grid]
+
+
 class TestExperiments:
     def test_run_experiment_writes_results_and_summary(self, rigged_env, tmp_path):
         records, cfg, _ = rigged_env
@@ -573,7 +577,7 @@ class TestExperiments:
 
     def test_ablation_grid_runs_every_variant(self, rigged_env):
         records, cfg, _ = rigged_env
-        summaries = run_ablations(records[:1], cfg)
+        summaries = run_grid(records[:1], ablation_grid(cfg, None))
         names = [s.name for s in summaries]
         assert names == [
             "baseline",
@@ -592,14 +596,14 @@ class TestExperiments:
     def test_unknown_variant_rejected(self, rigged_env):
         records, cfg, _ = rigged_env
         with pytest.raises(ValueError, match="unknown ablation"):
-            run_ablations(records[:1], cfg, variants=["nope"])
+            ablation_grid(cfg, ["nope"])
 
     def test_sweep_counts_match_grids(self, rigged_env):
         records, cfg, _ = rigged_env
-        m_sweep = run_sweep(records[:1], cfg, m_values=[5, 10, 15, 20])
+        m_sweep = run_grid(records[:1], sweep_grid(cfg, [5, 10, 15, 20], []))
         assert [s.name for s in m_sweep] == ["m_5", "m_10", "m_15", "m_20"]
-        size_sweep = run_sweep(
-            records[:1], replace(cfg, num_drafts=10), subset_sizes=[1, 2, 4, 6]
+        size_sweep = run_grid(
+            records[:1], sweep_grid(replace(cfg, num_drafts=10), [], [1, 2, 4, 6])
         )
         assert [s.name for s in size_sweep] == [
             "subset_1",
@@ -607,6 +611,9 @@ class TestExperiments:
             "subset_4",
             "subset_6",
         ]
+        both = sweep_grid(cfg, [5], [2])
+        assert [name for name, _ in both] == ["m_5", "subset_2"]
+        assert (both[0][1].num_drafts, both[1][1].num_clusters) == (5, 2)
 
     def test_sweep_past_num_drafts_still_drafts_concurrently(self, server_factory):
         # No pool sized from the config's num_drafts may serialise a sweep
@@ -622,7 +629,7 @@ class TestExperiments:
             verifier_endpoint=server.generate_url,
             embedding_endpoint=server.embed_url,
         )
-        [summary] = run_sweep(fixture.records, cfg, m_values=[m])
+        [summary] = run_grid(fixture.records, sweep_grid(cfg, [m], []))
         assert summary.failures == 0
         assert server.request_counts()["generate"] == m
         assert summary.latency["draft_ms"]["p50"] < m * delay / 3
