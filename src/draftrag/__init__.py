@@ -43,7 +43,7 @@ from .core import (
     validate_config,
 )
 from .drafting import (
-    DraftCandidate,
+    Candidate,
     DraftParseError,
     NoValidDraftsError,
     TokenLogprob,
@@ -73,7 +73,6 @@ from .harness import (
 )
 from .mock_server import MockLMServer, MockScript
 from .verification import (
-    VerificationResult,
     build_verify_prompt,
     combine_scores,
     score_candidate,

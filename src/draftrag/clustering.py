@@ -101,10 +101,13 @@ def embed_documents(
     response = dispatch(endpoint, payload, timeout_ms)
     rows = response.get("embeddings")
     if not isinstance(rows, list) or len(rows) != len(docs):
+        got = (
+            f"{len(rows)} vectors"
+            if isinstance(rows, list)
+            else f'"embeddings" of type {type(rows).__name__}'
+        )
         raise TransportError(
-            endpoint.url,
-            f"embedding endpoint returned {0 if rows is None else len(rows)} "
-            f"vectors for {len(docs)} inputs",
+            endpoint.url, f"embedding endpoint returned {got} for {len(docs)} inputs"
         )
     return unit_rows(rows)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from urllib.parse import urlsplit
 
@@ -257,9 +257,6 @@ class StageTimings:
     draft_ms: float = 0.0
     verify_ms: float = 0.0
     total_ms: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

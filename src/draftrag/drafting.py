@@ -3,7 +3,10 @@
 Each sampled document subset becomes one drafting prompt. The drafter returns
 a completion of the form ``## Rationale: ... ## Response: ...`` together with
 per-token log-probabilities; the rationale/answer spans of that completion
-give the draft confidence score.
+give the draft confidence score. Each subset's outcome is one ``Candidate``:
+drafting fills in its draft and score, or marks it dropped, and
+verification then adds the remaining scores to the same candidate, which
+is also the subset's results row.
 
 All offsets in this module are byte offsets into the UTF-8 encoding of the
 surrounding text, matching the token offsets reported by the endpoints.
@@ -75,30 +78,27 @@ class ParsedDraft:
 
 
 @dataclass(frozen=True)
-class DraftCandidate:
-    """One parsed draft: answer, rationale, and draft confidence.
-
-    ``subset_doc_ids`` records which documents the draft was grounded on so
-    the verifier can reconstruct the evidence context when asked to.
-    """
+class Candidate:
+    """One subset's outcome, which is also its results row: the draft
+    (grounded on ``member_doc_ids``) and its scores, or ``dropped`` with a
+    ``drop_reason``. Fields never reached stay None (null in the file)."""
 
     subset_index: int
-    subset_doc_ids: tuple[str, ...]
-    rationale: str
-    answer: str
-    rho_draft_log: float
-
-
-@dataclass(frozen=True)
-class DroppedDraft:
-    subset_index: int
-    reason: str
+    member_doc_ids: tuple[str, ...] | None = None
+    answer: str | None = None
+    rationale: str | None = None
+    rho_draft_log: float | None = None
+    rho_sc_log: float | None = None
+    rho_sr_log: float | None = None
+    rho_final_log: float | None = None
+    dropped: bool = False
+    drop_reason: str | None = None
 
 
 @dataclass
 class DraftBatch:
-    candidates: list[DraftCandidate]
-    dropped: list[DroppedDraft]
+    candidates: list[Candidate]
+    dropped: list[Candidate]
 
 
 def instruction_text(query: Query) -> str:
@@ -271,18 +271,18 @@ def parse_token_payload(
 
 def draft_candidate(
     subset: DocumentSubset, text: str, tokens: tuple[TokenLogprob, ...]
-) -> DraftCandidate:
+) -> Candidate:
     """Parse a drafter completion for ``subset`` and score its ``rho_draft``.
 
     Raises ``DraftParseError`` when a marker is missing or the answer is
     empty.
     """
     parsed = parse_draft(text)
-    return DraftCandidate(
-        subset_index=subset.subset_index,
-        subset_doc_ids=subset.member_doc_ids,
-        rationale=parsed.rationale,
+    return Candidate(
+        subset.subset_index,
+        member_doc_ids=subset.member_doc_ids,
         answer=parsed.answer,
+        rationale=parsed.rationale,
         rho_draft_log=compute_rho_draft(tokens, parsed),
     )
 
@@ -320,11 +320,11 @@ def draft_subset(
     docs_by_id: Mapping[str, Document],
     endpoint: EndpointDescriptor,
     timeout_ms: int,
-) -> DraftCandidate | DroppedDraft:
+) -> Candidate:
     """Draft one subset with one ``generate`` request.
 
-    A failed request or an unparseable completion comes back as a
-    ``DroppedDraft`` rather than an error.
+    A failed request or an unparseable completion comes back as a dropped
+    ``Candidate`` rather than an error.
     """
     try:
         prompt = build_draft_prompt(query, subset, docs_by_id)
@@ -332,7 +332,7 @@ def draft_subset(
         return draft_candidate(subset, text, tokens)
     except (TransportError, DraftParseError) as exc:
         logger.warning("draft for subset %d dropped: %s", subset.subset_index, exc)
-        return DroppedDraft(subset.subset_index, str(exc))
+        return Candidate(subset.subset_index, dropped=True, drop_reason=str(exc))
 
 
 def generate_drafts(
@@ -359,8 +359,8 @@ def generate_drafts(
             for subset, endpoint in zip(subsets, assigned)
         ],
     )
-    candidates = [o for o in outcomes if isinstance(o, DraftCandidate)]
+    candidates = [o for o in outcomes if not o.dropped]
     if not candidates:
         raise NoValidDraftsError("no valid drafts")
-    dropped = [o for o in outcomes if isinstance(o, DroppedDraft)]
+    dropped = [o for o in outcomes if o.dropped]
     return DraftBatch(candidates=candidates, dropped=dropped)

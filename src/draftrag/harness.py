@@ -7,6 +7,9 @@ Two pipeline modes share one evaluation judge:
 - ``run_standard_baseline``: one generation call over all top-n documents,
   no verification (the latency/accuracy reference point).
 
+Either mode's ``PipelineResult`` holds one ``drafting.Candidate`` per subset
+(the standard call is subset 0); these are the results file's rows.
+
 Records are processed one at a time so per-stage wall-clock timings reflect
 single-case latency rather than batching effects.
 """
@@ -20,7 +23,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +55,7 @@ from .core import (
     derive_rng,
 )
 from .drafting import (
-    DraftCandidate,
-    DroppedDraft,
+    Candidate,
     NoValidDraftsError,
     draft_subset,
     generate,
@@ -61,7 +63,6 @@ from .drafting import (
     instruction_text,
 )
 from .verification import (
-    VerificationResult,
     select_best,
     verify_candidate,
     verify_candidates,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
@@ -95,7 +96,7 @@ class PipelineResult:
     mode: str
     final_answer: str
     winning_subset_index: int
-    candidates: list[dict]
+    candidates: list[Candidate]
     timings: StageTimings
     notices: list[str] = field(default_factory=list)
 
@@ -392,35 +393,6 @@ def plan_subsets(
     return replace(plan, notices=notices + plan.notices)
 
 
-_ROW_FIELDS = (
-    "member_doc_ids",
-    "answer",
-    "rationale",
-    "rho_draft_log",
-    "rho_sc_log",
-    "rho_sr_log",
-    "rho_final_log",
-    "drop_reason",
-)
-
-
-def _candidate_row(subset_index: int, **known) -> dict:
-    """One results-file candidate row; fields not given are null."""
-    return {
-        **dict.fromkeys(_ROW_FIELDS),
-        "subset_index": subset_index,
-        "dropped": False,
-        **known,
-    }
-
-
-class _SubsetOutcome(NamedTuple):
-    draft: DraftCandidate | DroppedDraft
-    drafted_at: float
-    verification: VerificationResult | None
-    done_at: float
-
-
 def _draft_then_verify(
     query: Query,
     subset: DocumentSubset,
@@ -428,31 +400,32 @@ def _draft_then_verify(
     drafter: EndpointDescriptor,
     verifier: EndpointDescriptor,
     cfg: PipelineConfig,
-) -> _SubsetOutcome:
+) -> tuple[Candidate, float, float]:
     """One subset's task: draft it, then echo-score the draft at once,
-    without waiting for the other drafts.
+    without waiting for the other drafts. Returns the subset's candidate,
+    the time its draft returned and the time the task ended.
 
     Each half's errors are labelled with its own stage. Random selection
     verifies nothing.
     """
     with _stage_errors("draft"):
-        draft = draft_subset(
+        candidate = draft_subset(
             query, subset, docs_by_id, drafter, cfg.request_timeout_ms
         )
     drafted_at = time.perf_counter()
-    if isinstance(draft, DroppedDraft) or cfg.selection_mode is SelectionMode.RANDOM:
-        return _SubsetOutcome(draft, drafted_at, None, drafted_at)
+    if candidate.dropped or cfg.selection_mode is SelectionMode.RANDOM:
+        return candidate, drafted_at, drafted_at
     with _stage_errors("verify"):
-        verification = verify_candidate(
+        candidate = verify_candidate(
             query,
-            draft,
+            candidate,
             docs_by_id,
             cfg.verification_context_mode,
             verifier,
             cfg.request_timeout_ms,
             cfg.score_terms,
         )
-    return _SubsetOutcome(draft, drafted_at, verification, time.perf_counter())
+    return candidate, drafted_at, time.perf_counter()
 
 
 def run_speculative(
@@ -491,46 +464,26 @@ def run_speculative(
                 for subset, drafter in zip(plan.subsets, drafters)
             ],
         )
-    drafted = max(o.drafted_at for o in outcomes)
+    drafted = max(drafted_at for _, drafted_at, _ in outcomes)
     timings.draft_ms = (drafted - drafting_started) * 1000.0
-    timings.verify_ms = (max(o.done_at for o in outcomes) - drafted) * 1000.0
+    timings.verify_ms = (max(done_at for _, _, done_at in outcomes) - drafted) * 1000.0
 
-    # One row per subset; draft-drop notices come before verification-drop
-    # notices, each in subset order.
-    candidates: list[dict] = []
-    answers: dict[int, str] = {}
-    scored: list[tuple[int, float]] = []
-    verify_notices: list[str] = []
-    for draft, _, v, _ in outcomes:
-        i = draft.subset_index
-        if isinstance(draft, DroppedDraft):
-            notices.append(f"draft {i} dropped: {draft.reason}")
-            candidates.append(_candidate_row(i, dropped=True, drop_reason=draft.reason))
-            continue
-        answers[i] = draft.answer
-        row = _candidate_row(
-            i,
-            member_doc_ids=list(draft.subset_doc_ids),
-            answer=draft.answer,
-            rationale=draft.rationale,
-            rho_draft_log=draft.rho_draft_log,
-        )
-        if v is None:  # random selection: the no-verification ablation
-            scored.append((i, 0.0))
-        elif v.dropped:
-            verify_notices.append(f"verification {i} dropped: {v.drop_reason}")
-            row.update(dropped=True, drop_reason=v.drop_reason)
-        else:
-            scored.append((i, v.rho_final_log))
-            row.update(
-                rho_sc_log=v.rho_sc_log,
-                rho_sr_log=v.rho_sr_log,
-                rho_final_log=v.rho_final_log,
-            )
-        candidates.append(row)
-    if not answers:
+    # One row per subset, in subset order. A dropped draft has no answer,
+    # and its notice comes before those of dropped verifications.
+    candidates = [candidate for candidate, _, _ in outcomes]
+    drafts = [c for c in candidates if c.answer is not None]
+    if not drafts:
         raise NoValidDraftsError("no valid drafts")
-    notices.extend(verify_notices)
+    for c in sorted(candidates, key=lambda c: c.answer is not None):
+        if c.dropped:
+            stage = "draft" if c.answer is None else "verification"
+            notices.append(f"{stage} {c.subset_index} dropped: {c.drop_reason}")
+    unscored = cfg.selection_mode is SelectionMode.RANDOM  # verifies nothing
+    scored = [
+        (c.subset_index, 0.0 if unscored else c.rho_final_log)
+        for c in drafts
+        if not c.dropped
+    ]
 
     winner = select_best(
         scored, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
@@ -540,7 +493,7 @@ def run_speculative(
     return PipelineResult(
         query_id=query.id,
         mode="speculative",
-        final_answer=answers[winner],
+        final_answer=next(c.answer for c in drafts if c.subset_index == winner),
         winning_subset_index=winner,
         candidates=candidates,
         timings=timings,
@@ -588,7 +541,7 @@ def run_standard_baseline(
         final_answer=answer,
         winning_subset_index=0,
         candidates=[
-            _candidate_row(0, member_doc_ids=[d.id for d in docs], answer=answer)
+            Candidate(0, member_doc_ids=tuple(d.id for d in docs), answer=answer)
         ],
         timings=timings,
         notices=notices,
@@ -830,9 +783,14 @@ def sweep_grid(
     cfg: PipelineConfig, m_values: Sequence[int], subset_sizes: Sequence[int]
 ) -> list[tuple[str, PipelineConfig]]:
     """Named draft-count and subset-size points: ``m_{m}`` for each of
-    ``m_values``, then ``subset_{k}`` for each of ``subset_sizes``."""
-    return [(f"m_{m}", replace(cfg, num_drafts=m)) for m in m_values] + [
-        (f"subset_{size}", replace(cfg, num_clusters=size)) for size in subset_sizes
+    ``m_values``, then ``subset_{k}`` for each of ``subset_sizes``. A repeated
+    value is kept once, at its first place, so no point runs twice and
+    overwrites its own results files."""
+    return [
+        (f"m_{m}", replace(cfg, num_drafts=m)) for m in dict.fromkeys(m_values)
+    ] + [
+        (f"subset_{size}", replace(cfg, num_clusters=size))
+        for size in dict.fromkeys(subset_sizes)
     ]
 
 

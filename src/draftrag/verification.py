@@ -5,13 +5,15 @@ out the question, the answer, its supporting context, a reflection statement,
 and the literal affirmation "Yes", then ask the verifier endpoint for the
 log-probabilities of the prompt's own tokens (echo scoring). The
 self-consistency score aggregates the answer/context spans; the
-self-reflection score aggregates the trailing affirmation.
+self-reflection score aggregates the trailing affirmation. Verifying a
+``Candidate`` returns a copy with those two scores and the final score
+filled in, or marked dropped when the echo request fails.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .core import (
     VerificationContextMode,
 )
 from .drafting import (
-    DraftCandidate,
+    Candidate,
     Span,
     evidence_block,
     instruction_text,
@@ -57,16 +59,6 @@ class VerifyPrompt:
     affirmation_span: Span
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    subset_index: int
-    rho_sc_log: float
-    rho_sr_log: float
-    rho_final_log: float
-    dropped: bool = False
-    drop_reason: str | None = None
-
-
 class _PromptBuilder:
     """Accumulates prompt pieces while tracking byte offsets."""
 
@@ -87,7 +79,7 @@ class _PromptBuilder:
 
 def build_verify_prompt(
     query: Query,
-    candidate: DraftCandidate,
+    candidate: Candidate,
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
 ) -> VerifyPrompt:
@@ -108,7 +100,7 @@ def build_verify_prompt(
         VerificationContextMode.DOCUMENTS_ONLY,
         VerificationContextMode.RATIONALE_AND_DOCUMENTS,
     ):
-        docs = resolve_docs(candidate.subset_doc_ids, docs_by_id)
+        docs = resolve_docs(candidate.member_doc_ids, docs_by_id)
         b.add("\n## Evidence: \n")
         spans.append(b.add(evidence_block(docs)))
     if mode in (
@@ -191,18 +183,20 @@ def select_best(
 
 def verify_candidate(
     query: Query,
-    candidate: DraftCandidate,
+    candidate: Candidate,
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
     endpoint: EndpointDescriptor,
     timeout_ms: int,
     score_terms: frozenset[ScoreTerm],
-) -> VerificationResult:
-    """Score one candidate with one echo request.
+) -> Candidate:
+    """Score one drafted candidate with one echo request: the same candidate
+    with its three remaining scores filled in.
 
     When neither verifier-side term is enabled no request is issued and the
     final score reduces to the enabled drafter term. An endpoint failure
-    marks the candidate dropped instead of raising.
+    returns the candidate marked dropped, its scores unset, instead of
+    raising.
     """
     rho_sc = rho_sr = 0.0
     if score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}:
@@ -213,16 +207,9 @@ def verify_candidate(
             logger.warning(
                 "verification for subset %d dropped: %s", candidate.subset_index, exc
             )
-            return VerificationResult(
-                subset_index=candidate.subset_index,
-                rho_sc_log=0.0,
-                rho_sr_log=0.0,
-                rho_final_log=float("-inf"),
-                dropped=True,
-                drop_reason=str(exc),
-            )
-    return VerificationResult(
-        subset_index=candidate.subset_index,
+            return replace(candidate, dropped=True, drop_reason=str(exc))
+    return replace(
+        candidate,
         rho_sc_log=rho_sc,
         rho_sr_log=rho_sr,
         rho_final_log=combine_scores(candidate.rho_draft_log, rho_sc, rho_sr, score_terms),
@@ -231,13 +218,13 @@ def verify_candidate(
 
 def verify_candidates(
     query: Query,
-    candidates: Sequence[DraftCandidate],
+    candidates: Sequence[Candidate],
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
     endpoint: EndpointDescriptor,
     timeout_ms: int,
     score_terms: frozenset[ScoreTerm],
-) -> list[VerificationResult]:
+) -> list[Candidate]:
     """Score every candidate concurrently, one echo request each, results in
     subset order (see ``verify_candidate``)."""
     results = fan_out(

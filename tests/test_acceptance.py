@@ -31,7 +31,7 @@ from draftrag.core import (
     seeded_rng,
 )
 from draftrag.drafting import (
-    DraftCandidate,
+    Candidate,
     compute_rho_draft,
     generate_drafts,
     parse_draft,
@@ -120,9 +120,9 @@ def test_criterion_2_scoring_oracle_equivalence():
             TokenLogprob(float(-rng.random() * 3), start, end)
             for _, start, end in whitespace_token_spans(completion)
         )
-        candidate = DraftCandidate(
+        candidate = Candidate(
             subset_index=0,
-            subset_doc_ids=("d1",),
+            member_doc_ids=("d1",),
             rationale=parsed.rationale,
             answer=parsed.answer,
             rho_draft_log=0.0,

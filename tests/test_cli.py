@@ -249,6 +249,20 @@ def test_sweep_m_values(cli_env, capsys):
     assert "m_2: accuracy" in out and "m_3: accuracy" in out
 
 
+def test_sweep_repeated_m_value_runs_once(cli_env, tmp_path, capsys):
+    dataset, config, _ = cli_env
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--dataset", str(dataset), "--config", str(config)]
+    code = main([*argv, "--m-values", "2,2", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.count("m_2:") == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "m_2.config.json",
+        "m_2.results.jsonl",
+        "m_2.summary.json",
+    ]
+
+
 def test_report_prints_latency_table(cli_env, tmp_path, capsys):
     dataset, config, _ = cli_env
     out = tmp_path / "for_report"

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import EndpointConnectionError, EndpointDescriptor
+from draftrag.backend import (
+    EndpointConnectionError,
+    EndpointDescriptor,
+    TransportError,
+)
 from draftrag import clustering
 from draftrag.clustering import (
     KMEANS_RESTARTS,
@@ -377,6 +381,23 @@ class TestEmbedDocuments:
 
         server = server_factory(script=FlatScript())
         with pytest.raises(DataError, match="row 0 is not a list of numbers"):
+            embed_documents(
+                self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
+            )
+
+    @pytest.mark.parametrize(
+        "reply,named", [({"embeddings": 5}, "int"), ({}, "NoneType")]
+    )
+    def test_embeddings_that_are_not_a_list_are_a_transport_error(
+        self, server_factory, reply, named
+    ):
+        class NotAList(MockScript):
+            def embed(self, instruction, inputs):
+                return reply
+
+        server = server_factory(script=NotAList())
+        expected = f'returned "embeddings" of type {named} for 2 inputs'
+        with pytest.raises(TransportError, match=expected):
             embed_documents(
                 self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
             )

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +182,7 @@ class TestQuery:
 
 def test_stage_timings_dict_shape():
     t = StageTimings(embed_ms=1.0, total_ms=2.0)
-    d = t.to_dict()
+    d = asdict(t)
     assert set(d) == {
         "embed_ms",
         "cluster_ms",

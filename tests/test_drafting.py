@@ -378,7 +378,7 @@ class TestGenerateDrafts:
         assert [c.subset_index for c in batch.candidates] == [0, 1, 3, 4]
         assert len(batch.dropped) == 1
         assert batch.dropped[0].subset_index == 2
-        assert "Rationale" in batch.dropped[0].reason
+        assert "Rationale" in batch.dropped[0].drop_reason
 
     @pytest.mark.parametrize(
         "completion,tokens,reason",
@@ -407,7 +407,7 @@ class TestGenerateDrafts:
         assert [c.subset_index for c in batch.candidates] == [0]
         [dropped] = batch.dropped
         assert dropped.subset_index == 1
-        assert reason in dropped.reason
+        assert reason in dropped.drop_reason
 
     def test_results_in_subset_order_despite_slow_endpoint(self, server_factory):
         # Round-robin sends even subsets to the slow server; completion order

@@ -18,7 +18,13 @@ from draftrag.core import (
     TaskKind,
 )
 from draftrag import harness
-from draftrag.clustering import KMEANS_MAX_ITERS, embedding_input, kmeans_cluster
+from draftrag.clustering import (
+    KMEANS_MAX_ITERS,
+    embedding_input,
+    kmeans_cluster,
+    unit_rows,
+)
+from draftrag.drafting import build_draft_prompt
 from draftrag.harness import (
     DatasetError,
     DatasetRecord,
@@ -316,6 +322,17 @@ class FirstDraftNotUtf8(MockScript):
         return {**reply, "text": "\ud800"} if first else reply
 
 
+class EchoRefusesUnsupported(MockScript):
+    """Answers an echo of any prompt holding "unsupported" with a positive
+    logprob, which the verifier rejects."""
+
+    def echo(self, prompt):
+        reply = super().echo(prompt)
+        if "unsupported" in prompt:
+            reply["tokens"][-1]["logprob"] = 0.5
+        return reply
+
+
 @pytest.fixture(scope="module")
 def rigged():
     cfg = PipelineConfig(top_n=4, rng_seed=42)
@@ -344,9 +361,9 @@ class TestPipelines:
             winning = [
                 c
                 for c in result.candidates
-                if c["subset_index"] == result.winning_subset_index
+                if c.subset_index == result.winning_subset_index
             ]
-            assert winning[0]["answer"] == result.final_answer
+            assert winning[0].answer == result.final_answer
 
     def test_single_draft_degenerates_to_that_draft(self, server_factory):
         base = PipelineConfig(top_n=4, num_drafts=1, rng_seed=5)
@@ -359,10 +376,10 @@ class TestPipelines:
             embedding_endpoint=server.embed_url,
         )
         result = run_speculative(fixture.records[0], cfg, make_backends(cfg))
-        candidates = [c for c in result.candidates if not c["dropped"]]
+        candidates = [c for c in result.candidates if not c.dropped]
         assert len(candidates) == 1
-        assert result.winning_subset_index == candidates[0]["subset_index"]
-        assert result.final_answer == candidates[0]["answer"]
+        assert result.winning_subset_index == candidates[0].subset_index
+        assert result.final_answer == candidates[0].answer
 
     def test_standard_baseline_single_call_no_verification(self, rigged_env):
         records, cfg, server = rigged_env
@@ -378,7 +395,7 @@ class TestPipelines:
         server.reset_log()
         result = run_speculative(records[0], cfg, make_backends(cfg))
         counts = server.request_counts()
-        n_candidates = len([c for c in result.candidates if not c["dropped"]])
+        n_candidates = len([c for c in result.candidates if not c.dropped])
         assert counts["generate"] == len(result.candidates)
         assert counts["echo"] <= len(result.candidates)
         assert counts["echo"] == n_candidates
@@ -448,7 +465,7 @@ class TestPipelines:
         result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
         drafts = len(result.candidates)
         assert drafts >= 2
-        assert not any(c["dropped"] for c in result.candidates)
+        assert not any(c.dropped for c in result.candidates)
         assert len(script.echo_arrivals) == drafts
         early = [t for t in script.echo_arrivals if t < script.held_reply_at]
         assert len(early) == drafts - 1
@@ -496,9 +513,9 @@ class TestPipelines:
             embedding_endpoint=server.embed_url,
         )
         result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
-        dropped = [c for c in result.candidates if c["dropped"]]
+        dropped = [c for c in result.candidates if c.dropped]
         assert len(dropped) == 1
-        assert "not encodable as UTF-8" in dropped[0]["drop_reason"]
+        assert "not encodable as UTF-8" in dropped[0].drop_reason
         assert result.final_answer
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
@@ -523,6 +540,88 @@ class TestPipelines:
         for entry in server.request_log_snapshot():
             assert sentinel not in entry["prompt"]
 
+
+    def test_rows_and_notices_with_one_draft_and_one_verification_dropped(
+        self, server_factory
+    ):
+        # Subset 1's verification and subset 2's draft fail, so the notice
+        # order (draft drops first) differs from subset order.
+        record = DatasetRecord(
+            query=Query(id="q", text="where is it?", gold_answers=("x",)),
+            documents=tuple(Document(f"d{i}", f"T{i}", f"text {i}") for i in range(4)),
+        )
+        base = PipelineConfig(top_n=4, num_drafts=3, num_clusters=2, rng_seed=0)
+        script = EchoRefusesUnsupported()
+        query, docs, _ = harness.prepare_record(record, base)
+        rows = script.embed(query.text, [embedding_input(d) for d in docs])
+        plan = harness.plan_subsets(
+            query, docs, unit_rows(rows["embeddings"]), base, StageTimings()
+        )
+        prompts = [
+            build_draft_prompt(query, s, {d.id: d for d in docs}) for s in plan.subsets
+        ]
+        assert len(set(prompts)) == 3
+        script.script_completion(
+            prompts[1], "## Rationale: unsupported ## Response: Elsewhere"
+        )
+        script.script_completion(prompts[2], "no markers here")
+        server = server_factory(script=script)
+        cfg = replace(
+            base,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        result = run_speculative(record, cfg, make_backends(cfg))
+        written = json.loads(
+            json.dumps(result.to_dict()).replace(server.generate_url, "<verifier>")
+        )
+        echo_error = (
+            "token 22 has logprob 0.5, not a finite value <= 0 (endpoint <verifier>)"
+        )
+        assert written["candidates"] == [
+            {
+                "subset_index": 0,
+                "member_doc_ids": ["d0", "d1"],
+                "answer": "text 1.",
+                "rationale": "text 1.",
+                "rho_draft_log": -1.3068528194400546,
+                "rho_sc_log": -0.8,
+                "rho_sr_log": -0.5,
+                "rho_final_log": -2.6068528194400544,
+                "dropped": False,
+                "drop_reason": None,
+            },
+            {
+                "subset_index": 1,
+                "member_doc_ids": ["d0", "d2"],
+                "answer": "Elsewhere",
+                "rationale": "unsupported",
+                "rho_draft_log": -0.3068528194400547,
+                "rho_sc_log": None,
+                "rho_sr_log": None,
+                "rho_final_log": None,
+                "dropped": True,
+                "drop_reason": echo_error,
+            },
+            {
+                "subset_index": 2,
+                "member_doc_ids": None,
+                "answer": None,
+                "rationale": None,
+                "rho_draft_log": None,
+                "rho_sc_log": None,
+                "rho_sr_log": None,
+                "rho_final_log": None,
+                "dropped": True,
+                "drop_reason": 'missing "## Rationale:" marker',
+            },
+        ]
+        assert written["notices"] == [
+            'draft 2 dropped: missing "## Rationale:" marker',
+            f"verification 1 dropped: {echo_error}",
+        ]
+        assert (result.winning_subset_index, result.final_answer) == (0, "text 1.")
 
 def run_grid(records, grid):
     return [run_experiment(records, cfg, name=name) for name, cfg in grid]
@@ -614,6 +713,12 @@ class TestExperiments:
         both = sweep_grid(cfg, [5], [2])
         assert [name for name, _ in both] == ["m_5", "subset_2"]
         assert (both[0][1].num_drafts, both[1][1].num_clusters) == (5, 2)
+
+    def test_sweep_grid_keeps_each_repeated_value_once_at_its_first_place(self):
+        grid = sweep_grid(PipelineConfig(), [3, 2, 3, 2], [3, 3, 1])
+        assert [name for name, _ in grid] == ["m_3", "m_2", "subset_3", "subset_1"]
+        assert [c.num_drafts for _, c in grid[:2]] == [3, 2]
+        assert [c.num_clusters for _, c in grid[2:]] == [3, 1]
 
     def test_sweep_past_num_drafts_still_drafts_concurrently(self, server_factory):
         # No pool sized from the config's num_drafts may serialise a sweep

@@ -14,7 +14,7 @@ from draftrag.core import (
     VerificationContextMode,
     seeded_rng,
 )
-from draftrag.drafting import DraftCandidate, Span, parse_draft
+from draftrag.drafting import Candidate, Span, parse_draft
 from draftrag.mock_server import whitespace_token_spans
 from draftrag.verification import (
     build_verify_prompt,
@@ -34,9 +34,9 @@ REFLECTION = "Do you think the explanation supports the answers? (Yes or No)"
 def make_candidate(answer="the answer", rationale="the rationale", doc_ids=("d1",)):
     completion = f"## Rationale: {rationale}\n## Response: {answer}"
     parsed = parse_draft(completion)
-    return DraftCandidate(
+    return Candidate(
         subset_index=0,
-        subset_doc_ids=tuple(doc_ids),
+        member_doc_ids=tuple(doc_ids),
         rationale=parsed.rationale,
         answer=parsed.answer,
         rho_draft_log=-0.5,
@@ -356,7 +356,7 @@ class TestVerifyCandidates:
             ALL_TERMS,
         )
         assert result.dropped
-        assert result.rho_final_log == float("-inf")
+        assert result.rho_final_log is None
         assert "token" in (result.drop_reason or "")
 
 
