@@ -16,6 +16,7 @@ from .backend import (
     MalformedResponseError,
     TransportError,
     dispatch,
+    fan_out,
 )
 from .clustering import (
     ClusterSet,

@@ -1,4 +1,4 @@
-"""Endpoint descriptors, the HTTP dispatch layer and the fan-out executor.
+"""Endpoint descriptors, the HTTP dispatch layer and the request driver.
 
 Endpoints serve three kinds of request: generation (drafts), echo scoring of
 a prompt's own tokens (verification), and embedding. All speak JSON over
@@ -11,38 +11,46 @@ HTTP POST:
 - embedding:   {"instruction", "inputs": [...]} -> {"embeddings": [[...]]}
 
 The transport is a small keep-alive HTTP/1.1 client (``_Connection``). Each
-request goes out in one ``sendall`` on a socket with Nagle's algorithm off,
-and each reply is read through one buffered reader that the connection
-keeps. A reply body may be framed by ``Content-Length``, by chunked
-transfer coding, or by the server closing the connection. The reader
-applies the limits ``http.client`` does: a line is at most 65 536 bytes and
-a reply has at most 100 header lines. Any other reply is a framing error.
+request goes out in one ``sendall`` on a socket with Nagle's algorithm off.
+Its reply is then taken in without blocking, piece by piece as it arrives,
+and parsed (``_parse_reply``) once enough of it is there. A reply body may
+be framed by ``Content-Length``, by chunked transfer coding, or by the
+server closing the connection. The parser applies the limits
+``http.client`` does: a line is at most 65 536 bytes and a reply has at
+most 100 header lines. Any other reply is a framing error.
+
+A request is sent by ``_start`` and its reply taken in by ``_finish``.
+``fan_out`` drives many requests from the calling thread, with no worker
+thread: each task is a generator that yields its requests, one selector
+waits on every socket with a request in flight, and each request has its
+own deadline. A reply that stalls part way holds up only its own task;
+opening a connection and sending a request still block, up to the
+request's deadline. The sockets in flight are one per task of the call (a
+query has at most ``core.MAX_NUM_DRAFTS`` drafts). ``dispatch`` is
+``fan_out`` with one task.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import re
+import selectors
 import socket
 import ssl
 import threading
+import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Generator, Iterable, TypeVar
 from urllib.parse import SplitResult, urlsplit
-
-from .core import MAX_NUM_DRAFTS
 
 UNHEALTHY_AFTER_FAILURES = 3
 # Reply limits, the same as http.client's.
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
-# A length is read this much at a time, so a false one allocates no more
-# than actually arrives.
-_READ_PIECE = 1 << 20
+# The most a reply read takes from a socket at once.
+_RECV_BYTES = 1 << 16
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _NOT_IN_REQUEST_HEAD = re.compile(r"[^\x21-\x7e]")
 _BLANK_LINES = (b"\r\n", b"\n")
@@ -123,6 +131,11 @@ class EndpointDescriptor:
             self._idle.append((origin, conn))
 
 
+# A task for ``fan_out``: it yields (endpoint, payload) for each request,
+# is sent the decoded reply and returns its result.
+Task = Generator[tuple[EndpointDescriptor, dict], dict, T]
+
+
 def _close_all(idle: list[tuple[tuple[str, str], _Connection]]) -> None:
     for _, conn in idle:
         conn.close()
@@ -139,10 +152,126 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
-class _Connection:
-    """One keep-alive HTTP/1.1 connection; ``sock`` is None once closed."""
+class _Incomplete(Exception):
+    """The bytes so far start a reply but do not finish it; parsing can go
+    further once ``need`` bytes have arrived (or the server has closed)."""
 
-    __slots__ = ("sock", "_reader")
+    def __init__(self, need: float):
+        super().__init__(need)
+        self.need = need
+
+
+def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
+    """The status and body of the reply at the start of ``buf``, and whether
+    its connection can carry another request; ``eof`` says the server has
+    closed the connection, so no more bytes will come.
+
+    Raises ``_Incomplete`` while more bytes may complete the reply, and
+    ``_ProtocolError`` when none can. The body of a reply other than 200 is
+    not read, and its connection is not reusable. Nor is one whose reply is
+    HTTP/1.0, says ``Connection: close``, ends where the server closes or
+    is followed by more bytes.
+    """
+
+    def cut_short(need: int):
+        if eof:
+            raise _ProtocolError("reply cut short")
+        raise _Incomplete(need)
+
+    def line(pos: int) -> tuple[bytes, int]:
+        end = buf.find(b"\n", pos, pos + MAX_LINE_BYTES)
+        if end < 0:
+            if len(buf) - pos >= MAX_LINE_BYTES:
+                raise _ProtocolError(f"reply line over {MAX_LINE_BYTES} bytes")
+            cut_short(len(buf) + 1)
+        return buf[pos : end + 1], end + 1
+
+    def chunked(pos: int) -> tuple[bytes, int]:
+        pieces = []
+        while True:
+            size_line, pos = line(pos)
+            size = size_line.split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise _ProtocolError(f"bad chunk size {size[:80]!r}")
+            end = pos + int(size, 16)
+            if end == pos:
+                break
+            if len(buf) < end + 2:
+                cut_short(end + 2)
+            if buf[end : end + 2] != b"\r\n":
+                raise _ProtocolError("chunk data not followed by CRLF")
+            pieces.append(buf[pos:end])
+            pos = end + 2
+        for _ in range(MAX_HEADERS + 1):  # trailer lines, then a blank one
+            trailer, pos = line(pos)
+            if trailer in _BLANK_LINES:
+                return b"".join(pieces), pos
+        raise _ProtocolError(f"more than {MAX_HEADERS} trailer lines")
+
+    if not buf and eof:
+        # The server closed the connection without reading the request, as
+        # it may close an idle one.
+        raise ConnectionResetError("connection closed before any reply")
+    status_line, pos = line(0)
+    version, _, rest = status_line.partition(b" ")
+    status = rest[:3]
+    if not (
+        version in (b"HTTP/1.1", b"HTTP/1.0")
+        and len(status) == 3
+        and status.isdigit()
+        and not rest[3:4].strip()
+    ):
+        raise _ProtocolError(f"bad status line {status_line[:80]!r}")
+    if status != b"200":
+        return int(status), b"", False
+
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        header, pos = line(pos)
+        if header in _BLANK_LINES:
+            break
+        name, colon, value = header.partition(b":")
+        if not colon:
+            raise _ProtocolError(f"bad header line {header[:80]!r}")
+        name, value = name.lower(), value.strip()
+        headers[name] = headers[name] + b", " + value if name in headers else value
+    else:
+        raise _ProtocolError(f"more than {MAX_HEADERS} headers")
+
+    coding = headers.get(b"transfer-encoding")
+    length = headers.get(b"content-length")
+    if coding is not None:
+        if coding.lower() != b"chunked":
+            raise _ProtocolError(f"unsupported transfer-encoding {coding[:80]!r}")
+        body, pos = chunked(pos)
+    elif length is not None:
+        if not (length.isdigit() and len(length) <= 18):
+            raise _ProtocolError(f"bad content-length {length[:80]!r}")
+        end = pos + int(length)
+        if len(buf) < end:
+            cut_short(end)
+        body, pos = buf[pos:end], end
+    elif eof:
+        return 200, buf[pos:], False
+    else:
+        raise _Incomplete(float("inf"))  # the body ends where the server closes
+    reusable = (
+        version == b"HTTP/1.1"
+        and b"close" not in headers.get(b"connection", b"").lower()
+        and pos == len(buf)
+    )
+    return 200, body, reusable
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection; ``sock`` is None once closed.
+
+    A request is sent with the socket blocking, bounded by a timeout; the
+    reply is then received without blocking, as its bytes arrive, so one
+    thread can read many replies at once.
+    """
+
+    __slots__ = ("sock", "_pieces", "_size", "_need", "_eof")
 
     def __init__(self, url: SplitResult, timeout_s: float):
         if not url.hostname:
@@ -160,107 +289,50 @@ class _Connection:
             sock.close()
             raise
         self.sock = sock
-        self._reader = sock.makefile("rb")
 
     def close(self) -> None:
         if self.sock is not None:
-            self._reader.close()
             self.sock.close()
             self.sock = None
 
-    def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
-        """Send one request; return the reply's status and body, and whether
-        the connection can carry another request.
-
-        The body of a reply other than 200 is left unread, and its
-        connection is not reusable. Nor is one whose reply is HTTP/1.0,
-        says ``Connection: close`` or ends where the server closes.
-        """
+    def send(self, request: bytes, timeout_s: float) -> None:
+        """Send a request in one ``sendall`` and make ready for its reply."""
+        self.sock.settimeout(timeout_s)
         self.sock.sendall(request)
-        line = self._reader.readline(MAX_LINE_BYTES)
-        if not line:
-            # The server closed the connection without reading the request,
-            # as it may close an idle one.
-            raise ConnectionResetError("connection closed before any reply")
-        version, _, rest = self._checked(line).partition(b" ")
-        status = rest[:3]
-        if not (
-            version in (b"HTTP/1.1", b"HTTP/1.0")
-            and len(status) == 3
-            and status.isdigit()
-            and not rest[3:4].strip()
-        ):
-            raise _ProtocolError(f"bad status line {line[:80]!r}")
-        if status != b"200":
-            return int(status), b"", False
+        self.sock.setblocking(False)
+        self._pieces: list[bytes] = []
+        self._size = 0
+        self._need = 1
+        self._eof = False
 
-        headers: dict[bytes, bytes] = {}
-        for _ in range(MAX_HEADERS + 1):
-            line = self._line()
-            if line in _BLANK_LINES:
-                break
-            name, colon, value = line.partition(b":")
-            if not colon:
-                raise _ProtocolError(f"bad header line {line[:80]!r}")
-            name, value = name.lower(), value.strip()
-            headers[name] = headers[name] + b", " + value if name in headers else value
-        else:
-            raise _ProtocolError(f"more than {MAX_HEADERS} headers")
-
-        coding = headers.get(b"transfer-encoding")
-        length = headers.get(b"content-length")
-        if coding is not None:
-            if coding.lower() != b"chunked":
-                raise _ProtocolError(f"unsupported transfer-encoding {coding[:80]!r}")
-            body = self._read_chunked()
-        elif length is not None:
-            if not (length.isdigit() and len(length) <= 18):
-                raise _ProtocolError(f"bad content-length {length[:80]!r}")
-            body = self._read(int(length))
-        else:
-            return 200, self._reader.read(), False
-        reusable = (
-            version == b"HTTP/1.1"
-            and b"close" not in headers.get(b"connection", b"").lower()
-        )
-        return 200, body, reusable
-
-    @staticmethod
-    def _checked(line: bytes) -> bytes:
-        # readline stops at a line end, at the end of the reply or at the limit.
-        if not line.endswith(b"\n"):
-            raise _ProtocolError(f"reply line cut short or over {MAX_LINE_BYTES} bytes")
-        return line
-
-    def _line(self) -> bytes:
-        return self._checked(self._reader.readline(MAX_LINE_BYTES))
-
-    def _read(self, size: int) -> bytes:
-        pieces = []
-        while size:
-            piece = self._reader.read(min(size, _READ_PIECE))
-            if not piece:
-                raise _ProtocolError("reply cut short")
-            pieces.append(piece)
-            size -= len(piece)
-        return b"".join(pieces)
-
-    def _read_chunked(self) -> bytes:
-        pieces = []
+    def read_reply(self) -> tuple[int, bytes, bool] | None:
+        """Take in the bytes that have arrived; the reply's status and body,
+        and whether the connection can carry another request, once they
+        complete it (see ``_parse_reply``), else None."""
+        tls = isinstance(self.sock, ssl.SSLSocket)
         while True:
-            size = self._line().split(b";", 1)[0].strip()
-            if not _CHUNK_SIZE.fullmatch(size):
-                raise _ProtocolError(f"bad chunk size {size[:80]!r}")
-            size = int(size, 16)
-            if not size:
+            try:
+                piece = self.sock.recv(_RECV_BYTES)
+            except (BlockingIOError, ssl.SSLWantReadError):
                 break
-            pieces.append(self._read(size))
-            if self._read(2) != b"\r\n":
-                raise _ProtocolError("chunk data not followed by CRLF")
-        for _ in range(MAX_HEADERS + 1):  # trailer lines, then a blank one
-            if self._line() in _BLANK_LINES:
-                return b"".join(pieces)
-        raise _ProtocolError(f"more than {MAX_HEADERS} trailer lines")
+            if not piece:
+                self._eof = True
+                break
+            self._pieces.append(piece)
+            self._size += len(piece)
+            # A short read took in all a plain socket had; a TLS socket
+            # returns one record at a time.
+            if len(piece) < _RECV_BYTES and not tls:
+                break
+        if self._size < self._need and not self._eof:
+            return None
+        buf = b"".join(self._pieces)
+        self._pieces = [buf]
+        try:
+            return _parse_reply(buf, self._eof)
+        except _Incomplete as incomplete:
+            self._need = incomplete.need
+            return None
 
 
 def _post_request(url: SplitResult, body: bytes) -> bytes:
@@ -277,56 +349,109 @@ def _post_request(url: SplitResult, body: bytes) -> bytes:
     return head.encode("ascii") + body
 
 
-def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> dict:
-    """POST a JSON payload to an endpoint and return the decoded response.
+class _Request:
+    """One request on its way: where it goes, its bytes, the connection it
+    was sent on and the monotonic time by which its reply must be read."""
 
-    Takes an idle keep-alive connection of the endpoint or opens one (TLS
-    for ``https`` URLs), and pools it again only after a complete HTTP/1.1
-    200 reply, framed by its length or in chunks, that the server did not
-    mark as closing; any other connection is closed, so no later call can
-    read a late reply. If a reused connection turns out to be closed by the
-    server before any reply arrives, the request is sent once more on a new
-    connection: requests are idempotent, so that retry is not a failure.
-    The timeout bounds each connect, send and read. Marks the endpoint
-    unhealthy after three consecutive failures; an unhealthy endpoint is
-    skipped with a routing error rather than contacted.
+    __slots__ = (
+        "endpoint", "url", "origin", "data", "timeout_ms", "deadline", "conn", "reused"
+    )
+
+    def __init__(self, endpoint: EndpointDescriptor, timeout_ms: int):
+        self.endpoint = endpoint
+        self.url = urlsplit(endpoint.url)
+        self.origin = (self.url.scheme, self.url.netloc)
+        self.data = b""
+        self.timeout_ms = timeout_ms
+        self.deadline = time.monotonic() + timeout_ms / 1000.0
+        self.conn: _Connection | None = None
+        self.reused = False
+
+    def remaining_s(self) -> float:
+        # A socket timeout of 0 would make the socket non-blocking, so a
+        # request past its deadline gets one more millisecond.
+        return max(self.deadline - time.monotonic(), 0.001)
+
+    def failed(self, exc: BaseException) -> TransportError:
+        """Close the connection and count a failure; the error to raise for
+        ``exc``, an ``OSError`` or a broken reply."""
+        if self.conn is not None:
+            self.conn.close()
+        self.endpoint.record_failure()
+        if isinstance(exc, TimeoutError):
+            return EndpointTimeout(
+                self.endpoint.url, f"request timed out after {self.timeout_ms} ms"
+            )
+        return EndpointConnectionError(self.endpoint.url, f"connection failed: {exc}")
+
+    def send_on_new_connection(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+        self.reused = False
+        self.conn = _Connection(self.url, self.remaining_s())
+        self.conn.send(self.data, self.remaining_s())
+
+
+def _start(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> _Request:
+    """Send a JSON POST: check the endpoint's health, take one of its idle
+    connections or open one (TLS for ``https`` URLs), and send the request
+    in one ``sendall``. The request's deadline is ``timeout_ms`` from now,
+    and it bounds the connect and the send too.
+
+    If the idle connection turns out to be closed by the server, the request
+    goes out on a new connection: requests are idempotent, so that is not a
+    failure. An unhealthy endpoint is skipped with a routing error rather
+    than contacted.
     """
     if not endpoint.healthy:
         raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
-    url = urlsplit(endpoint.url)
-    origin = (url.scheme, url.netloc)
-    request_body = json.dumps(payload).encode("utf-8")
-    timeout_s = timeout_ms / 1000.0
-    conn = endpoint.take_idle(origin)
-    reused = conn is not None
-    if reused:
-        conn.sock.settimeout(timeout_s)
-    keep = False
+    request = _Request(endpoint, timeout_ms)
     try:
-        request = _post_request(url, request_body)
-        try:
-            if not reused:
-                conn = _Connection(url, timeout_s)
-            status, data, keep = conn.exchange(request)
-        except (ConnectionResetError, BrokenPipeError):
-            # The server closed an idle connection before this request
-            # reached it.
-            if not reused:
-                raise
-            conn.close()
-            conn = _Connection(url, timeout_s)
-            status, data, keep = conn.exchange(request)
-    except TimeoutError:  # a subclass of OSError, so caught first
-        endpoint.record_failure()
-        raise EndpointTimeout(endpoint.url, f"request timed out after {timeout_ms} ms")
+        request.data = _post_request(request.url, json.dumps(payload).encode("utf-8"))
+        request.conn = endpoint.take_idle(request.origin)
+        if request.conn is not None:
+            try:
+                request.conn.send(request.data, request.remaining_s())
+                request.reused = True
+                return request
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the server closed the idle connection
+        request.send_on_new_connection()
     except (OSError, _ProtocolError) as exc:
-        endpoint.record_failure()
-        raise EndpointConnectionError(endpoint.url, f"connection failed: {exc}")
-    finally:
-        if keep:
-            endpoint.put_idle(origin, conn)
-        elif conn is not None:
-            conn.close()
+        raise request.failed(exc)
+    return request
+
+
+def _finish(request: _Request) -> dict | None:
+    """Take in what has arrived of the reply to a sent request: the decoded
+    JSON object once the reply is complete, else None.
+
+    None also follows when a reused connection turns out to be closed by
+    the server before any reply: the request has then gone out once more,
+    on a new connection, whose reply is still to come. The connection is
+    pooled again only after a complete HTTP/1.1 200 reply, framed by its
+    length or in chunks, that the server did not mark as closing; any other
+    connection is closed, so no later request can read a late reply. Marks
+    the endpoint unhealthy after three consecutive failures.
+    """
+    endpoint = request.endpoint
+    try:
+        try:
+            reply = request.conn.read_reply()
+        except (ConnectionResetError, BrokenPipeError):
+            if not request.reused:
+                raise
+            request.send_on_new_connection()
+            return None
+    except (OSError, _ProtocolError) as exc:
+        raise request.failed(exc)
+    if reply is None:
+        return None
+    status, data, keep = reply
+    if keep:
+        endpoint.put_idle(request.origin, request.conn)
+    else:
+        request.conn.close()
 
     if status != 200:
         endpoint.record_failure()
@@ -344,6 +469,20 @@ def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> di
     return body
 
 
+def _one_request(endpoint: EndpointDescriptor, payload: dict) -> Task[dict]:
+    return (yield endpoint, payload)
+
+
+def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> dict:
+    """POST a JSON payload to an endpoint and wait for the decoded response.
+
+    ``timeout_ms`` bounds the whole request: connect, send and reply. This
+    is ``fan_out`` with one task; see ``_start`` and ``_finish``.
+    """
+    [body] = fan_out([_one_request(endpoint, payload)], timeout_ms)
+    return body
+
+
 def round_robin_assign(
     count: int, endpoints: list[EndpointDescriptor]
 ) -> list[EndpointDescriptor]:
@@ -356,35 +495,83 @@ def round_robin_assign(
     return [healthy[i % len(healthy)] for i in range(count)]
 
 
-def _fan_out_executor() -> ThreadPoolExecutor:
-    # The pool grows to the peak number of calls in flight (one per draft),
-    # up to one thread per draft of the largest valid query, and idle
-    # threads are reused by later queries. Calls beyond the cap wait.
-    return ThreadPoolExecutor(max_workers=MAX_NUM_DRAFTS, thread_name_prefix="fan-out")
+def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:
+    """Run generator tasks on the calling thread; their return values in
+    task order.
 
-
-_executor = _fan_out_executor()
-
-
-def _replace_executor_after_fork() -> None:
-    # A forked child has none of the parent's worker threads, but the
-    # executor still counts them as idle and would queue work for them.
-    global _executor
-    _executor = _fan_out_executor()
-
-
-os.register_at_fork(after_in_child=_replace_executor_after_fork)
-
-
-def fan_out(fn: Callable[..., T], calls: Iterable[tuple]) -> list[T]:
-    """Run ``fn(*args)`` for every argument tuple concurrently; results in
-    call order.
-
-    Calls run on one process-wide thread pool, so a query starts no thread
-    once earlier queries have grown the pool to its fan-out. Every call
-    finishes before the first error, in call order, is raised, so no
-    request outlives the caller.
+    A task yields ``(endpoint, payload)`` for each request it makes and is
+    sent the decoded reply, or has the request's ``TransportError`` thrown
+    into it. Every task runs until it makes its first request, so all the
+    first requests are in flight at once, and a task resumes as soon as its
+    own reply has arrived. One selector waits on every request in flight;
+    each request has its own deadline, ``timeout_ms`` after it was sent.
+    Every task runs to its end before the first error a task raised, in
+    task order, is raised. No request outlives the call: if the caller is
+    interrupted, the connections in flight are closed.
     """
-    futures = [_executor.submit(fn, *args) for args in calls]
-    wait(futures)
-    return [future.result() for future in futures]
+    tasks = list(tasks)
+    results: list = [None] * len(tasks)
+    errors: list[Exception | None] = [None] * len(tasks)
+    in_flight: dict[int, _Request] = {}
+    selector = selectors.DefaultSelector()
+
+    def resume(i: int, reply: dict | None = None, error: TransportError | None = None):
+        # Run task i until it is waiting on a request or has ended.
+        task = tasks[i]
+        while True:
+            try:
+                if error is None:
+                    endpoint, payload = task.send(reply)
+                else:
+                    endpoint, payload = task.throw(error)
+            except StopIteration as stop:
+                results[i] = stop.value
+                return
+            except Exception as exc:
+                errors[i] = exc
+                return
+            try:
+                request = _start(endpoint, payload, timeout_ms)
+            except TransportError as exc:
+                reply, error = None, exc
+                continue
+            in_flight[i] = request
+            selector.register(request.conn.sock, selectors.EVENT_READ, i)
+            return
+
+    try:
+        for i in range(len(tasks)):
+            resume(i)
+        while in_flight:
+            wait_s = min(r.deadline for r in in_flight.values()) - time.monotonic()
+            for key, _ in selector.select(max(wait_s, 0.0)):
+                i = key.data
+                request = in_flight.pop(i)
+                # ``_finish`` may close the socket or open another.
+                selector.unregister(key.fileobj)
+                try:
+                    reply = _finish(request)
+                except TransportError as exc:
+                    resume(i, error=exc)
+                    continue
+                if reply is None:  # more to come
+                    in_flight[i] = request
+                    selector.register(request.conn.sock, selectors.EVENT_READ, i)
+                else:
+                    resume(i, reply)
+            now = time.monotonic()
+            for i, request in list(in_flight.items()):
+                if request.deadline <= now:
+                    del in_flight[i]
+                    selector.unregister(request.conn.sock)
+                    resume(i, error=request.failed(TimeoutError()))
+    finally:
+        for request in in_flight.values():
+            request.conn.close()
+        selector.close()
+        for task in tasks:
+            task.close()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

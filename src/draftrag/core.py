@@ -15,8 +15,8 @@ MAX_SEED = 2**64 - 1
 # inside the socket calls, so every request would fail.
 MAX_REQUEST_TIMEOUT_MS = 2**31 - 1
 # The most drafts one query may ask for. Each draft is one concurrent task
-# on the fan-out pool, which has this many threads; the paper's sweeps stop
-# at m = 20, and an unbounded m would start a thread per draft.
+# of ``backend.fan_out`` with one socket in flight, so this bounds the
+# sockets a query holds open at once; the paper's sweeps stop at m = 20.
 MAX_NUM_DRAFTS = 128
 
 

@@ -1,4 +1,4 @@
-"""Draft generation: prompt building, parallel dispatch, parsing, and scoring.
+"""Draft generation: prompt building, parallel requests, parsing, and scoring.
 
 Each sampled document subset becomes one drafting prompt. The drafter returns
 a completion of the form ``## Rationale: ... ## Response: ...`` together with
@@ -24,8 +24,9 @@ import numpy as np
 from .backend import (
     EndpointDescriptor,
     MalformedResponseError,
+    Task,
     TransportError,
-    dispatch,
+    dispatch,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     fan_out,
     round_robin_assign,
 )
@@ -93,6 +94,13 @@ class Candidate:
     rho_final_log: float | None = None
     dropped: bool = False
     drop_reason: str | None = None
+
+    @property
+    def drop_notice(self) -> str:
+        """"draft 2 dropped: …" or "verification 1 dropped: …": a dropped
+        draft has no answer."""
+        stage = "draft" if self.answer is None else "verification"
+        return f"{stage} {self.subset_index} dropped: {self.drop_reason}"
 
 
 @dataclass
@@ -288,26 +296,22 @@ def draft_candidate(
 
 
 def generate(
-    endpoint: EndpointDescriptor, prompt: str, timeout_ms: int
-) -> tuple[str, tuple[TokenLogprob, ...]]:
-    """One greedy generation request with logprobs: the completion and its
-    tokens.
+    endpoint: EndpointDescriptor, prompt: str
+) -> Task[tuple[str, tuple[TokenLogprob, ...]]]:
+    """One greedy generation request with logprobs, as a ``fan_out`` task:
+    the completion and its tokens.
 
     Drafts and the standard call both generate through here. Raises
     ``MalformedResponseError`` when the reply lacks a text, the text cannot
     be encoded as UTF-8, or its token list is bad (see
     ``parse_token_payload``).
     """
-    body = dispatch(
-        endpoint,
-        {
-            "prompt": prompt,
-            "max_tokens": MAX_COMPLETION_TOKENS,
-            "temperature": 0,
-            "logprobs": True,
-        },
-        timeout_ms,
-    )
+    body = yield endpoint, {
+        "prompt": prompt,
+        "max_tokens": MAX_COMPLETION_TOKENS,
+        "temperature": 0,
+        "logprobs": True,
+    }
     text = body.get("text")
     if not isinstance(text, str):
         raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
@@ -319,20 +323,25 @@ def draft_subset(
     subset: DocumentSubset,
     docs_by_id: Mapping[str, Document],
     endpoint: EndpointDescriptor,
-    timeout_ms: int,
-) -> Candidate:
-    """Draft one subset with one ``generate`` request.
+) -> Task[Candidate]:
+    """Draft one subset with one ``generate`` request, as a ``fan_out`` task.
 
     A failed request or an unparseable completion comes back as a dropped
     ``Candidate`` rather than an error.
     """
     try:
         prompt = build_draft_prompt(query, subset, docs_by_id)
-        text, tokens = generate(endpoint, prompt, timeout_ms)
+        text, tokens = yield from generate(endpoint, prompt)
         return draft_candidate(subset, text, tokens)
     except (TransportError, DraftParseError) as exc:
         logger.warning("draft for subset %d dropped: %s", subset.subset_index, exc)
         return Candidate(subset.subset_index, dropped=True, drop_reason=str(exc))
+
+
+def drop_summary(candidates: Sequence[Candidate]) -> str:
+    """Each dropped candidate's notice, in subset order, joined by "; "."""
+    ordered = sorted(candidates, key=lambda c: c.subset_index)
+    return "; ".join(c.drop_notice for c in ordered if c.dropped)
 
 
 def generate_drafts(
@@ -347,20 +356,21 @@ def generate_drafts(
     Candidates and dropped drafts each come back in the order of
     ``subsets``, whatever the completion order; failed or unparseable
     completions are recorded as dropped rather than crashing the batch.
-    Raises ``NoValidDraftsError`` when nothing survives.
+    Raises ``NoValidDraftsError``, naming each drop reason, when nothing
+    survives.
     """
     if not subsets:
         raise ValueError("generate_drafts requires at least one subset")
     assigned = round_robin_assign(len(subsets), list(endpoints))
     outcomes = fan_out(
-        draft_subset,
         [
-            (query, subset, docs_by_id, endpoint, timeout_ms)
+            draft_subset(query, subset, docs_by_id, endpoint)
             for subset, endpoint in zip(subsets, assigned)
         ],
+        timeout_ms,
     )
     candidates = [o for o in outcomes if not o.dropped]
     if not candidates:
-        raise NoValidDraftsError("no valid drafts")
+        raise NoValidDraftsError(f"no valid drafts: {drop_summary(outcomes)}")
     dropped = [o for o in outcomes if o.dropped]
     return DraftBatch(candidates=candidates, dropped=dropped)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .backend import (
     EndpointDescriptor,
+    Task,
     TransportError,
     dispatch,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     fan_out,
@@ -58,6 +59,7 @@ from .drafting import (
     Candidate,
     NoValidDraftsError,
     draft_subset,
+    drop_summary,
     generate,
     generate_drafts,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
     instruction_text,
@@ -400,29 +402,26 @@ def _draft_then_verify(
     drafter: EndpointDescriptor,
     verifier: EndpointDescriptor,
     cfg: PipelineConfig,
-) -> tuple[Candidate, float, float]:
-    """One subset's task: draft it, then echo-score the draft at once,
-    without waiting for the other drafts. Returns the subset's candidate,
-    the time its draft returned and the time the task ended.
+) -> Task[tuple[Candidate, float, float]]:
+    """One subset's ``fan_out`` task: draft it, then echo-score the draft at
+    once, without waiting for the other drafts. Returns the subset's
+    candidate, the time its draft returned and the time the task ended.
 
     Each half's errors are labelled with its own stage. Random selection
     verifies nothing.
     """
     with _stage_errors("draft"):
-        candidate = draft_subset(
-            query, subset, docs_by_id, drafter, cfg.request_timeout_ms
-        )
+        candidate = yield from draft_subset(query, subset, docs_by_id, drafter)
     drafted_at = time.perf_counter()
     if candidate.dropped or cfg.selection_mode is SelectionMode.RANDOM:
         return candidate, drafted_at, drafted_at
     with _stage_errors("verify"):
-        candidate = verify_candidate(
+        candidate = yield from verify_candidate(
             query,
             candidate,
             docs_by_id,
             cfg.verification_context_mode,
             verifier,
-            cfg.request_timeout_ms,
             cfg.score_terms,
         )
     return candidate, drafted_at, time.perf_counter()
@@ -439,7 +438,8 @@ def run_speculative(
     scored as soon as it arrives; ``draft_ms`` ends when the last draft
     returns and ``verify_ms`` is the tail from there to the last
     verification. If a task fails, the first error in subset order is
-    raised.
+    raised. If no draft survives both halves, the error names each
+    subset's drop reason, in subset order.
     """
     query, docs, notices = prepare_record(record, cfg)
     docs_by_id = {d.id: d for d in docs}
@@ -458,11 +458,13 @@ def run_speculative(
     with _stage_errors("draft"):
         drafters = round_robin_assign(len(plan.subsets), backends.drafters)
         outcomes = fan_out(
-            _draft_then_verify,
             [
-                (query, subset, docs_by_id, drafter, backends.verifier, cfg)
+                _draft_then_verify(
+                    query, subset, docs_by_id, drafter, backends.verifier, cfg
+                )
                 for subset, drafter in zip(plan.subsets, drafters)
             ],
+            cfg.request_timeout_ms,
         )
     drafted = max(drafted_at for _, drafted_at, _ in outcomes)
     timings.draft_ms = (drafted - drafting_started) * 1000.0
@@ -473,17 +475,20 @@ def run_speculative(
     candidates = [candidate for candidate, _, _ in outcomes]
     drafts = [c for c in candidates if c.answer is not None]
     if not drafts:
-        raise NoValidDraftsError("no valid drafts")
-    for c in sorted(candidates, key=lambda c: c.answer is not None):
-        if c.dropped:
-            stage = "draft" if c.answer is None else "verification"
-            notices.append(f"{stage} {c.subset_index} dropped: {c.drop_reason}")
+        raise NoValidDraftsError(f"no valid drafts: {drop_summary(candidates)}")
     unscored = cfg.selection_mode is SelectionMode.RANDOM  # verifies nothing
     scored = [
         (c.subset_index, 0.0 if unscored else c.rho_final_log)
         for c in drafts
         if not c.dropped
     ]
+    if not scored:
+        raise PipelineError(
+            f"no surviving candidates to select from: {drop_summary(candidates)}"
+        )
+    for c in sorted(candidates, key=lambda c: c.answer is not None):
+        if c.dropped:
+            notices.append(c.drop_notice)
 
     winner = select_best(
         scored, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
@@ -527,9 +532,8 @@ def run_standard_baseline(
     started = time.perf_counter()
     timings = StageTimings()
     with _stage(timings, "draft"):
-        text, _ = generate(
-            backends.verifier,
-            build_standard_prompt(query, docs),
+        [(text, _)] = fan_out(
+            [generate(backends.verifier, build_standard_prompt(query, docs))],
             cfg.request_timeout_ms,
         )
 

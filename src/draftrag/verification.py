@@ -18,7 +18,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backend import EndpointDescriptor, TransportError, dispatch, fan_out
+from .backend import (
+    EndpointDescriptor,
+    Task,
+    TransportError,
+    dispatch,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
+    fan_out,
+)
 from .core import (
     Document,
     PipelineError,
@@ -120,23 +126,20 @@ def build_verify_prompt(
 
 
 def score_candidate(
-    prompt: VerifyPrompt, endpoint: EndpointDescriptor, timeout_ms: int
-) -> tuple[float, float]:
-    """Echo-score one prompt: returns (self-consistency, self-reflection) logs.
+    prompt: VerifyPrompt, endpoint: EndpointDescriptor
+) -> Task[tuple[float, float]]:
+    """Echo-score one prompt, as a ``fan_out`` task: returns
+    (self-consistency, self-reflection) logs.
 
     Exactly one verifier request is issued per call.
     """
-    body = dispatch(
-        endpoint,
-        {
-            "prompt": prompt.text,
-            "max_tokens": 0,
-            "temperature": 0,
-            "logprobs": True,
-            "echo": True,
-        },
-        timeout_ms,
-    )
+    body = yield endpoint, {
+        "prompt": prompt.text,
+        "max_tokens": 0,
+        "temperature": 0,
+        "logprobs": True,
+        "echo": True,
+    }
     tokens = parse_token_payload(body.get("tokens"), endpoint.url, prompt.text)
     rho_sc = sum(sequence_logprob(tokens, span) for span in prompt.consistency_spans)
     rho_sr = sequence_logprob(tokens, prompt.affirmation_span)
@@ -187,11 +190,10 @@ def verify_candidate(
     docs_by_id: Mapping[str, Document],
     mode: VerificationContextMode,
     endpoint: EndpointDescriptor,
-    timeout_ms: int,
     score_terms: frozenset[ScoreTerm],
-) -> Candidate:
-    """Score one drafted candidate with one echo request: the same candidate
-    with its three remaining scores filled in.
+) -> Task[Candidate]:
+    """Score one drafted candidate with one echo request, as a ``fan_out``
+    task: the same candidate with its three remaining scores filled in.
 
     When neither verifier-side term is enabled no request is issued and the
     final score reduces to the enabled drafter term. An endpoint failure
@@ -202,7 +204,7 @@ def verify_candidate(
     if score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}:
         try:
             prompt = build_verify_prompt(query, candidate, docs_by_id, mode)
-            rho_sc, rho_sr = score_candidate(prompt, endpoint, timeout_ms)
+            rho_sc, rho_sr = yield from score_candidate(prompt, endpoint)
         except TransportError as exc:
             logger.warning(
                 "verification for subset %d dropped: %s", candidate.subset_index, exc
@@ -228,11 +230,11 @@ def verify_candidates(
     """Score every candidate concurrently, one echo request each, results in
     subset order (see ``verify_candidate``)."""
     results = fan_out(
-        verify_candidate,
         [
-            (query, c, docs_by_id, mode, endpoint, timeout_ms, score_terms)
+            verify_candidate(query, c, docs_by_id, mode, endpoint, score_terms)
             for c in candidates
         ],
+        timeout_ms,
     )
     results.sort(key=lambda r: r.subset_index)
     return results

@@ -3,11 +3,11 @@ import json
 import os
 import re
 import socket
-import signal
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 from pathlib import Path
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draftrag import backend
 from draftrag.backend import (
     MAX_HEADERS,
     MAX_LINE_BYTES,
@@ -504,85 +505,258 @@ def scripted_replies(draw):
     return (reply if cut is None else reply[:cut]), (body if complete else None)
 
 
+def reply_text(prompt: str) -> str:
+    """The mock's fallback completion for a one-line prompt."""
+    return f"## Rationale: {prompt}. ## Response: {prompt}."
+
+
+def reply_or_error(endpoint: EndpointDescriptor, prompt: str):
+    """A ``fan_out`` task making one generation request: the decoded reply,
+    or the transport error thrown into the task."""
+    try:
+        return (yield endpoint, {"prompt": prompt})
+    except TransportError as exc:
+        return exc
+
+
+def request(endpoint: EndpointDescriptor, prompt: str):
+    """Like ``reply_or_error``, but the reply's text."""
+    reply = yield from reply_or_error(endpoint, prompt)
+    return reply if isinstance(reply, TransportError) else reply["text"]
+
+
+@pytest.fixture(scope="module")
+def steady_server():
+    with MockLMServer() as server:
+        yield server
+
+
 class TestReplyFuzz:
     @given(scripted_replies(), st.sampled_from([True, True, True, False]))
     @settings(max_examples=150, deadline=None)
-    def test_any_reply_gives_a_body_or_a_transport_error(self, scripted, reply, close):
+    def test_any_reply_gives_a_body_or_a_transport_error(
+        self, scripted, steady_server, reply, close
+    ):
         raw, body = reply
         scripted.reply, scripted.close = raw, close
-        ep = drafter(scripted.url)
-        start = time.monotonic()
-        try:
-            result = dispatch(ep, {"prompt": "fuzz"}, FUZZ_TIMEOUT_MS)
-        except TransportError as exc:
-            result = exc
-        elapsed = time.monotonic() - start
-        pooled = len(ep._idle) == 1
-        for _, conn in ep._idle:
-            conn.close()
-        assert elapsed < FUZZ_TIMEOUT_MS / 1000 + 1.0
-        assert isinstance(result, (dict, TransportError))
-        if body is None:
-            assert not pooled
-        elif not isinstance(result, EndpointTimeout):
-            # A complete 200: pooled, and its body decoded as sent.
-            assert pooled
-            try:
-                sent = json.loads(body)
-            except ValueError:
-                sent = None
-            if isinstance(sent, dict):
-                assert json.dumps(result) == json.dumps(sent)
+        # Once on its own, then through ``fan_out`` beside a task on a
+        # working server, whose result the fuzzed reply must not touch.
+        for driven in (False, True):
+            ep = drafter(scripted.url)
+            start = time.monotonic()
+            if driven:
+                steady = drafter(steady_server.generate_url)
+                result, text = fan_out(
+                    [reply_or_error(ep, "fuzz"), request(steady, "steady")],
+                    FUZZ_TIMEOUT_MS,
+                )
+                assert text == reply_text("steady")
             else:
-                assert isinstance(result, MalformedResponseError)
+                try:
+                    result = dispatch(ep, {"prompt": "fuzz"}, FUZZ_TIMEOUT_MS)
+                except TransportError as exc:
+                    result = exc
+            elapsed = time.monotonic() - start
+            pooled = len(ep._idle) == 1
+            for _, conn in ep._idle:
+                conn.close()
+            assert elapsed < FUZZ_TIMEOUT_MS / 1000 + 1.0
+            assert isinstance(result, (dict, TransportError))
+            if body is None:
+                assert not pooled
+            elif not isinstance(result, EndpointTimeout):
+                # A complete 200: pooled, and its body decoded as sent.
+                assert pooled
+                try:
+                    sent = json.loads(body)
+                except ValueError:
+                    sent = None
+                if isinstance(sent, dict):
+                    assert json.dumps(result) == json.dumps(sent)
+                else:
+                    assert isinstance(result, MalformedResponseError)
+
+
+class HoldUntilAllArrive(MockScript):
+    """Holds every generation reply until ``parties`` requests are waiting."""
+
+    def __init__(self, parties: int):
+        super().__init__()
+        self.barrier = threading.Barrier(parties, timeout=10)
+
+    def generate(self, prompt):
+        self.barrier.wait()
+        return super().generate(prompt)
+
+
+def resource_warnings(run) -> list:
+    """The ResourceWarnings raised while ``run()`` runs and the garbage is
+    then collected: one for each socket left open and dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestFanOut:
-    def test_results_come_in_call_order(self):
-        def late_for_low_i(i):
-            time.sleep(0.01 * (5 - i))
-            return i
+    def test_results_come_in_task_order_whatever_the_reply_order(
+        self, server_factory
+    ):
+        class RepliesInReverse(MockScript):
+            # Generates "i" only once "i + 1" is done, and 20 ms later, so
+            # the reply to "i + 1" leaves first.
+            def __init__(self):
+                super().__init__()
+                self.done = {str(i): threading.Event() for i in range(6)}
+                self.done["5"].set()
 
-        assert fan_out(late_for_low_i, [(i,) for i in range(5)]) == list(range(5))
+            def generate(self, prompt):
+                self.done[str(int(prompt) + 1)].wait(10)
+                time.sleep(0.02)
+                self.done[prompt].set()
+                return super().generate(prompt)
 
-    def test_first_error_in_call_order_is_raised_after_every_call_ends(self):
+        ep = drafter(server_factory(script=RepliesInReverse()).generate_url)
+        resumed = []
+
+        def task(i):
+            text = yield from request(ep, str(i))
+            resumed.append(i)
+            return text
+
+        texts = fan_out([task(i) for i in range(5)], 5000)
+        assert texts == [reply_text(str(i)) for i in range(5)]
+        assert resumed == [4, 3, 2, 1, 0]
+
+    def test_a_hung_endpoint_times_out_only_its_own_task(
+        self, mock_server, server_factory
+    ):
+        hung = drafter(server_factory(script=MockScript(delay_ms=3000)).generate_url)
+        good = drafter(mock_server.generate_url)
+
+        def two_requests(prompt):
+            first = yield from request(good, prompt)
+            return first, (yield from request(good, prompt + "2"))
+
+        start = time.monotonic()
+        results = fan_out(
+            [two_requests("a"), request(hung, "b"), request(good, "c")], 300
+        )
+        elapsed = time.monotonic() - start
+        assert results[0] == (reply_text("a"), reply_text("a2"))
+        assert isinstance(results[1], EndpointTimeout)
+        assert results[2] == reply_text("c")
+        assert 0.3 <= elapsed < 1.5
+        assert (hung.consecutive_failures, hung._idle) == (1, [])
+        assert good.consecutive_failures == 0
+        assert mock_server.request_counts() == {"generate": 3}
+
+    def test_first_error_in_task_order_is_raised_after_every_task_ends(
+        self, mock_server
+    ):
+        ep = drafter(mock_server.generate_url)
         finished = []
 
-        def call(i):
-            time.sleep(0.05 if i == 3 else 0.0)
-            if i in (1, 2):
-                raise ValueError(f"call {i} failed")
+        def task(i):
+            if i == 2:
+                raise ValueError("task 2 failed")
+            text = yield from request(ep, f"p{i}")
+            if i == 1:
+                raise ValueError("task 1 failed")
+            if i == 3:
+                text = yield from request(ep, "again")
             finished.append(i)
+            return text
 
-        with pytest.raises(ValueError, match="call 1 failed"):
-            fan_out(call, [(i,) for i in range(4)])
-        assert sorted(finished) == [0, 3]
+        def run():
+            with pytest.raises(ValueError, match="^task 1 failed$"):
+                fan_out([task(i) for i in range(4)], 5000)
+            assert sorted(finished) == [0, 3]
+            assert len(ep._idle) == 3
+            for _, conn in ep._idle:
+                conn.close()
 
-    def test_wide_fan_out_runs_every_call_at_once(self):
-        # Wider than the standard library's default pool on a small host.
-        width = 40
-        barrier = threading.Barrier(width, timeout=10)
-        assert sorted(fan_out(barrier.wait, [()] * width)) == list(range(width))
+        assert resource_warnings(run) == []
+        assert mock_server.request_counts() == {"generate": 4}
 
-    def test_forked_child_can_fan_out(self):
-        fan_out(time.sleep, [(0.01,)] * 4)  # the parent's pool has idle threads
-        pid = os.fork()
-        if pid == 0:
+    def test_an_interrupt_closes_every_request_in_flight(self, server_factory):
+        ep = drafter(server_factory(script=MockScript(delay_ms=2000)).generate_url)
+        closed = []
+
+        def task(i):
             try:
-                ok = fan_out(abs, [(-1,)] * 4) == [1] * 4
+                if i == 3:
+                    raise KeyboardInterrupt
+                return (yield from request(ep, f"p{i}"))
             finally:
-                os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("fan_out in a forked child never ran its calls")
-        assert os.waitstatus_to_exitcode(status) == 0
+                closed.append(i)
+
+        def run():
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                fan_out([task(i) for i in range(4)], 5000)
+            assert time.monotonic() - start < 1.0
+            assert sorted(closed) == [0, 1, 2, 3]
+            assert ep._idle == []
+
+        assert resource_warnings(run) == []
+
+    def test_a_task_on_an_unhealthy_endpoint_gets_a_routing_error_unsent(
+        self, mock_server, monkeypatch
+    ):
+        opened = []
+
+        class CountedConnection(backend._Connection):
+            def __init__(self, url, timeout_s):
+                opened.append(url.geturl())
+                super().__init__(url, timeout_s)
+
+        monkeypatch.setattr(backend, "_Connection", CountedConnection)
+        sick, well = drafter(mock_server.generate_url), drafter(mock_server.generate_url)
+        sick.healthy = False
+        results = fan_out([request(sick, "a"), request(well, "b")], 5000)
+        assert isinstance(results[0], EndpointUnavailableError)
+        assert results[1] == reply_text("b")
+        assert opened == [mock_server.generate_url]
+        assert sick._idle == []
+        assert mock_server.request_counts() == {"generate": 1}
+
+    def test_connection_closed_by_the_server_is_retried_once(self, mock_server):
+        ep = drafter(mock_server.generate_url)
+        assert fan_out([request(ep, "a")], 5000) == [reply_text("a")]
+        [(_, stale)] = ep._idle
+        mock_server._httpd.shutdown_open_connections()
+        time.sleep(0.1)
+        assert fan_out([request(ep, "b")], 5000) == [reply_text("b")]
+        assert ep.consecutive_failures == 0
+        assert stale.sock is None
+        assert [conn for _, conn in ep._idle] != [stale]
+        assert mock_server.request_counts() == {"generate": 2}
+
+    def test_forty_tasks_are_in_flight_at_once_from_the_calling_thread(
+        self, server_factory, monkeypatch
+    ):
+        # No reply leaves until all 40 requests have arrived, so the tasks
+        # finish only if every request is in flight at the same time.
+        width = 40
+        ep = drafter(server_factory(script=HoldUntilAllArrive(width)).generate_url)
+        caller = threading.current_thread()
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            if threading.current_thread() is caller:
+                started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        prompts = [f"p{i}" for i in range(width)]
+        assert fan_out([request(ep, p) for p in prompts], 15000) == [
+            reply_text(p) for p in prompts
+        ]
+        assert started == []
+        assert len(ep._idle) == width
 
 
 class TestRoundRobin:
@@ -830,6 +1004,38 @@ class TestServerEndpoints:
     def test_script_with_a_bad_field_is_rejected(self, raw, field):
         with pytest.raises(ValueError, match=re.escape(field)):
             MockScript.from_dict(raw)
+
+
+REQUEST_FIELDS = st.sampled_from(
+    ["prompt", "echo", "max_tokens", "logprobs", "instruction", "inputs"]
+)
+REQUEST_BODIES = (
+    JSON_VALUES.map(json_bytes)
+    | st.dictionaries(REQUEST_FIELDS, JSON_VALUES, max_size=4).map(json_bytes)
+    | st.binary(max_size=64)
+)
+
+
+class TestRequestFuzz:
+    @given(st.sampled_from(["/generate", "/embed"]), REQUEST_BODIES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_request_body_gets_200_or_400(self, steady_server, path, body):
+        conn = HTTPConnection("127.0.0.1", steady_server.port, timeout=5)
+        try:
+            conn.request("POST", path, body)
+            reply = conn.getresponse()
+            decoded = json.loads(reply.read())
+            assert reply.status in (200, 400)
+            if reply.status == 400:
+                assert set(decoded) == {"error"}
+            if not reply.will_close:
+                # The connection serves the next request.
+                conn.request("POST", "/generate", b'{"prompt": "next"}')
+                reply = conn.getresponse()
+                assert reply.status == 200
+                assert json.loads(reply.read())["text"] == reply_text("next")
+        finally:
+            conn.close()
 
 
 def test_runtime_imports_and_dispatch_work_without_requests():

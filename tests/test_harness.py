@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -40,7 +41,7 @@ from draftrag.harness import (
     sweep_grid,
     write_dataset,
 )
-from draftrag.mock_server import MockScript
+from draftrag.mock_server import MockScript, uniform_tokens
 from draftrag.synthetic import make_rigged_fixture
 from reference_texts import WORKED_ANSWER_B
 
@@ -300,6 +301,24 @@ class FirstDraftHeldBack(MockScript):
         return super().echo(prompt)
 
 
+class NoMarkers(MockScript):
+    """Answers every generation request with a completion lacking both
+    markers, so every draft is dropped."""
+
+    def generate(self, prompt):
+        text = "no markers here"
+        return {"text": text, "tokens": uniform_tokens(text, -1.0)}
+
+
+class EchoRefusesAll(MockScript):
+    """Answers every echo with a positive last logprob, which the verifier
+    rejects, so every verification is dropped."""
+
+    def echo(self, prompt):
+        *tokens, last = super().echo(prompt)["tokens"]  # shared with the script
+        return {"text": prompt, "tokens": [*tokens, {**last, "logprob": 0.5}]}
+
+
 class TokenlessGeneration(MockScript):
     """Replies to every generation request without a token list."""
 
@@ -417,8 +436,10 @@ class TestPipelines:
     def test_no_thread_starts_per_query_after_warm_up(
         self, rigged, server_factory, monkeypatch
     ):
-        # A delay makes every draft, and then every verification, overlap,
-        # so the warm-up grows each pool to its peak.
+        # The client starts no thread at all; the in-process mock starts one
+        # per new connection. A delay makes every draft, and then every
+        # verification, overlap, so the warm-up opens every connection the
+        # later queries reuse.
         script = MockScript(
             completions=rigged.script.completions,
             echoes=rigged.script.echoes,
@@ -622,6 +643,50 @@ class TestPipelines:
             f"verification 1 dropped: {echo_error}",
         ]
         assert (result.winning_subset_index, result.final_answer) == (0, "text 1.")
+
+    @pytest.mark.parametrize(
+        "script_type, error",
+        [
+            (
+                NoMarkers,
+                r'no valid drafts: (draft \d+ dropped: missing "## Rationale:" marker; )*'
+                r'draft \d+ dropped: missing "## Rationale:" marker',
+            ),
+            (
+                EchoRefusesAll,
+                r"no surviving candidates to select from: "
+                r"(verification \d+ dropped: token \d+ has logprob 0.5, [^;]*; )*"
+                r"verification \d+ dropped: token \d+ has logprob 0.5, [^;]*",
+            ),
+        ],
+        ids=["drafts", "verifications"],
+    )
+    def test_a_record_with_every_subset_dropped_says_why_in_the_summary(
+        self, rigged, server_factory, tmp_path, script_type, error
+    ):
+        server = server_factory(
+            script=script_type(
+                completions=rigged.script.completions, echoes=rigged.script.echoes
+            )
+        )
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        record = rigged.records[0]
+        run_experiment([record], cfg, name="spec", out_dir=tmp_path)
+        summary = json.loads((tmp_path / "spec.summary.json").read_text())
+        [row] = summary["per_record"]
+        assert row["correct"] is None
+        assert re.fullmatch(error, row["error"])
+        # One reason per subset, in subset order.
+        log = server.request_log_snapshot()
+        subsets = sum(1 for entry in log if entry["kind"] == "generate")
+        dropped = re.findall(r"(?:draft|verification) (\d+) dropped", row["error"])
+        assert [int(i) for i in dropped] == list(range(subsets))
+
 
 def run_grid(records, grid):
     return [run_experiment(records, cfg, name=name) for name, cfg in grid]

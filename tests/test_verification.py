@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import EndpointDescriptor
+from draftrag.backend import EndpointDescriptor, fan_out
 from draftrag.core import (
     Document,
     PipelineError,
@@ -119,6 +119,12 @@ def _verifier(server):
     return EndpointDescriptor(server.generate_url)
 
 
+def score(prompt, server):
+    """``score_candidate`` run through the request driver."""
+    [scores] = fan_out([score_candidate(prompt, _verifier(server))], 5000)
+    return scores
+
+
 def brute_force_span_sum(tokens: list[dict], span: Span) -> float:
     return sum(
         t["logprob"]
@@ -148,7 +154,7 @@ class TestScoreCandidate:
         ]
         mock_server.script.script_echo(vp.text, tokens)
 
-        rho_sc, rho_sr = score_candidate(vp, _verifier(mock_server), 5000)
+        rho_sc, rho_sr = score(vp, mock_server)
         expected_sc = sum(
             brute_force_span_sum(tokens, s) for s in vp.consistency_spans
         )
@@ -167,7 +173,7 @@ class TestScoreCandidate:
         from draftrag.mock_server import uniform_tokens
 
         mock_server.script.script_echo(vp.text, uniform_tokens(vp.text, 0.0))
-        rho_sc, rho_sr = score_candidate(vp, _verifier(mock_server), 5000)
+        rho_sc, rho_sr = score(vp, mock_server)
         assert (rho_sc, rho_sr) == (0.0, 0.0)
 
     def test_issues_exactly_one_request_per_candidate(self, mock_server):
@@ -178,7 +184,7 @@ class TestScoreCandidate:
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
         )
-        score_candidate(vp, _verifier(mock_server), 5000)
+        score(vp, mock_server)
         counts = mock_server.request_counts()
         assert counts == {"echo": 1}
 
@@ -195,7 +201,7 @@ class TestScoreCandidate:
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
         )
-        rho_sc, _ = score_candidate(vp, _verifier(mock_server), 5000)
+        rho_sc, _ = score(vp, mock_server)
         rule_tokens = tuple(
             TokenLogprob(t["logprob"], t["start"], t["end"])
             for t in tokens_from_rule(vp.text)
