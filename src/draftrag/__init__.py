@@ -40,7 +40,6 @@ from .core import (
     TaskKind,
     VerificationContextMode,
     derive_rng,
-    seeded_rng,
     validate_config,
 )
 from .drafting import (

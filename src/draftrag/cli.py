@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (one mode over a dataset), ``ablate`` (the named config
 variant grid), ``sweep`` (draft-count / subset-size grids), ``mock-serve``
-(the deterministic mock LM server), and ``report`` (latency tables from
-results files).
+(the deterministic mock LM server; its per-request delay is the script
+file's ``delay_ms``), and ``report`` (latency tables from results files).
 
 ``run``, ``ablate`` and ``sweep`` share one path: each picks a list of named
 configs and runs ``run_experiment`` once per entry.
@@ -147,8 +147,6 @@ def _cmd_mock_serve(args) -> int:
             script = MockScript.from_json_file(args.script)
         except (OSError, ValueError) as exc:  # ValueError: not JSON, or not a script
             raise ConfigError(f"cannot load mock script {args.script}: {exc}")
-    if args.delay_ms is not None:
-        script.delay_ms = args.delay_ms
     try:
         server = MockLMServer(script=script, port=args.port)
     except (OverflowError, OSError) as exc:  # a port out of range, or taken
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("mock-serve", help="serve the deterministic mock LM")
     serve.add_argument("--script", help="JSON mock script file")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--delay-ms", dest="delay_ms", type=int)
     serve.set_defaults(func=_cmd_mock_serve)
 
     report = sub.add_parser("report", help="latency table from results files")

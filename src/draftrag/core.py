@@ -49,9 +49,7 @@ class SelectionMode(str, Enum):
     RANDOM = "random"
 
 
-ALL_SCORE_TERMS = frozenset(
-    {ScoreTerm.DRAFT, ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}
-)
+ALL_SCORE_TERMS = frozenset(ScoreTerm)
 
 
 @dataclass(frozen=True)
@@ -264,19 +262,15 @@ class StageTimings:
 # draws across platforms and runs.
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic random stream for an unsigned 64-bit seed."""
-    if not (0 <= seed <= MAX_SEED):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def derive_rng(seed: int, *labels: str) -> np.random.Generator:
-    """Independent substream keyed by (seed, labels).
+    """Deterministic stream keyed by an unsigned 64-bit seed and ``labels``.
 
     Substreams let stages (clustering, sampling, selection) draw independently
-    so adding draws to one stage never perturbs another.
+    so adding draws to one stage never perturbs another. With no labels this
+    is the seed's own stream.
     """
+    if not (0 <= seed <= MAX_SEED):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     entropy = [seed]
     for label in labels:
         digest = hashlib.sha256(label.encode("utf-8")).digest()

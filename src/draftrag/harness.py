@@ -473,16 +473,10 @@ def run_speculative(
     # One row per subset, in subset order. A dropped draft has no answer,
     # and its notice comes before those of dropped verifications.
     candidates = [candidate for candidate, _, _ in outcomes]
-    drafts = [c for c in candidates if c.answer is not None]
-    if not drafts:
+    if all(c.answer is None for c in candidates):
         raise NoValidDraftsError(f"no valid drafts: {drop_summary(candidates)}")
-    unscored = cfg.selection_mode is SelectionMode.RANDOM  # verifies nothing
-    scored = [
-        (c.subset_index, 0.0 if unscored else c.rho_final_log)
-        for c in drafts
-        if not c.dropped
-    ]
-    if not scored:
+    survivors = [c for c in candidates if not c.dropped]
+    if not survivors:
         raise PipelineError(
             f"no surviving candidates to select from: {drop_summary(candidates)}"
         )
@@ -491,15 +485,15 @@ def run_speculative(
             notices.append(c.drop_notice)
 
     winner = select_best(
-        scored, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
+        survivors, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
     )
     timings.total_ms = (time.perf_counter() - started) * 1000.0
 
     return PipelineResult(
         query_id=query.id,
         mode="speculative",
-        final_answer=next(c.answer for c in drafts if c.subset_index == winner),
-        winning_subset_index=winner,
+        final_answer=winner.answer,
+        winning_subset_index=winner.subset_index,
         candidates=candidates,
         timings=timings,
         notices=notices,
@@ -717,58 +711,35 @@ def write_experiment(
 def ablation_grid(
     cfg: PipelineConfig, variants: Sequence[str] | None
 ) -> list[tuple[str, PipelineConfig]]:
-    """Named config variants: sampling strategies, score-term removals,
-    random selection, and verification-context modes.
+    """Named config variants, each changing one design choice of ``cfg``:
+    ``baseline`` (``cfg`` itself), then ``sampling_<mode>``, ``score_wo_<term>``
+    (the term removed from ``cfg.score_terms``), ``selection_<mode>`` and
+    ``context_<mode>``, in enum order. A mode variant exists for each member
+    of ``SamplingMode``, ``SelectionMode`` and ``VerificationContextMode``
+    other than ``PipelineConfig()``'s default.
 
     ``variants`` names the ones to keep (None keeps all); an unknown name
     raises ``ConfigError`` listing the known ones.
     """
-    from .core import SamplingMode, VerificationContextMode
+    default = PipelineConfig()
 
-    all_terms = cfg.score_terms
+    def modes(prefix: str, name: str) -> list[tuple[str, PipelineConfig]]:
+        current = getattr(default, name)
+        return [
+            (f"{prefix}_{mode.value}", replace(cfg, **{name: mode}))
+            for mode in type(current)
+            if mode is not current
+        ]
+
     grid = [
         ("baseline", cfg),
-        (
-            "sampling_random_no_cluster",
-            replace(cfg, sampling_mode=SamplingMode.RANDOM_NO_CLUSTER),
-        ),
-        (
-            "sampling_same_cluster",
-            replace(cfg, sampling_mode=SamplingMode.SAME_CLUSTER),
-        ),
-        (
-            "score_wo_draft",
-            replace(cfg, score_terms=frozenset(all_terms - {ScoreTerm.DRAFT})),
-        ),
-        (
-            "score_wo_self_consistency",
-            replace(
-                cfg, score_terms=frozenset(all_terms - {ScoreTerm.SELF_CONSISTENCY})
-            ),
-        ),
-        (
-            "score_wo_self_reflection",
-            replace(
-                cfg, score_terms=frozenset(all_terms - {ScoreTerm.SELF_REFLECTION})
-            ),
-        ),
-        ("selection_random", replace(cfg, selection_mode=SelectionMode.RANDOM)),
-        (
-            "context_documents_only",
-            replace(
-                cfg,
-                verification_context_mode=VerificationContextMode.DOCUMENTS_ONLY,
-            ),
-        ),
-        (
-            "context_rationale_and_documents",
-            replace(
-                cfg,
-                verification_context_mode=(
-                    VerificationContextMode.RATIONALE_AND_DOCUMENTS
-                ),
-            ),
-        ),
+        *modes("sampling", "sampling_mode"),
+        *[
+            (f"score_wo_{t.value}", replace(cfg, score_terms=cfg.score_terms - {t}))
+            for t in ScoreTerm
+        ],
+        *modes("selection", "selection_mode"),
+        *modes("context", "verification_context_mode"),
     ]
     if variants is None:
         return grid

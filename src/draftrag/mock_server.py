@@ -118,10 +118,14 @@ def _int_field(raw: dict, name: str, default: int) -> int:
     return value
 
 
-def _string_field(raw: dict, name: str) -> str:
-    value = raw.get(name, "")
+def _text(value: object, name: str) -> str:
+    """``value`` if it is a string UTF-8 can encode, else ValueError."""
     if not isinstance(value, str):
         raise ValueError(f'"{name}" must be a string')
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise ValueError(f'"{name}" is not encodable as UTF-8') from None
     return value
 
 
@@ -336,7 +340,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _post(self) -> None:
         body = self._read_body()
         if self._route == "/generate":
-            prompt = _string_field(body, "prompt")
+            prompt = _text(body.get("prompt", ""), "prompt")
             kind = "echo" if body.get("echo") else "generate"
             self.mock.log_request_entry(kind, prompt)
             self.mock.apply_delay()
@@ -344,12 +348,11 @@ class _Handler(BaseHTTPRequestHandler):
             result = script.echo(prompt) if kind == "echo" else script.generate(prompt)
             self._send_json(200, result)
         elif self._route == "/embed":
-            instruction = _string_field(body, "instruction")
+            instruction = _text(body.get("instruction", ""), "instruction")
             inputs = body.get("inputs", [])
-            if not isinstance(inputs, list) or not all(
-                isinstance(text, str) for text in inputs
-            ):
+            if not isinstance(inputs, list):
                 raise ValueError('"inputs" must be a list of strings')
+            inputs = [_text(text, "inputs") for text in inputs]
             self.mock.log_request_entry("embed", "\x1f".join([instruction, *inputs]))
             self.mock.apply_delay()
             self._send_json(200, self.mock.script.embed(instruction, inputs))

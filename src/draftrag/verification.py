@@ -168,20 +168,21 @@ def combine_scores(
 
 
 def select_best(
-    scored: Sequence[tuple[int, float]],
+    candidates: Sequence[Candidate],
     selection_mode: SelectionMode,
     rng: np.random.Generator,
-) -> int:
-    """Pick the winning subset index.
+) -> Candidate:
+    """Pick the winner among the surviving candidates.
 
-    argmax takes the highest final score, ties broken by the lowest subset
-    index; random picks uniformly (the no-verification ablation).
+    argmax takes the highest ``rho_final_log``, ties broken by the lowest
+    subset index; random picks uniformly with one draw from ``rng`` and
+    reads no score (the no-verification ablation).
     """
-    if not scored:
+    if not candidates:
         raise PipelineError("no surviving candidates to select from")
     if selection_mode is SelectionMode.RANDOM:
-        return scored[int(rng.integers(len(scored)))][0]
-    return min(scored, key=lambda item: (-item[1], item[0]))[0]
+        return candidates[int(rng.integers(len(candidates)))]
+    return min(candidates, key=lambda c: (-c.rho_final_log, c.subset_index))
 
 
 def verify_candidate(

@@ -898,6 +898,10 @@ class TestServerEndpoints:
             ("/generate", {"prompt": 5}, "prompt"),
             ("/embed", {"inputs": [1]}, "inputs"),
             ("/embed", {"instruction": None, "inputs": ["a"]}, "instruction"),
+            # Lone surrogates: JSON can carry them, UTF-8 cannot encode them.
+            ("/generate", {"prompt": "who \ud800 is"}, "prompt"),
+            ("/embed", {"instruction": "q", "inputs": ["a", "\udfff"]}, "inputs"),
+            ("/embed", {"instruction": "\ud800", "inputs": ["a"]}, "instruction"),
         ],
     )
     def test_field_of_the_wrong_type_gets_400(self, mock_server, path, body, field):
@@ -905,6 +909,9 @@ class TestServerEndpoints:
         status, reply = http("POST", url, json.dumps(body).encode())
         assert status == 400
         assert field in reply["error"]
+        # A refused request is neither logged nor counted.
+        assert mock_server.request_counts() == {}
+        assert mock_server.request_log_snapshot() == []
         # The server keeps serving.
         assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
 

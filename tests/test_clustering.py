@@ -20,7 +20,7 @@ from draftrag.clustering import (
     kmeans_cluster,
     unit_rows,
 )
-from draftrag.core import DataError, Document, Query, seeded_rng
+from draftrag.core import DataError, Document, Query, derive_rng
 from draftrag.mock_server import MockScript
 from json_strategies import JSON_VALUES, NUMBERS
 
@@ -118,7 +118,7 @@ def oracle_kmeans(points, k, rng, stats=None):
 
 def assert_matches_oracle(points, k, seed):
     ids = [f"d{i}" for i in range(len(points))]
-    oracle_rng, rng = seeded_rng(seed), seeded_rng(seed)
+    oracle_rng, rng = derive_rng(seed), derive_rng(seed)
     assign, centroids, history = oracle_kmeans(points, k, oracle_rng)
     cs = kmeans_cluster(ids, points, k, rng)
     assert [cs.assignments[d] for d in ids] == assign.tolist()
@@ -146,14 +146,14 @@ def clustering_cases(draw):
 class TestKMeans:
     def test_k1_puts_everything_in_one_cluster(self):
         points = [(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]
-        cs = kmeans_cluster(["a", "b", "c"], vectors_from(points), 1, seeded_rng(0))
+        cs = kmeans_cluster(["a", "b", "c"], vectors_from(points), 1, derive_rng(0))
         assert set(cs.assignments.values()) == {0}
         assert cs.nonempty_count == 1
 
     def test_k_equals_n_gives_singletons(self):
         points = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
         cs = kmeans_cluster(
-            ["a", "b", "c", "d"], vectors_from(points), 4, seeded_rng(0)
+            ["a", "b", "c", "d"], vectors_from(points), 4, derive_rng(0)
         )
         assert cs.nonempty_count == 4
         assert cs.sse == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +163,7 @@ class TestKMeans:
         # confirmed by exhaustive enumeration below.
         points = np.array([(0.0, 0.0), (0.0, 1.0), (10.0, 0.0), (10.0, 1.0)])
         ids = ["d1", "d2", "d3", "d4"]
-        cs = kmeans_cluster(ids, vectors_from(points), 2, seeded_rng(0))
+        cs = kmeans_cluster(ids, vectors_from(points), 2, derive_rng(0))
         groups = {
             frozenset(cs.members(i)) for i in cs.nonempty_indices()
         }
@@ -172,16 +172,16 @@ class TestKMeans:
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_cluster(["a"], vectors_from([(0.0, 0.0)]), 2, seeded_rng(0))
+            kmeans_cluster(["a"], vectors_from([(0.0, 0.0)]), 2, derive_rng(0))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         points = rng.normal(size=(12, 3))
         a = kmeans_cluster(
-            [f"d{i}" for i in range(12)], vectors_from(points), 3, seeded_rng(5)
+            [f"d{i}" for i in range(12)], vectors_from(points), 3, derive_rng(5)
         )
         b = kmeans_cluster(
-            [f"d{i}" for i in range(12)], vectors_from(points), 3, seeded_rng(5)
+            [f"d{i}" for i in range(12)], vectors_from(points), 3, derive_rng(5)
         )
         assert a.assignments == b.assignments
 
@@ -196,7 +196,7 @@ class TestKMeans:
         rng = np.random.default_rng(seed)
         points = rng.uniform(-5, 5, size=(n, 2))
         ids = [f"d{i}" for i in range(n)]
-        cs = kmeans_cluster(ids, vectors_from(points), k, seeded_rng(seed))
+        cs = kmeans_cluster(ids, vectors_from(points), k, derive_rng(seed))
 
         # Every document lands in exactly one cluster.
         assert set(cs.assignments) == set(ids)
@@ -217,7 +217,7 @@ class TestKMeans:
             [f"d{i}" for i in range(n)],
             vectors_from(points),
             min(3, n),
-            seeded_rng(seed),
+            derive_rng(seed),
         )
         history = cs.sse_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
@@ -241,7 +241,7 @@ class TestBatchedRestartsMatchSequential:
         # the first empty.
         points = np.ones((4, 2))
         stats = {"repairs": 0, "zero_totals": 0}
-        oracle_kmeans(points, 3, seeded_rng(0), stats)
+        oracle_kmeans(points, 3, derive_rng(0), stats)
         assert stats["repairs"] > 0
         assert stats["zero_totals"] == 2 * KMEANS_RESTARTS
         assert_matches_oracle(points, 3, 0)

@@ -14,31 +14,30 @@ from draftrag.core import (
     Query,
     StageTimings,
     derive_rng,
-    seeded_rng,
     validate_config,
 )
 
 
 class TestSeededRng:
     def test_same_seed_same_first_100_integers(self):
-        a = seeded_rng(0).integers(0, 2**32, 100)
-        b = seeded_rng(0).integers(0, 2**32, 100)
+        a = derive_rng(0).integers(0, 2**32, 100)
+        b = derive_rng(0).integers(0, 2**32, 100)
         assert np.array_equal(a, b)
 
     def test_known_stream_values(self):
         # Frozen draws from the documented PCG64 streams; guards against
         # accidental generator or seeding changes.
-        assert list(seeded_rng(1).integers(0, 1000, 5)) == [473, 511, 755, 950, 34]
-        assert list(seeded_rng(2).integers(0, 1000, 5)) == [837, 261, 109, 298, 413]
+        assert list(derive_rng(1).integers(0, 1000, 5)) == [473, 511, 755, 950, 34]
+        assert list(derive_rng(2).integers(0, 1000, 5)) == [837, 261, 109, 298, 413]
 
     def test_different_seeds_differ(self):
-        a = seeded_rng(1).integers(0, 2**32, 100)
-        b = seeded_rng(2).integers(0, 2**32, 100)
+        a = derive_rng(1).integers(0, 2**32, 100)
+        b = derive_rng(2).integers(0, 2**32, 100)
         assert not np.array_equal(a, b)
 
     def test_single_element_shuffle(self):
         arr = ["a"]
-        seeded_rng(0).shuffle(arr)
+        derive_rng(0).shuffle(arr)
         assert arr == ["a"]
 
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
@@ -46,15 +45,15 @@ class TestSeededRng:
     def test_shuffle_deterministic(self, seed):
         a = list(range(10))
         b = list(range(10))
-        seeded_rng(seed).shuffle(a)
-        seeded_rng(seed).shuffle(b)
+        derive_rng(seed).shuffle(a)
+        derive_rng(seed).shuffle(b)
         assert a == b
 
     def test_out_of_range_seed_rejected(self):
         with pytest.raises(ValueError):
-            seeded_rng(-1)
+            derive_rng(-1)
         with pytest.raises(ValueError):
-            seeded_rng(2**64)
+            derive_rng(2**64)
 
     def test_derived_substreams_are_independent(self):
         a = derive_rng(0, "kmeans", "q1").integers(0, 2**32, 20)

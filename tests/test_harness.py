@@ -2,7 +2,7 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,9 @@ from draftrag.core import (
     PipelineConfig,
     PipelineError,
     Query,
+    SamplingMode,
+    ScoreTerm,
+    SelectionMode,
     StageTimings,
     TaskKind,
 )
@@ -761,6 +764,55 @@ class TestExperiments:
         records, cfg, _ = rigged_env
         with pytest.raises(ValueError, match="unknown ablation"):
             ablation_grid(cfg, ["nope"])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            PipelineConfig(),
+            PipelineConfig.musique_profile(),
+            PipelineConfig(
+                sampling_mode=SamplingMode.SAME_CLUSTER,
+                score_terms=frozenset({ScoreTerm.DRAFT}),
+                selection_mode=SelectionMode.RANDOM,
+            ),
+        ],
+        ids=["default", "musique", "non-default"],
+    )
+    def test_ablation_grid_changes_one_field_per_variant(self, cfg):
+        prefixes = {
+            "sampling": "sampling_mode",
+            "score_wo": "score_terms",
+            "selection": "selection_mode",
+            "context": "verification_context_mode",
+        }
+        grid = ablation_grid(cfg, None)
+        assert grid[0] == ("baseline", cfg)
+        names = [name for name, _ in grid]
+        assert len(set(names)) == len(names)
+        for name, variant in grid[1:]:
+            [prefix] = [p for p in prefixes if name.startswith(f"{p}_")]
+            changed = prefixes[prefix]
+            value = name[len(prefix) + 1 :]
+            for f in fields(PipelineConfig):
+                if f.name != changed:
+                    assert getattr(variant, f.name) == getattr(cfg, f.name), name
+            if prefix == "score_wo":
+                assert variant.score_terms == cfg.score_terms - {ScoreTerm(value)}
+            else:
+                assert getattr(variant, changed).value == value
+        # A variant for each non-default member, and for no default one.
+        default = PipelineConfig()
+        expected = {"baseline"}
+        for prefix, changed in prefixes.items():
+            if prefix == "score_wo":
+                members = list(ScoreTerm)
+            else:
+                members = [
+                    m for m in type(getattr(default, changed))
+                    if m is not getattr(default, changed)
+                ]
+            expected.update(f"{prefix}_{member.value}" for member in members)
+        assert set(names) == expected
 
     def test_sweep_counts_match_grids(self, rigged_env):
         records, cfg, _ = rigged_env

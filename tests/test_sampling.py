@@ -10,7 +10,7 @@ from draftrag.clustering import (
     kmeans_cluster,
     sample_subsets,
 )
-from draftrag.core import SamplingMode, seeded_rng
+from draftrag.core import SamplingMode, derive_rng
 
 
 def make_clusters(groups: dict[int, list[str]]) -> ClusterSet:
@@ -32,14 +32,14 @@ def make_clusters(groups: dict[int, list[str]]) -> ClusterSet:
 class TestMultiPerspective:
     def test_all_singletons_truncates_to_one_subset(self):
         clusters = make_clusters({0: ["d1"], 1: ["d2"]})
-        plan = sample_subsets(clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(0))
+        plan = sample_subsets(clusters, 5, SamplingMode.MULTI_PERSPECTIVE, derive_rng(0))
         assert len(plan.subsets) == 1
         assert plan.subsets[0].member_doc_ids == ("d1", "d2")
         assert plan.notices and "truncated" in plan.notices[0]
 
     def test_two_by_two_returns_full_cross_product(self):
         clusters = make_clusters({0: ["a", "b"], 1: ["c", "d"]})
-        plan = sample_subsets(clusters, 4, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(0))
+        plan = sample_subsets(clusters, 4, SamplingMode.MULTI_PERSPECTIVE, derive_rng(0))
         got = {s.as_set() for s in plan.subsets}
         expected = {frozenset(p) for p in itertools.product(["a", "b"], ["c", "d"])}
         assert got == expected
@@ -53,8 +53,8 @@ class TestMultiPerspective:
             [rng.normal(0, 0.1, size=(5, 2)), rng.normal(10, 0.1, size=(5, 2))]
         )
         ids = [f"d{i}" for i in range(10)]
-        clusters = kmeans_cluster(ids, points, 2, seeded_rng(0))
-        plan = sample_subsets(clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(0))
+        clusters = kmeans_cluster(ids, points, 2, derive_rng(0))
+        plan = sample_subsets(clusters, 5, SamplingMode.MULTI_PERSPECTIVE, derive_rng(0))
         assert len(plan.subsets) == 5
         assert all(len(s.member_doc_ids) == 2 for s in plan.subsets)
         assert len({s.as_set() for s in plan.subsets}) == 5
@@ -73,7 +73,7 @@ class TestMultiPerspective:
             doc += size
         clusters = make_clusters(groups)
         plan = sample_subsets(
-            clusters, m, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(seed)
+            clusters, m, SamplingMode.MULTI_PERSPECTIVE, derive_rng(seed)
         )
 
         universe = int(np.prod(sizes))
@@ -91,7 +91,7 @@ class TestMultiPerspective:
 class TestOtherModes:
     def test_random_no_cluster_subset_size_and_uniqueness(self):
         clusters = make_clusters({0: ["a", "b", "c"], 1: ["d", "e"]})
-        plan = sample_subsets(clusters, 6, SamplingMode.RANDOM_NO_CLUSTER, seeded_rng(1))
+        plan = sample_subsets(clusters, 6, SamplingMode.RANDOM_NO_CLUSTER, derive_rng(1))
         assert len(plan.subsets) == 6
         seen = set()
         for s in plan.subsets:
@@ -102,7 +102,7 @@ class TestOtherModes:
     def test_random_no_cluster_can_mix_clusters(self):
         clusters = make_clusters({0: ["a", "b", "c"], 1: ["d", "e"]})
         plan = sample_subsets(
-            clusters, 10, SamplingMode.RANDOM_NO_CLUSTER, seeded_rng(1)
+            clusters, 10, SamplingMode.RANDOM_NO_CLUSTER, derive_rng(1)
         )
         # All C(5,2) = 10 pairs, so same-cluster pairs necessarily appear.
         source_patterns = {tuple(sorted(set(s.source_clusters))) for s in plan.subsets}
@@ -110,7 +110,7 @@ class TestOtherModes:
 
     def test_same_cluster_draws_within_one_cluster(self):
         clusters = make_clusters({0: ["a", "b", "c", "d"], 1: ["e", "f", "g"]})
-        plan = sample_subsets(clusters, 3, SamplingMode.SAME_CLUSTER, seeded_rng(2))
+        plan = sample_subsets(clusters, 3, SamplingMode.SAME_CLUSTER, derive_rng(2))
         assert plan.subsets
         chosen = {c for s in plan.subsets for c in s.source_clusters}
         assert len(chosen) == 1
@@ -122,7 +122,7 @@ class TestOtherModes:
         # nonempty_count is 3; if the singleton cluster is chosen the subset
         # size drops to 1.
         for seed in range(6):
-            plan = sample_subsets(clusters, 2, SamplingMode.SAME_CLUSTER, seeded_rng(seed))
+            plan = sample_subsets(clusters, 2, SamplingMode.SAME_CLUSTER, derive_rng(seed))
             for s in plan.subsets:
                 cluster = s.source_clusters[0]
                 expected = min(3, len(clusters.members(cluster)))
@@ -140,8 +140,8 @@ class TestDeterminism:
     )
     def test_same_seed_same_subsets(self, mode):
         clusters = make_clusters({0: ["a", "b", "c"], 1: ["d", "e", "f"]})
-        a = sample_subsets(clusters, 4, mode, seeded_rng(9)).subsets
-        b = sample_subsets(clusters, 4, mode, seeded_rng(9)).subsets
+        a = sample_subsets(clusters, 4, mode, derive_rng(9)).subsets
+        b = sample_subsets(clusters, 4, mode, derive_rng(9)).subsets
         assert a == b
 
 
@@ -175,12 +175,12 @@ def test_multi_perspective_subsets_are_more_diverse_than_random():
     trials = 100
     for trial in range(trials):
         ids, points = separated_instance(rng)
-        clusters = kmeans_cluster(ids, points, 2, seeded_rng(trial))
+        clusters = kmeans_cluster(ids, points, 2, derive_rng(trial))
         multi = sample_subsets(
-            clusters, 5, SamplingMode.MULTI_PERSPECTIVE, seeded_rng(trial)
+            clusters, 5, SamplingMode.MULTI_PERSPECTIVE, derive_rng(trial)
         )
         random = sample_subsets(
-            clusters, 5, SamplingMode.RANDOM_NO_CLUSTER, seeded_rng(trial)
+            clusters, 5, SamplingMode.RANDOM_NO_CLUSTER, derive_rng(trial)
         )
         d_multi = mean_intra_subset_distance(multi, ids, points)
         d_random = mean_intra_subset_distance(random, ids, points)

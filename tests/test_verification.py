@@ -12,7 +12,7 @@ from draftrag.core import (
     ScoreTerm,
     SelectionMode,
     VerificationContextMode,
-    seeded_rng,
+    derive_rng,
 )
 from draftrag.drafting import Candidate, Span, parse_draft
 from draftrag.mock_server import whitespace_token_spans
@@ -142,7 +142,7 @@ class TestScoreCandidate:
             DOCS,
             VerificationContextMode.RATIONALE_ONLY,
         )
-        rng = seeded_rng(17)
+        rng = derive_rng(17)
         tokens = [
             {
                 "text": text,
@@ -250,30 +250,36 @@ class TestCombineScores:
         )
 
 
+def scored(index, score):
+    return Candidate(index, answer=f"answer {index}", rho_final_log=score)
+
+
 class TestSelectBest:
     def test_worked_example_selects_draft_b(self):
-        scored = []
+        candidates = []
         for index, triple in enumerate([WORKED_SCORES_A, WORKED_SCORES_B]):
             logs = [math.log(v) for v in triple]
-            scored.append((index, combine_scores(*logs, ALL_TERMS)))
-        winner = select_best(scored, SelectionMode.ARGMAX, seeded_rng(0))
-        assert winner == 1
+            candidates.append(scored(index, combine_scores(*logs, ALL_TERMS)))
+        winner = select_best(candidates, SelectionMode.ARGMAX, derive_rng(0))
+        assert winner.subset_index == 1
 
     def test_singleton(self):
-        assert select_best([(7, -1.0)], SelectionMode.ARGMAX, seeded_rng(0)) == 7
+        only = scored(7, -1.0)
+        assert select_best([only], SelectionMode.ARGMAX, derive_rng(0)) is only
 
     def test_tie_breaks_to_lowest_subset_index(self):
-        scored = [(3, -1.0), (1, -1.0), (2, -1.0)]
-        assert select_best(scored, SelectionMode.ARGMAX, seeded_rng(0)) == 1
+        candidates = [scored(3, -1.0), scored(1, -1.0), scored(2, -1.0)]
+        winner = select_best(candidates, SelectionMode.ARGMAX, derive_rng(0))
+        assert winner.subset_index == 1
 
     def test_empty_candidate_list_is_a_pipeline_error(self):
         with pytest.raises(PipelineError):
-            select_best([], SelectionMode.ARGMAX, seeded_rng(0))
+            select_best([], SelectionMode.ARGMAX, derive_rng(0))
 
     def test_random_mode_uses_seeded_stream(self):
-        scored = [(i, float(-i)) for i in range(5)]
-        a = select_best(scored, SelectionMode.RANDOM, seeded_rng(4))
-        b = select_best(scored, SelectionMode.RANDOM, seeded_rng(4))
+        candidates = [scored(i, float(-i)) for i in range(5)]
+        a = select_best(candidates, SelectionMode.RANDOM, derive_rng(4))
+        b = select_best(candidates, SelectionMode.RANDOM, derive_rng(4))
         assert a == b
 
     @given(
@@ -291,11 +297,12 @@ class TestSelectBest:
         # scores either identical or separated beyond float tolerance.
         distinct = sorted(set(scores))
         assume(all(b - a >= 1e-6 for a, b in zip(distinct, distinct[1:])))
-        scored = list(enumerate(scores))
-        baseline = select_best(scored, SelectionMode.ARGMAX, seeded_rng(0))
+        candidates = [scored(i, s) for i, s in enumerate(scores)]
+        baseline = select_best(candidates, SelectionMode.ARGMAX, derive_rng(0))
         for fn in (lambda x: scale * x + shift, lambda x: x**3, math.atan):
-            mapped = [(i, fn(s)) for i, s in scored]
-            assert select_best(mapped, SelectionMode.ARGMAX, seeded_rng(0)) == baseline
+            mapped = [scored(c.subset_index, fn(c.rho_final_log)) for c in candidates]
+            winner = select_best(mapped, SelectionMode.ARGMAX, derive_rng(0))
+            assert winner.subset_index == baseline.subset_index
 
 
 class TestVerifyCandidates:
