@@ -2,13 +2,9 @@
 
 Endpoints serve three kinds of request: generation (drafts), echo scoring of
 a prompt's own tokens (verification), and embedding. All speak JSON over
-HTTP POST:
-
-- generation:  {"prompt", "max_tokens", "temperature", "logprobs"}
-               -> {"text", "tokens": [{"text", "logprob", "start", "end"}]}
-- echo:        same request plus {"echo": true, "max_tokens": 0}
-               -> per-token logprobs for the prompt itself
-- embedding:   {"instruction", "inputs": [...]} -> {"embeddings": [[...]]}
+HTTP POST. ``drafting.generate`` builds the generation and echo bodies and
+reads their replies, ``clustering.embed_documents`` does the same for
+embeddings, and every reply body is decoded by ``core.read_json_object``.
 
 The transport is a small keep-alive HTTP/1.1 client (``_Connection``). Each
 request goes out in one ``sendall`` on a socket with Nagle's algorithm off.
@@ -44,6 +40,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, TypeVar
 from urllib.parse import SplitResult, urlsplit
+
+from .core import read_json_object
 
 UNHEALTHY_AFTER_FAILURES = 3
 # Reply limits, the same as http.client's.
@@ -423,8 +421,8 @@ def _start(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> _Req
 
 
 def _finish(request: _Request) -> dict | None:
-    """Take in what has arrived of the reply to a sent request: the decoded
-    JSON object once the reply is complete, else None.
+    """Take in what has arrived of the reply to a sent request: its body,
+    read by ``core.read_json_object``, once it is complete, else None.
 
     None also follows when a reused connection turns out to be closed by
     the server before any reply: the request has then gone out once more,
@@ -457,14 +455,10 @@ def _finish(request: _Request) -> dict | None:
         endpoint.record_failure()
         raise MalformedResponseError(endpoint.url, f"unexpected HTTP status {status}")
     try:
-        body = json.loads(data)
-    except ValueError:
+        body = read_json_object(data)
+    except ValueError as exc:
         endpoint.record_failure()
-        raise MalformedResponseError(endpoint.url, "response body is not valid JSON")
-    if not isinstance(body, dict):
-        endpoint.record_failure()
-        raise MalformedResponseError(endpoint.url, "response JSON is not an object")
-
+        raise MalformedResponseError(endpoint.url, f"response body: {exc}")
     endpoint.record_success()
     return body
 

@@ -9,26 +9,28 @@ file's ``delay_ms``), and ``report`` (latency tables from results files).
 configs and runs ``run_experiment`` once per entry.
 
 Exit codes: 0 success, 2 config or input error (a bad flag value, an empty
-selection, config, dataset, mock script or results line), 3 pipeline error
-(including a run in which every record failed).
+selection, config, dataset, mock script or results line, or results that
+cannot be written), 3 pipeline error (including a run in which every
+record failed).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .backend import TransportError
 from .core import (
     MAX_NUM_DRAFTS,
+    STAGES,
     ConfigError,
     DataError,
     PipelineConfig,
     PipelineError,
     StageTimings,
+    read_json_object,
     validate_config,
 )
 from .harness import (
@@ -49,8 +51,8 @@ EXIT_PIPELINE = 3
 def _load_config(args) -> PipelineConfig:
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = read_json_object(Path(args.config).read_bytes())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         cfg = PipelineConfig.from_dict(raw)
     else:
@@ -164,26 +166,24 @@ def _cmd_mock_serve(args) -> int:
     return EXIT_OK
 
 
-_STAGES = {f.name for f in fields(StageTimings)}
-
-
-def _results_timings(path: str, lineno: int, line: str) -> tuple[str, StageTimings] | None:
-    """The mode and stage timings of one results line, or None for a line
-    without timings. Anything else raises ConfigError naming the line."""
+def _results_timings(path: str, lineno: int, line: bytes) -> tuple[str, StageTimings] | None:
+    """The mode and stage timings of one results line, or None for a blank
+    line or one without timings. Anything else raises ConfigError naming
+    the line."""
+    if not line.decode("utf-8", "replace").strip():
+        return None  # blank, as ``str.strip`` sees it
     where = f"{path}:{lineno}"
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: not JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: not a results object")
+        obj = read_json_object(line)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
     mode, timings = obj.get("mode", "unknown"), obj.get("timings")
     if timings is None:
         return None
     if not (
         isinstance(mode, str)
         and isinstance(timings, dict)
-        and timings.keys() <= _STAGES
+        and all(stage in STAGES for stage in timings)
         and all(
             type(v) in (int, float) and 0 <= v <= sys.float_info.max
             for v in timings.values()
@@ -191,7 +191,7 @@ def _results_timings(path: str, lineno: int, line: str) -> tuple[str, StageTimin
     ):
         raise ConfigError(
             f'{where}: "mode" must be a string and "timings" must map stage '
-            f"names ({', '.join(sorted(_STAGES))}) to non-negative numbers"
+            f"names ({', '.join(sorted(STAGES))}) to non-negative numbers"
         )
     return mode, StageTimings(**{k: float(v) for k, v in timings.items()})
 
@@ -199,16 +199,10 @@ def _results_timings(path: str, lineno: int, line: str) -> tuple[str, StageTimin
 def _cmd_report(args) -> int:
     by_mode: dict[str, list[StageTimings]] = {}
     for path in args.inputs:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = list(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read results file {path}: {exc}")
-        for lineno, line in enumerate(lines, 1):
-            row = _results_timings(path, lineno, line) if line.strip() else None
-            if row is not None:
-                mode, timings = row
-                by_mode.setdefault(mode, []).append(timings)
+        # Split at \n, \r\n or \r, as a file read as text is.
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            if row := _results_timings(path, lineno, line):
+                by_mode.setdefault(row[0], []).append(row[1])
     if not by_mode:
         raise ConfigError("no timings found in the given results files")
     print(report_latency(by_mode))
@@ -268,7 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PipelineError, TransportError, DataError, ValueError) as exc:

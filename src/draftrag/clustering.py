@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backend import EndpointDescriptor, TransportError, dispatch
+from .backend import EndpointDescriptor, MalformedResponseError, dispatch
 from .core import DataError, Document, Query, SamplingMode
 
 KMEANS_MAX_ITERS = 100
@@ -90,7 +90,8 @@ def embed_documents(
 ) -> np.ndarray:
     """Embed all documents in one batch request, query text as instruction.
 
-    Returns an ``(n, d)`` array of unit-norm rows, in document order.
+    Returns an ``(n, d)`` array of unit-norm rows, in document order; a
+    reply without one ``"embeddings"`` row each is malformed.
     """
     if not docs:
         raise ValueError("embed_documents requires at least one document")
@@ -106,7 +107,7 @@ def embed_documents(
             if isinstance(rows, list)
             else f'"embeddings" of type {type(rows).__name__}'
         )
-        raise TransportError(
+        raise MalformedResponseError(
             endpoint.url, f"embedding endpoint returned {got} for {len(docs)} inputs"
         )
     return unit_rows(rows)

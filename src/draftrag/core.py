@@ -1,8 +1,10 @@
-"""Shared domain types, pipeline configuration, and seeded randomness."""
+"""Shared domain types, pipeline configuration, seeded randomness, and the
+one reader of JSON from outside the program."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from urllib.parse import urlsplit
@@ -255,6 +257,30 @@ class StageTimings:
     draft_ms: float = 0.0
     verify_ms: float = 0.0
     total_ms: float = 0.0
+
+
+STAGES = tuple(f.name for f in fields(StageTimings))
+
+
+def read_json_object(data: bytes | str) -> dict:
+    """The JSON object in ``data``: a dataset or results line, a config or
+    mock script file, a request body or an endpoint reply. Bytes must be
+    UTF-8 (RFC 8259 section 8.1, which lets a reader skip a leading byte
+    order mark). Bytes that are not UTF-8, text that is not JSON or nests
+    deeper than the parser can recurse, and a value other than an object
+    each raise a ``ValueError`` that says which."""
+    try:
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+        value = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg} at character {exc.pos})") from None
+    except RecursionError:
+        raise ValueError("JSON nested deeper than the parser can recurse") from None
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

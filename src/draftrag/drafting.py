@@ -296,14 +296,14 @@ def draft_candidate(
 
 
 def generate(
-    endpoint: EndpointDescriptor, prompt: str
+    endpoint: EndpointDescriptor, prompt: str, echo: bool = False
 ) -> Task[tuple[str, tuple[TokenLogprob, ...]]]:
-    """One greedy generation request with logprobs, as a ``fan_out`` task:
-    the completion and its tokens.
-
-    Drafts and the standard call both generate through here. Raises
-    ``MalformedResponseError`` when the reply lacks a text, the text cannot
-    be encoded as UTF-8, or its token list is bad (see
+    """The one ``/generate`` request, as a ``fan_out`` task: the scored text
+    and its tokens. Drafts and the standard call generate greedily, up to
+    ``MAX_COMPLETION_TOKENS``, and score the reply's ``"text"``; with
+    ``echo`` no token is generated and the prompt itself is scored. Raises
+    ``MalformedResponseError`` for a generation reply without a text, a
+    scored text UTF-8 cannot encode, or a bad token list (see
     ``parse_token_payload``).
     """
     body = yield endpoint, {
@@ -311,8 +311,10 @@ def generate(
         "max_tokens": MAX_COMPLETION_TOKENS,
         "temperature": 0,
         "logprobs": True,
+        # An echo is the same request asking for no new tokens.
+        **({"max_tokens": 0, "echo": True} if echo else {}),
     }
-    text = body.get("text")
+    text = prompt if echo else body.get("text")
     if not isinstance(text, str):
         raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
     return text, parse_token_payload(body.get("tokens"), endpoint.url, text)

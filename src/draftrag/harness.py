@@ -21,7 +21,7 @@ import logging
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -43,6 +43,7 @@ from .clustering import (
     sample_subsets,
 )
 from .core import (
+    STAGES,
     ConfigError,
     DataError,
     Document,
@@ -54,6 +55,7 @@ from .core import (
     StageTimings,
     TaskKind,
     derive_rng,
+    read_json_object,
 )
 from .drafting import (
     Candidate,
@@ -158,8 +160,6 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         except UnicodeEncodeError:
             raise fail(f"{what} holds a lone surrogate, which UTF-8 cannot encode")
 
-    if not isinstance(obj, dict):
-        raise fail("record is not a JSON object")
     qid = obj.get("id")
     if not isinstance(qid, str) or not qid:
         raise fail('missing or empty "id"')
@@ -241,41 +241,33 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Load a line-delimited JSON dataset, validating every record.
 
     Errors carry the offending line number; duplicate query ids are
-    rejected. A path that cannot be read, or a line that is not UTF-8,
-    raises ``DatasetError`` naming the path. An empty file loads as an
-    empty list with a warning.
+    rejected. A path that cannot be read, or a line that
+    ``core.read_json_object`` refuses, raises ``DatasetError`` naming the
+    path. An empty file loads as an empty list with a warning.
     """
     path = Path(path)
     records: list[DatasetRecord] = []
     seen: dict[str, int] = {}
     try:
-        fh = open(path, "rb")
+        data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}")
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetError(
-                    f"{path}: line {line_no}: not UTF-8 "
-                    f"({exc.reason} at byte {exc.start})"
-                )
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})")
-            record = _parse_record(obj, line_no)
-            qid = record.query.id
-            if qid in seen:
-                raise DatasetError(
-                    f'line {line_no}: duplicate query id "{qid}" (first seen on '
-                    f"line {seen[qid]})"
-                )
-            seen[qid] = line_no
-            records.append(record)
+    for line_no, line in enumerate(data.split(b"\n"), start=1):
+        if not line.decode("utf-8", "replace").strip():
+            continue  # blank, as ``str.strip`` sees it
+        try:
+            obj = read_json_object(line)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: line {line_no}: {exc}")
+        record = _parse_record(obj, line_no)
+        qid = record.query.id
+        if qid in seen:
+            raise DatasetError(
+                f'line {line_no}: duplicate query id "{qid}" (first seen on '
+                f"line {seen[qid]})"
+            )
+        seen[qid] = line_no
+        records.append(record)
     if not records:
         logger.warning("dataset %s is empty", path)
     return records
@@ -301,9 +293,6 @@ def write_dataset(records: Sequence[DatasetRecord], path: str | Path) -> None:
 
 # ---------------------------------------------------------------------------
 # Pipeline
-
-
-_STAGES = tuple(f.name for f in fields(StageTimings))
 
 
 @contextmanager
@@ -611,7 +600,7 @@ def evaluate_answer(prediction: str, query: Query) -> bool:
 
 def latency_stats(timings: Sequence[StageTimings]) -> dict:
     out: dict[str, dict[str, float]] = {}
-    for stage in _STAGES:
+    for stage in STAGES:
         values = np.array([getattr(t, stage) for t in timings], dtype=np.float64)
         if values.size == 0:
             out[stage] = {"mean": 0.0, "p50": 0.0, "p95": 0.0}
@@ -785,7 +774,7 @@ def report_latency(by_mode: Mapping[str, Sequence[StageTimings]]) -> str:
         f"{mode + ' mean':>18}{'p50':>12}{'p95':>12}" for mode in modes
     )
     lines = [header]
-    for stage in _STAGES:
+    for stage in STAGES:
         row = f"{stage:<12}"
         for mode in modes:
             s = stats[mode][stage]

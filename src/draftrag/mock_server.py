@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from .core import read_json_object
+
 DEFAULT_EMBED_DIMS = 8
 FALLBACK_LOGPROB = -1.0
 # GET /requests keeps only this many of the most recent entries; each holds
@@ -226,8 +228,8 @@ class MockScript:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MockScript":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """``from_dict`` of a file as ``core.read_json_object`` reads it."""
+        return cls.from_dict(read_json_object(Path(path).read_bytes()))
 
 
 class _MockHTTPServer(ThreadingHTTPServer):
@@ -300,12 +302,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         data = self.rfile.read(length) if length else b"{}"
         try:
-            body = json.loads(data.decode("utf-8"))
+            return read_json_object(data)
         except ValueError:
-            body = None
-        if not isinstance(body, dict):
-            raise ValueError("request body is not a JSON object")
-        return body
+            raise ValueError("request body is not a JSON object") from None
 
     def _send_json(self, status: int, payload) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -37,8 +37,8 @@ from .drafting import (
     Candidate,
     Span,
     evidence_block,
+    generate,
     instruction_text,
-    parse_token_payload,
     resolve_docs,
     sequence_logprob,
 )
@@ -128,19 +128,9 @@ def build_verify_prompt(
 def score_candidate(
     prompt: VerifyPrompt, endpoint: EndpointDescriptor
 ) -> Task[tuple[float, float]]:
-    """Echo-score one prompt, as a ``fan_out`` task: returns
-    (self-consistency, self-reflection) logs.
-
-    Exactly one verifier request is issued per call.
-    """
-    body = yield endpoint, {
-        "prompt": prompt.text,
-        "max_tokens": 0,
-        "temperature": 0,
-        "logprobs": True,
-        "echo": True,
-    }
-    tokens = parse_token_payload(body.get("tokens"), endpoint.url, prompt.text)
+    """Echo-score one prompt with one ``generate(..., echo=True)`` request,
+    as a ``fan_out`` task: the (self-consistency, self-reflection) logs."""
+    _, tokens = yield from generate(endpoint, prompt.text, echo=True)
     rho_sc = sum(sequence_logprob(tokens, span) for span in prompt.consistency_spans)
     rho_sr = sequence_logprob(tokens, prompt.affirmation_span)
     return float(rho_sc), float(rho_sr)

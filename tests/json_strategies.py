@@ -1,4 +1,5 @@
-"""Hypothesis strategies for values a JSON reply can decode to."""
+"""Hypothesis strategies for values a JSON reply can decode to, and JSON
+texts that nest deeper than the parser can recurse."""
 
 from hypothesis import strategies as st
 
@@ -18,4 +19,21 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(ANY_TEXT, children, max_size=4),
     max_leaves=12,
+)
+
+DEEPEST = 100_000
+
+
+def nested_arrays(depth: int) -> bytes:
+    """``depth`` arrays, one inside the next."""
+    return b"[" * depth + b"]" * depth
+
+
+# Nested arrays, bare or as a request field's value, from one level to
+# ``DEEPEST``: from about a thousand levels on, deeper than json.loads can
+# recurse.
+NESTED_ARRAYS = st.builds(
+    lambda depth, wrap: wrap % nested_arrays(depth),
+    st.integers(1, 2_000) | st.integers(2_000, DEEPEST),
+    st.sampled_from([b"%s", b'{"prompt": %s}', b'{"inputs": %s}']),
 )

@@ -40,7 +40,7 @@ from draftrag.mock_server import (
     fallback_completion,
     whitespace_token_spans,
 )
-from json_strategies import JSON_VALUES
+from json_strategies import DEEPEST, JSON_VALUES, NESTED_ARRAYS, nested_arrays
 from reference_texts import NIRVANA_COMPLETION, NIRVANA_PROMPT
 
 
@@ -409,6 +409,30 @@ class TestFraming:
         assert ep.consecutive_failures == 1
         assert ep._idle == []
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            pytest.param(nested_arrays(DEEPEST), "JSON nested deeper", id="nested"),
+            pytest.param(
+                b'{"text": %s}' % nested_arrays(DEEPEST),
+                "JSON nested deeper",
+                id="nested-field",
+            ),
+            pytest.param('{"text": "hi"}'.encode("utf-16"), "not UTF-8", id="utf-16"),
+            pytest.param(b'{"text": "\xed\xa0\x80"}', "not UTF-8", id="surrogate"),
+            pytest.param(b"[1]", "not a JSON object", id="array"),
+        ],
+    )
+    def test_body_that_is_not_a_json_object_is_malformed_and_counted(
+        self, scripted, body, reason
+    ):
+        scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
+        scripted.close = False
+        ep = drafter(scripted.url)
+        with pytest.raises(MalformedResponseError, match=f"response body: {reason}"):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert ep.consecutive_failures == 1
+
     def test_request_carries_host_type_and_exact_length(self, scripted):
         body = b'{"text": "ok"}'
         scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
@@ -476,6 +500,7 @@ def scripted_replies(draw):
         st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3).map(json_bytes)
         | JSON_VALUES.map(json_bytes)
         | st.binary(max_size=64)
+        | NESTED_ARRAYS
     )
     headers = draw(st.lists(st.tuples(HEADER_NAMES, HEADER_VALUES), max_size=4))
     head = [b"%s: %s" % pair for pair in headers]
@@ -567,9 +592,9 @@ class TestReplyFuzz:
             elif not isinstance(result, EndpointTimeout):
                 # A complete 200: pooled, and its body decoded as sent.
                 assert pooled
-                try:
-                    sent = json.loads(body)
-                except ValueError:
+                try:  # UTF-8, as RFC 8259 asks
+                    sent = json.loads(body.decode("utf-8-sig"))
+                except (ValueError, RecursionError):
                     sent = None
                 if isinstance(sent, dict):
                     assert json.dumps(result) == json.dumps(sent)
@@ -885,12 +910,30 @@ class TestServerEndpoints:
         assert mock_server.request_counts() == {"echo": 1}
 
     @pytest.mark.parametrize("path", ["/generate", "/embed"])
-    @pytest.mark.parametrize("body", ["[1]", '"prompt"', "null", "{broken"])
-    def test_body_that_is_not_a_json_object_gets_400(self, mock_server, path, body):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[1]",
+            '"prompt"',
+            "null",
+            "{broken",
+            pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
+            pytest.param(
+                '{"prompt": %s}' % nested_arrays(DEEPEST).decode(), id="nested-field"
+            ),
+        ],
+    )
+    def test_body_that_is_not_a_json_object_gets_400(
+        self, mock_server, capfd, path, body
+    ):
         assert http("POST", f"{mock_server.url}{path}", body.encode()) == (
             400,
             {"error": "request body is not a JSON object"},
         )
+        # Refused unlogged, with nothing on stderr, and the server serves on.
+        assert mock_server.request_counts() == {}
+        assert capfd.readouterr().err == ""
+        assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
 
     @pytest.mark.parametrize(
         "path, body, field",
@@ -1020,6 +1063,7 @@ REQUEST_BODIES = (
     JSON_VALUES.map(json_bytes)
     | st.dictionaries(REQUEST_FIELDS, JSON_VALUES, max_size=4).map(json_bytes)
     | st.binary(max_size=64)
+    | NESTED_ARRAYS
 )
 
 

@@ -8,6 +8,7 @@ from draftrag.cli import main
 from draftrag.core import MAX_NUM_DRAFTS, PipelineConfig
 from draftrag.harness import write_dataset
 from draftrag.synthetic import make_rigged_fixture
+from json_strategies import DEEPEST, nested_arrays
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,54 @@ def test_dataset_that_is_not_utf8_exits_two_naming_the_line(cli_env, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dataset}: line 2: not UTF-8")
+
+
+def test_dataset_line_nested_too_deeply_exits_two_naming_the_line(
+    cli_env, cli_server, capsys
+):
+    dataset, config, _ = cli_env
+    lines = dataset.read_bytes().splitlines(keepends=True)
+    dataset.write_bytes(lines[0] + nested_arrays(DEEPEST) + b"\n" + b"".join(lines[1:]))
+    code = main(["run", "--dataset", str(dataset), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}: line 2: JSON nested deeper")
+    assert cli_server.request_counts() == {}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"num_drafts": "caf\xe9"}',
+        nested_arrays(DEEPEST),
+        b'{"drafter_endpoints": %s}' % nested_arrays(DEEPEST),
+    ],
+    ids=["not-utf8", "nested", "nested-field"],
+)
+def test_config_that_cannot_be_read_exits_two(cli_env, cli_server, capsys, content):
+    dataset, _, tmp = cli_env
+    config = tmp / "unreadable.json"
+    config.write_bytes(content)
+    code = main(["run", "--dataset", str(dataset), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+    assert cli_server.request_counts() == {}
+
+
+def test_results_that_cannot_be_written_exit_two_naming_the_path(cli_env, capsys):
+    dataset, config, tmp = cli_env
+    out = tmp / "out"
+    # --out itself is a directory, but its results file cannot be made: that
+    # is found only when the results are written, after every record ran.
+    taken = out / "speculative.results.jsonl"
+    taken.mkdir(parents=True)
+    code = main(
+        ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(taken) in err
 
 
 @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
@@ -284,6 +333,7 @@ def test_report_prints_latency_table(cli_env, tmp_path, capsys):
         "[1, 2]",
         "not json",
         '{"timings": {"total_ms": "x"}}',
+        pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
     ],
 )
 def test_report_bad_results_line_exits_two(tmp_path, capsys, line):
@@ -361,7 +411,15 @@ def test_timeout_beyond_what_a_socket_holds_exits_two_before_any_request(
     assert cli_server.request_counts() == {}
 
 
-@pytest.mark.parametrize("content", ["not json", "[1]", '{"delay_ms": "x"}'])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        "[1]",
+        '{"delay_ms": "x"}',
+        pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
+    ],
+)
 def test_mock_serve_bad_script_exits_two(tmp_path, capsys, content):
     script = tmp_path / "script.json"
     script.write_text(content, encoding="utf-8")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from draftrag.backend import (
     EndpointConnectionError,
     EndpointDescriptor,
-    TransportError,
+    MalformedResponseError,
 )
 from draftrag import clustering
 from draftrag.clustering import (
@@ -397,7 +397,7 @@ class TestEmbedDocuments:
 
         server = server_factory(script=NotAList())
         expected = f'returned "embeddings" of type {named} for 2 inputs'
-        with pytest.raises(TransportError, match=expected):
+        with pytest.raises(MalformedResponseError, match=expected):
             embed_documents(
                 self.docs()[:2], Query(id="q", text="?"), _endpoint(server.embed_url), 5000
             )

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from draftrag.core import (
     MAX_NUM_DRAFTS,
+    STAGES,
     ConfigError,
     PipelineConfig,
     Query,
     StageTimings,
     derive_rng,
+    read_json_object,
     validate_config,
 )
+from json_strategies import DEEPEST, nested_arrays
 
 
 class TestSeededRng:
@@ -190,3 +193,48 @@ def test_stage_timings_dict_shape():
         "verify_ms",
         "total_ms",
     }
+    assert STAGES == tuple(d)
+
+
+class TestReadJsonObject:
+    def test_bytes_and_text_decode_to_the_same_object(self):
+        assert read_json_object(b'{"a": [1, "\xc3\xa9"]}') == {"a": [1, "é"]}
+        assert read_json_object('{"a": [1, "é"]}') == {"a": [1, "é"]}
+
+    def test_a_leading_byte_order_mark_is_skipped(self):
+        assert read_json_object(b'\xef\xbb\xbf{"a": 1}') == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"a": "caf\xe9"}',  # Latin-1
+            '{"a": 1}'.encode("utf-16"),
+            '{"a": 1}'.encode("utf-32"),
+            b'{"a": "\xed\xa0\x80"}',  # an encoded surrogate
+        ],
+        ids=["latin-1", "utf-16", "utf-32", "surrogate"],
+    )
+    def test_bytes_that_are_not_utf8_are_refused(self, data):
+        with pytest.raises(ValueError, match=r"^not UTF-8 \("):
+            read_json_object(data)
+
+    @pytest.mark.parametrize("data", [b"", b"{broken", b'{"a": 1} x', "\ufeff{}"])
+    def test_text_that_is_not_json_is_refused(self, data):
+        with pytest.raises(ValueError, match=r"^invalid JSON \(.* at character \d+\)$"):
+            read_json_object(data)
+
+    @pytest.mark.parametrize("wrap", [b"%s", b'{"a": %s}'])
+    def test_nesting_deeper_than_the_parser_recurses_is_refused(self, wrap):
+        with pytest.raises(ValueError, match="^JSON nested deeper than the parser"):
+            read_json_object(wrap % nested_arrays(DEEPEST))
+
+    def test_nesting_the_parser_takes_is_read(self):
+        value = read_json_object(b'{"a": %s}' % nested_arrays(50))["a"]
+        for _ in range(49):
+            [value] = value
+        assert value == []
+
+    @pytest.mark.parametrize("data", [b"[1]", b'"a"', b"null", b"3", b"true"])
+    def test_a_value_other_than_an_object_is_refused(self, data):
+        with pytest.raises(ValueError, match="^not a JSON object$"):
+            read_json_object(data)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -17,6 +18,7 @@ from draftrag.drafting import (
     TokenLogprob,
     build_draft_prompt,
     compute_rho_draft,
+    generate,
     generate_drafts,
     parse_draft,
     parse_token_payload,
@@ -242,6 +244,43 @@ class TestParseTokenPayload:
         for t in tokens:
             assert math.isfinite(t.logprob) and t.logprob <= 0.0
             assert 0 <= t.char_start <= t.char_end <= len(text.encode("utf-8"))
+
+
+class TestGenerate:
+    ENDPOINT = EndpointDescriptor("http://127.0.0.1:9/generate")
+    TOKENS = [{"text": "ab", "logprob": -0.5, "start": 0, "end": 2}]
+
+    @pytest.mark.parametrize(
+        "echo, wire",
+        [
+            (False, '{"prompt": "ab", "max_tokens": 512, "temperature": 0, "logprobs": true}'),
+            (
+                True,
+                '{"prompt": "ab", "max_tokens": 0, "temperature": 0, "logprobs": true, '
+                '"echo": true}',
+            ),
+        ],
+        ids=["generation", "echo"],
+    )
+    def test_request_body(self, echo, wire):
+        task = generate(self.ENDPOINT, "ab", echo=echo)
+        endpoint, payload = next(task)
+        task.close()
+        assert endpoint is self.ENDPOINT
+        assert json.dumps(payload) == wire
+
+    def test_echo_scores_the_prompt_and_needs_no_text(self):
+        task = generate(self.ENDPOINT, "ab", echo=True)
+        next(task)
+        with pytest.raises(StopIteration) as done:
+            task.send({"tokens": self.TOKENS})
+        assert done.value.value == ("ab", (TokenLogprob(-0.5, 0, 2),))
+
+    def test_generation_reply_without_text_is_malformed(self):
+        task = generate(self.ENDPOINT, "ab")
+        next(task)
+        with pytest.raises(MalformedResponseError, match='lacks a "text" field'):
+            task.send({"tokens": self.TOKENS})
 
 
 def tok(lp, start, end):

@@ -3,6 +3,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from draftrag.harness import (
 )
 from draftrag.mock_server import MockScript, uniform_tokens
 from draftrag.synthetic import make_rigged_fixture
+from json_strategies import DEEPEST, nested_arrays
 from reference_texts import WORKED_ANSWER_B
 
 
@@ -100,6 +102,12 @@ class TestLoadDataset:
         path.write_text(json.dumps(record_line()) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
+
+    def test_lines_that_str_strip_empties_are_skipped(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        blank = "\u00a0 \u2028\t\r\n"
+        path.write_text(f"{blank}{json.dumps(record_line())}\n{blank}", encoding="utf-8")
+        assert [r.query.id for r in load_dataset(path)] == ["q1"]
 
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         path = tmp_path / "data.jsonl"
@@ -355,6 +363,35 @@ class EchoRefusesUnsupported(MockScript):
         return reply
 
 
+@pytest.fixture
+def nested_reply_url():
+    """A generation URL whose server answers every POST with a 200 whose
+    body is ``DEEPEST`` nested arrays."""
+    body = nested_arrays(DEEPEST)
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/generate"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
 @pytest.fixture(scope="module")
 def rigged():
     cfg = PipelineConfig(top_n=4, rng_seed=42)
@@ -541,6 +578,25 @@ class TestPipelines:
         assert len(dropped) == 1
         assert "not encodable as UTF-8" in dropped[0].drop_reason
         assert result.final_answer
+
+    def test_reply_nested_too_deeply_drops_only_its_draft(
+        self, rigged, server_factory, nested_reply_url
+    ):
+        server = server_factory(script=rigged.script)
+        # Round robin sends subset 0 alone to the nested reply.
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(nested_reply_url,) + (server.generate_url,) * 4,
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        backends = make_backends(cfg)
+        result = run_speculative(rigged.records[0], cfg, backends)
+        dropped = [c for c in result.candidates if c.dropped]
+        assert [c.subset_index for c in dropped] == [0]
+        assert "response body: JSON nested deeper" in dropped[0].drop_reason
+        assert len(result.candidates) > 1 and result.final_answer
+        assert backends.drafters[0].consecutive_failures == 1
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must
