@@ -39,9 +39,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, TypeVar
-from urllib.parse import SplitResult, urlsplit
-
-from .core import read_json_object
+from .core import EndpointURL, parse_endpoint_url, read_json_object
 
 UNHEALTHY_AFTER_FAILURES = 3
 # Reply limits, the same as http.client's.
@@ -50,8 +48,9 @@ MAX_HEADERS = 100
 # The most a reply read takes from a socket at once.
 _RECV_BYTES = 1 << 16
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-_NOT_IN_REQUEST_HEAD = re.compile(r"[^\x21-\x7e]")
 _BLANK_LINES = (b"\r\n", b"\n")
+# Every request reads its endpoint's URL, and the few URLs in use repeat.
+_endpoint_url = functools.lru_cache(maxsize=64)(parse_endpoint_url)
 
 T = TypeVar("T")
 
@@ -86,15 +85,15 @@ class EndpointDescriptor:
 
     Mutable state is guarded by a lock so concurrent dispatchers can share
     a descriptor safely. ``_idle`` holds the keep-alive connections no call
-    is using, each with the (scheme, host:port) it was opened for; it grows
-    to the peak number of concurrent calls.
+    is using, each with the parsed URL it was opened for; it grows to the
+    peak number of concurrent calls.
     """
 
     url: str
     healthy: bool = True
     consecutive_failures: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _idle: list[tuple[tuple[str, str], _Connection]] = field(
+    _idle: list[tuple[EndpointURL, _Connection]] = field(
         default_factory=list, repr=False
     )
 
@@ -113,20 +112,20 @@ class EndpointDescriptor:
             if self.consecutive_failures >= UNHEALTHY_AFTER_FAILURES:
                 self.healthy = False
 
-    def take_idle(self, origin: tuple[str, str]) -> _Connection | None:
-        """An idle connection opened for ``origin``, or None. Idle
-        connections opened for another origin are closed."""
+    def take_idle(self, url: EndpointURL) -> _Connection | None:
+        """An idle connection opened for ``url``, or None. Idle connections
+        opened for another URL are closed."""
         with self._lock:
             while self._idle:
-                conn_origin, conn = self._idle.pop()
-                if conn_origin == origin:
+                conn_url, conn = self._idle.pop()
+                if conn_url == url:
                     return conn
                 conn.close()
         return None
 
-    def put_idle(self, origin: tuple[str, str], conn: _Connection) -> None:
+    def put_idle(self, url: EndpointURL, conn: _Connection) -> None:
         with self._lock:
-            self._idle.append((origin, conn))
+            self._idle.append((url, conn))
 
 
 # A task for ``fan_out``: it yields (endpoint, payload) for each request,
@@ -134,13 +133,13 @@ class EndpointDescriptor:
 Task = Generator[tuple[EndpointDescriptor, dict], dict, T]
 
 
-def _close_all(idle: list[tuple[tuple[str, str], _Connection]]) -> None:
+def _close_all(idle: list[tuple[EndpointURL, _Connection]]) -> None:
     for _, conn in idle:
         conn.close()
 
 
 class _ProtocolError(Exception):
-    """A reply breaks HTTP/1.1 framing, or a URL cannot go into a request."""
+    """A reply breaks HTTP/1.1 framing."""
 
 
 @functools.cache
@@ -271,18 +270,12 @@ class _Connection:
 
     __slots__ = ("sock", "_pieces", "_size", "_need", "_eof")
 
-    def __init__(self, url: SplitResult, timeout_s: float):
-        if not url.hostname:
-            raise _ProtocolError(f"URL {url.geturl()!r} has no host")
-        try:
-            port = url.port or (443 if url.scheme == "https" else 80)
-        except ValueError as exc:  # a port that is not a number in range
-            raise _ProtocolError(str(exc))
-        sock = socket.create_connection((url.hostname, port), timeout_s)
+    def __init__(self, url: EndpointURL, timeout_s: float):
+        sock = socket.create_connection((url.host, url.port), timeout_s)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if url.scheme == "https":
-                sock = _tls_context().wrap_socket(sock, server_hostname=url.hostname)
+            if url.tls:
+                sock = _tls_context().wrap_socket(sock, server_hostname=url.host)
         except BaseException:
             sock.close()
             raise
@@ -333,32 +326,15 @@ class _Connection:
             return None
 
 
-def _post_request(url: SplitResult, body: bytes) -> bytes:
-    """Request line, headers and body of a JSON POST, in one buffer."""
-    target = url.path or "/"
-    if url.query:
-        target += f"?{url.query}"
-    if _NOT_IN_REQUEST_HEAD.search(url.netloc + target):
-        raise _ProtocolError(f"URL {url.geturl()!r} has a space or non-ASCII character")
-    head = (
-        f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
-    )
-    return head.encode("ascii") + body
-
-
 class _Request:
     """One request on its way: where it goes, its bytes, the connection it
     was sent on and the monotonic time by which its reply must be read."""
 
-    __slots__ = (
-        "endpoint", "url", "origin", "data", "timeout_ms", "deadline", "conn", "reused"
-    )
+    __slots__ = ("endpoint", "url", "data", "timeout_ms", "deadline", "conn", "reused")
 
     def __init__(self, endpoint: EndpointDescriptor, timeout_ms: int):
         self.endpoint = endpoint
-        self.url = urlsplit(endpoint.url)
-        self.origin = (self.url.scheme, self.url.netloc)
+        self.url: EndpointURL | None = None
         self.data = b""
         self.timeout_ms = timeout_ms
         self.deadline = time.monotonic() + timeout_ms / 1000.0
@@ -372,7 +348,8 @@ class _Request:
 
     def failed(self, exc: BaseException) -> TransportError:
         """Close the connection and count a failure; the error to raise for
-        ``exc``, an ``OSError`` or a broken reply."""
+        ``exc``: an ``OSError``, a URL no request can go to or a broken
+        reply."""
         if self.conn is not None:
             self.conn.close()
         self.endpoint.record_failure()
@@ -399,14 +376,20 @@ def _start(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> _Req
     If the idle connection turns out to be closed by the server, the request
     goes out on a new connection: requests are idempotent, so that is not a
     failure. An unhealthy endpoint is skipped with a routing error rather
-    than contacted.
+    than contacted. An endpoint URL that ``core.parse_endpoint_url``
+    refuses fails the request, unsent, as a connection error.
     """
     if not endpoint.healthy:
         raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
+    body = json.dumps(payload).encode("utf-8")
     request = _Request(endpoint, timeout_ms)
     try:
-        request.data = _post_request(request.url, json.dumps(payload).encode("utf-8"))
-        request.conn = endpoint.take_idle(request.origin)
+        url = request.url = _endpoint_url(endpoint.url)
+        request.data = (
+            f"POST {url.target} HTTP/1.1\r\nHost: {url.host_header}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+        request.conn = endpoint.take_idle(url)
         if request.conn is not None:
             try:
                 request.conn.send(request.data, request.remaining_s())
@@ -415,7 +398,7 @@ def _start(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> _Req
             except (ConnectionResetError, BrokenPipeError):
                 pass  # the server closed the idle connection
         request.send_on_new_connection()
-    except (OSError, _ProtocolError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a URL no request can go to
         raise request.failed(exc)
     return request
 
@@ -447,7 +430,7 @@ def _finish(request: _Request) -> dict | None:
         return None
     status, data, keep = reply
     if keep:
-        endpoint.put_idle(request.origin, request.conn)
+        endpoint.put_idle(request.url, request.conn)
     else:
         request.conn.close()
 

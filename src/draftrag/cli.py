@@ -59,27 +59,12 @@ def _load_config(args) -> PipelineConfig:
         cfg = PipelineConfig()
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(violations))
     return cfg
 
 
-def _make_out_dir(out: str | None) -> None:
-    """Create the ``--out`` directory up front, so a path that cannot be one
-    fails before any request rather than after every record has run."""
-    if out:
-        try:
-            Path(out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot use --out {out}: {exc}")
-
-
 def _ablate_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
-    variants = None
-    if args.grid != "all":
-        variants = [v.strip() for v in args.grid.split(",") if v.strip()]
-    return ablation_grid(cfg, variants)
+    names = [v.strip() for v in args.grid.split(",") if v.strip()]
+    return ablation_grid(cfg, None if args.grid == "all" else names)
 
 
 def _parse_counts(raw: str | None, flag: str) -> list[int]:
@@ -110,15 +95,23 @@ def _sweep_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]
 
 def _cmd_experiments(args) -> int:
     """``run``, ``ablate`` and ``sweep``: run each named config the command
-    selects over the dataset. Every input error exits 2 before ``--out`` is
-    made or any request is sent; a run whose records all fail exits 3 once
-    every run has ended."""
+    selects over the dataset. Every input error, such as a named config
+    ``validate_config`` refuses, exits 2 before ``--out`` is made or any
+    request is sent; a run whose records all fail exits 3 once every run
+    has ended."""
     cfg = _load_config(args)
     records = load_dataset(args.dataset)
     configs = args.configs(args, cfg)
     if not configs:
         raise ConfigError(f"{args.command}: the selection is empty, nothing to run")
-    _make_out_dir(args.out)
+    for name, run_cfg in configs:
+        if violations := validate_config(run_cfg):
+            raise ConfigError(f"invalid config {name}:\n  " + "\n  ".join(violations))
+    if args.out:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {args.out}: {exc}")
     all_failed = []
     for name, run_cfg in configs:
         summary = run_experiment(

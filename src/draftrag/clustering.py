@@ -268,16 +268,13 @@ def kmeans_cluster(
     )
 
 
-def _canonical(members: list[str], clusters: ClusterSet) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Order subset members by cluster index, then by retrieval order."""
+def _build(index: int, members: list[str], clusters: ClusterSet) -> DocumentSubset:
+    """Subset ``index``: ``members`` ordered by cluster index, then by
+    retrieval order."""
     rank = {d: i for i, d in enumerate(clusters.doc_order)}
     ordered = sorted(members, key=lambda d: (clusters.assignments[d], rank[d]))
-    return tuple(ordered), tuple(clusters.assignments[d] for d in ordered)
-
-
-def _build(index: int, members: list[str], clusters: ClusterSet) -> DocumentSubset:
-    ids, sources = _canonical(members, clusters)
-    return DocumentSubset(index, ids, sources)
+    sources = tuple(clusters.assignments[d] for d in ordered)
+    return DocumentSubset(index, tuple(ordered), sources)
 
 
 def _distinct_draws(draw: Callable[[], list[str]], m: int) -> list[list[str]]:

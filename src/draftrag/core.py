@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -20,6 +22,12 @@ MAX_REQUEST_TIMEOUT_MS = 2**31 - 1
 # of ``backend.fan_out`` with one socket in flight, so this bounds the
 # sockets a query holds open at once; the paper's sweeps stop at m = 20.
 MAX_NUM_DRAFTS = 128
+# What an endpoint URL must not carry into a request line or Host header.
+_NOT_IN_REQUEST_HEAD = re.compile(r"[^\x21-\x7e]")
+# A decoded string holds a surrogate code point only where a JSON escape
+# left one unpaired: the decoder joins each escaped pair into one character.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD]")
 
 
 class TaskKind(str, Enum):
@@ -188,19 +196,40 @@ class PipelineError(Exception):
     """A pipeline stage failed in a way that invalidates the whole run."""
 
 
-def _is_http_url(url: object) -> bool:
-    """An http or https URL with a host and, if it names one, a valid port."""
-    if not isinstance(url, str):
-        return False
+class EndpointURL(NamedTuple):
+    """Where ``parse_endpoint_url`` says a request to an endpoint goes."""
+
+    host: str  # the name or address to connect to
+    port: int
+    tls: bool  # an https URL
+    host_header: str  # the URL's netloc, sent as the Host header
+    target: str  # the path ("/" if empty) and query of the request line
+
+
+def parse_endpoint_url(url: str) -> EndpointURL:
+    """The one reading of an endpoint URL, for ``validate_config`` and the
+    transport alike. A ``ValueError`` says the URL ``must be an http(s) URL
+    with a host`` (and a port in 1..65535, and a host the socket layer can
+    encode), or ``has a space or non-ASCII character`` (or a control one)
+    where the request line or Host header would carry it."""
     try:
-        parts = urlsplit(url)
-        return (
+        parts = urlsplit(url if isinstance(url, str) else "")
+        valid = (
             parts.scheme in ("http", "https")
             and bool(parts.hostname)
-            and parts.port != 0
+            and parts.port != 0  # .port raises on one that is not a number in range
+            and bool(parts.hostname.encode("idna"))  # as the socket layer encodes it
         )
-    except ValueError:  # reading .port raises on a port that does not parse
-        return False
+    except ValueError:  # UnicodeError too
+        valid = False
+    if not valid:
+        raise ValueError(f"endpoint {url!r} must be an http(s) URL with a host")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if _NOT_IN_REQUEST_HEAD.search(parts.netloc + target):
+        raise ValueError(f"endpoint {url!r} has a space or non-ASCII character")
+    tls = parts.scheme == "https"
+    port = parts.port or (443 if tls else 80)
+    return EndpointURL(parts.hostname, port, tls, parts.netloc, target)
 
 
 def validate_config(cfg: PipelineConfig) -> list[str]:
@@ -229,8 +258,11 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
     if not cfg.embedding_endpoint:
         violations.append("embedding_endpoint must be set")
     for url in (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint):
-        if url and not _is_http_url(url):
-            violations.append(f"endpoint {url!r} must be an http(s) URL with a host")
+        if url:
+            try:
+                parse_endpoint_url(url)
+            except ValueError as exc:
+                violations.append(str(exc))
     if not (1 <= cfg.request_timeout_ms <= MAX_REQUEST_TIMEOUT_MS):
         violations.append(
             f"request_timeout_ms must be between 1 and {MAX_REQUEST_TIMEOUT_MS}"
@@ -262,16 +294,21 @@ class StageTimings:
 STAGES = tuple(f.name for f in fields(StageTimings))
 
 
-def read_json_object(data: bytes | str) -> dict:
+class LoneSurrogateError(ValueError):
+    """``read_json_object`` found a key or string UTF-8 cannot encode."""
+
+
+def read_json_object(data: bytes) -> dict:
     """The JSON object in ``data``: a dataset or results line, a config or
-    mock script file, a request body or an endpoint reply. Bytes must be
-    UTF-8 (RFC 8259 section 8.1, which lets a reader skip a leading byte
-    order mark). Bytes that are not UTF-8, text that is not JSON or nests
-    deeper than the parser can recurse, and a value other than an object
-    each raise a ``ValueError`` that says which."""
+    mock script file, a request body or an endpoint reply. It must be UTF-8
+    (RFC 8259 section 8.1, which lets a reader skip a leading byte order
+    mark). Bytes that are not UTF-8, text that is not JSON or nests deeper
+    than the parser can recurse, and a value other than an object each
+    raise a ``ValueError`` that says which. So does a key or string holding
+    a lone surrogate, which UTF-8 cannot encode: a ``LoneSurrogateError``
+    naming where, such as ``.documents[0].title``."""
     try:
-        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-        value = json.loads(text)
+        value = json.loads(data.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
@@ -280,7 +317,41 @@ def read_json_object(data: bytes | str) -> dict:
         raise ValueError("JSON nested deeper than the parser can recurse") from None
     if not isinstance(value, dict):
         raise ValueError("not a JSON object")
+    # UTF-8 carries a surrogate only as an escape: text with none needs no walk.
+    if _SURROGATE_ESCAPE.search(data):
+        if where := _lone_surrogate_at(value):
+            raise LoneSurrogateError(f"{where} holds a lone surrogate, not encodable as UTF-8")
     return value
+
+
+def _lone_surrogate_at(value: object) -> str | None:
+    """Where in a decoded JSON ``value`` the first key or string holding a
+    lone surrogate is, as ``.documents[0].title``, or None. An object's
+    keys are looked at before its members."""
+    # A path is a (parent path, key or index) pair, None at the top; it
+    # becomes text only once it is reported.
+    stack: list[tuple[object, tuple | None]] = [(value, None)]
+    while stack:
+        item, path = stack.pop()
+        if isinstance(item, str) and _SURROGATE.search(item):
+            return _location(path)
+        if isinstance(item, dict):
+            for key in item:
+                if _SURROGATE.search(key):
+                    return _location((path, key))
+            stack.extend((v, (path, k)) for k, v in reversed(item.items()))
+        elif isinstance(item, list):
+            stack.extend((item[i], (path, i)) for i in reversed(range(len(item))))
+    return None
+
+
+def _location(path: tuple | None) -> str:
+    steps = []
+    while path is not None:
+        path, step = path
+        plain = isinstance(step, str) and step.isidentifier()
+        steps.append(f".{step}" if plain else f"[{json.dumps(step)}]")
+    return "".join(reversed(steps))
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

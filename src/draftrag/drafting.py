@@ -158,13 +158,9 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
     The rationale is the text between the first ``## Rationale:`` marker and
     the following ``## Response:`` marker; the answer is everything after
     ``## Response:``. Both are whitespace-trimmed. Raises ``DraftParseError``
-    when a marker is missing, the answer is empty or the text cannot be
-    encoded as UTF-8 (a lone surrogate).
+    when a marker is missing or the answer is empty.
     """
-    try:
-        data = raw_completion.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise DraftParseError(f"completion is not encodable as UTF-8: {exc.reason}")
+    data = raw_completion.encode("utf-8")
     r_marker = RATIONALE_MARKER.encode("utf-8")
     a_marker = RESPONSE_MARKER.encode("utf-8")
 
@@ -228,16 +224,12 @@ def parse_token_payload(
     number and ``start``/``end`` integers (a bool or a numeric string is
     the wrong type); every logprob must be finite and at most 0, and every
     token's byte range must satisfy 0 <= start <= end <= len(text in
-    UTF-8). Anything else, or a ``text`` that cannot be encoded as UTF-8 (a
-    lone surrogate, which a JSON string may hold), is a
-    ``MalformedResponseError``, so no such reply reaches ranking.
+    UTF-8). Anything else is a ``MalformedResponseError``, so no such reply
+    reaches ranking.
     """
     if not isinstance(raw_tokens, list):
         raise MalformedResponseError(url, 'response lacks a "tokens" list')
-    try:
-        text_bytes = len(text.encode("utf-8"))
-    except UnicodeEncodeError as exc:
-        raise MalformedResponseError(url, f"text is not encodable as UTF-8: {exc.reason}")
+    text_bytes = len(text.encode("utf-8"))
     out = []
     for i, t in enumerate(raw_tokens):
         try:
@@ -302,9 +294,8 @@ def generate(
     and its tokens. Drafts and the standard call generate greedily, up to
     ``MAX_COMPLETION_TOKENS``, and score the reply's ``"text"``; with
     ``echo`` no token is generated and the prompt itself is scored. Raises
-    ``MalformedResponseError`` for a generation reply without a text, a
-    scored text UTF-8 cannot encode, or a bad token list (see
-    ``parse_token_payload``).
+    ``MalformedResponseError`` for a generation reply without a text or
+    with a bad token list (see ``parse_token_payload``).
     """
     body = yield endpoint, {
         "prompt": prompt,

@@ -20,7 +20,7 @@ import json
 import logging
 import re
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -104,9 +104,6 @@ class PipelineResult:
     timings: StageTimings
     notices: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalSummary:
@@ -121,9 +118,6 @@ class EvalSummary:
     per_record: list[dict]
     latency: dict
     config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -145,33 +139,20 @@ def make_backends(cfg: PipelineConfig) -> PipelineBackends:
 # Dataset loading
 
 
-_TASK_KINDS = {k.value for k in TaskKind}
-
-
 def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
     def fail(msg: str) -> DatasetError:
         return DatasetError(f"line {line_no}: {msg}")
 
-    def encodable(value: str, what: str) -> None:
-        # A JSON string may hold a lone surrogate ("\ud800"), which no
-        # request body can carry: every endpoint would refuse the record.
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise fail(f"{what} holds a lone surrogate, which UTF-8 cannot encode")
-
     qid = obj.get("id")
     if not isinstance(qid, str) or not qid:
         raise fail('missing or empty "id"')
-    encodable(qid, '"id"')
     question = obj.get("question")
     if not isinstance(question, str) or not question:
         raise fail('missing or empty "question"')
-    encodable(question, '"question"')
-    kind_raw = obj.get("task_kind", TaskKind.FREE_FORM.value)
-    if kind_raw not in _TASK_KINDS:
-        raise fail(f'unknown task_kind "{kind_raw}"')
-    kind = TaskKind(kind_raw)
+    try:
+        kind = TaskKind(obj.get("task_kind", TaskKind.FREE_FORM))
+    except ValueError:
+        raise fail(f'unknown task_kind "{obj["task_kind"]}"')
 
     choices_raw = obj.get("choices")
     if kind is TaskKind.CLOSED_SET_CHOICE:
@@ -183,9 +164,6 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             raise fail("choices must be [label, text] pairs")
         if not all(isinstance(part, str) for c in choices_raw for part in c):
             raise fail("choice labels and texts must be strings")
-        for j, (label, text) in enumerate(choices_raw):
-            encodable(label, f"choice {j} label")
-            encodable(text, f"choice {j} text")
         choices = tuple((lbl, txt) for lbl, txt in choices_raw)
     elif choices_raw:
         raise fail("choices are only allowed for closed_set_choice records")
@@ -197,8 +175,6 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         raise fail('missing "answers" list')
     if not all(isinstance(a, str) for a in answers):
         raise fail("every answer must be a string")
-    for j, answer in enumerate(answers):
-        encodable(answer, f"answer {j}")
 
     docs_raw = obj.get("documents")
     if not isinstance(docs_raw, list):
@@ -212,7 +188,6 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         text = d.get("text")
         if not isinstance(did, str) or not did:
             raise fail(f"document {j} missing id")
-        encodable(did, f"document {j} id")
         if did in seen_ids:
             raise fail(f'duplicate document id "{did}"')
         if not isinstance(text, str) or not text:
@@ -220,8 +195,6 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
         title = d.get("title", "")
         if not isinstance(title, str):
             raise fail(f'document "{did}" has a title that is not a string')
-        encodable(text, f'document "{did}" text')
-        encodable(title, f'document "{did}" title')
         seen_ids.add(did)
         docs.append(Document(id=did, title=title, text=text))
 
@@ -629,9 +602,11 @@ def run_experiment(
     """Run every record under one mode, sequentially (no batching).
 
     Per-record failures are recorded and excluded from accuracy rather than
-    aborting the experiment. With ``out_dir`` set, writes
-    ``{name}.results.jsonl``, ``{name}.summary.json``, and
-    ``{name}.config.json``.
+    aborting the experiment. With ``out_dir`` set, ``{name}.config.json``
+    is written and ``{name}.results.jsonl`` opened before the first record,
+    so results that cannot be written fail before any request; each record
+    that ends with a result adds its row at once, flushed, and
+    ``{name}.summary.json`` is written last.
     """
     if mode not in _RUNNERS:
         raise ValueError(f"unknown mode {mode!r}; expected speculative or standard")
@@ -639,62 +614,52 @@ def run_experiment(
     backends = make_backends(cfg)
     name = name or mode
 
-    results: list[PipelineResult] = []
+    rows = nullcontext()
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / f"{name}.config.json", cfg.to_dict())
+        rows = open(out_dir / f"{name}.results.jsonl", "w", encoding="utf-8")
+    timings: list[StageTimings] = []
     per_record: list[dict] = []
     correct = 0
-    failures = 0
-    for record in records:
-        try:
-            result = runner(record, cfg, backends)
-        except (PipelineError, TransportError, DataError) as exc:
-            failures += 1
-            per_record.append(
-                {"query_id": record.query.id, "correct": None, "error": str(exc)}
-            )
-            logger.warning("record %s failed: %s", record.query.id, exc)
-            continue
-        ok = evaluate_answer(result.final_answer, record.query)
-        correct += int(ok)
-        per_record.append(
-            {
-                "query_id": record.query.id,
-                "correct": ok,
-                "final_answer": result.final_answer,
-            }
-        )
-        results.append(result)
+    with rows:
+        for record in records:
+            row = {"query_id": record.query.id}
+            per_record.append(row)
+            try:
+                result = runner(record, cfg, backends)
+            except (PipelineError, TransportError, DataError) as exc:
+                row.update(correct=None, error=str(exc))
+                logger.warning("record %s failed: %s", record.query.id, exc)
+                continue
+            if out_dir is not None:
+                rows.write(json.dumps(asdict(result), sort_keys=True) + "\n")
+                rows.flush()
+            ok = evaluate_answer(result.final_answer, record.query)
+            row.update(correct=ok, final_answer=result.final_answer)
+            correct += ok
+            timings.append(result.timings)
 
-    evaluated = len(results)
+    evaluated = len(timings)
     summary = EvalSummary(
         name=name,
         mode=mode,
         accuracy=correct / evaluated if evaluated else 0.0,
         evaluated=evaluated,
         correct=correct,
-        failures=failures,
+        failures=len(per_record) - evaluated,
         per_record=per_record,
-        latency=latency_stats([r.timings for r in results]),
+        latency=latency_stats(timings),
         config=cfg.to_dict(),
     )
     if out_dir is not None:
-        write_experiment(Path(out_dir), name, summary, results)
+        _write_json(out_dir / f"{name}.summary.json", asdict(summary))
     return summary
 
 
-def write_experiment(
-    out_dir: Path, name: str, summary: EvalSummary, results: Sequence[PipelineResult]
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{name}.results.jsonl", "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-    (out_dir / f"{name}.summary.json").write_text(
-        json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    (out_dir / f"{name}.config.json").write_text(
-        json.dumps(summary.config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, value: dict) -> None:
+    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def ablation_grid(

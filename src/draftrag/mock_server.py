@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .core import read_json_object
+from .core import LoneSurrogateError, read_json_object
 
 DEFAULT_EMBED_DIMS = 8
 FALLBACK_LOGPROB = -1.0
@@ -121,13 +121,9 @@ def _int_field(raw: dict, name: str, default: int) -> int:
 
 
 def _text(value: object, name: str) -> str:
-    """``value`` if it is a string UTF-8 can encode, else ValueError."""
+    """``value`` if it is a string, else ValueError."""
     if not isinstance(value, str):
         raise ValueError(f'"{name}" must be a string')
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate
-        raise ValueError(f'"{name}" is not encodable as UTF-8') from None
     return value
 
 
@@ -303,6 +299,8 @@ class _Handler(BaseHTTPRequestHandler):
         data = self.rfile.read(length) if length else b"{}"
         try:
             return read_json_object(data)
+        except LoneSurrogateError:
+            raise  # its reason names the field
         except ValueError:
             raise ValueError("request body is not a JSON object") from None
 

@@ -31,6 +31,7 @@ from draftrag.backend import (
     fan_out,
     round_robin_assign,
 )
+from draftrag.core import PipelineConfig, parse_endpoint_url, validate_config
 from draftrag.mock_server import (
     MAX_REQUEST_BODY_BYTES,
     REQUEST_LOG_LIMIT,
@@ -195,9 +196,7 @@ class TestKeepAlive:
         dispatch(ep, {"prompt": "b"}, 5000)
         assert first.request_counts() == {"generate": 1}
         assert second.request_counts() == {"generate": 1}
-        assert [origin for origin, _ in ep._idle] == [
-            ("http", urlsplit(second.url).netloc)
-        ]
+        assert [url for url, _ in ep._idle] == [parse_endpoint_url(second.generate_url)]
 
     def test_concurrent_calls_never_share_a_connection(self, mock_server):
         ep = drafter(mock_server.generate_url)
@@ -469,6 +468,56 @@ class TestFraming:
             dispatch(ep, {"prompt": "a"}, 5000)
         assert scripted.requests == []
 
+    def test_url_that_does_not_parse_is_a_connection_error_counted_once(self):
+        ep = drafter("http://[::1/generate")
+        with pytest.raises(EndpointConnectionError, match="must be an http"):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert ep.consecutive_failures == 1
+
+
+URL_PIECES = st.tuples(
+    st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "http:/", ""]),
+    st.sampled_from(
+        ["127.0.0.1", "localhost", "[::1]", "[::1", "::1]", "u:p@127.0.0.1", "hést",
+         "a b", "", "a..b", "x" * 64, "127.0.0.1\t"]
+    ),
+    st.sampled_from(
+        ["", ":", ":0", ":1", ":8080", ":65535", ":65536", ":99999", ":notaport",
+         ": 80", ":-1", ":８０"]
+    ),
+    st.sampled_from(["", "/", "/generate", "/a b", "/é", "/a%20b", "/\x7f", "/#frag"]),
+    st.sampled_from(["", "?", "?k=v", "?k=a b", "?é", "?k=v&w=x"]),
+)
+
+
+class TestEndpointUrls:
+    @given(pieces=URL_PIECES)
+    @settings(max_examples=300, deadline=None)
+    def test_a_url_validates_exactly_when_a_request_is_sent_to_it(self, pieces):
+        """No connection is made: one that would be is recorded and refused."""
+        url = "".join(pieces)
+        opened = []
+
+        class RefusedConnection:
+            def __init__(self, where, timeout_s):
+                opened.append(where)
+                raise ConnectionRefusedError("not connecting in this test")
+
+        ep = drafter(url)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend, "_Connection", RefusedConnection)
+            with pytest.raises(EndpointConnectionError):
+                dispatch(ep, {"prompt": "a"}, 1000)
+        assert ep.consecutive_failures == 1
+        valid = validate_config(PipelineConfig(verifier_endpoint=url)) == []
+        assert valid == (len(opened) == 1)
+        if valid:
+            parts = urlsplit(url)
+            assert (opened[0].host, opened[0].port) == (
+                parts.hostname,
+                parts.port or (443 if parts.scheme == "https" else 80),
+            )
+
 
 FUZZ_TIMEOUT_MS = 150
 HEADER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8).map(
@@ -734,7 +783,7 @@ class TestFanOut:
 
         class CountedConnection(backend._Connection):
             def __init__(self, url, timeout_s):
-                opened.append(url.geturl())
+                opened.append(url)
                 super().__init__(url, timeout_s)
 
         monkeypatch.setattr(backend, "_Connection", CountedConnection)
@@ -743,7 +792,7 @@ class TestFanOut:
         results = fan_out([request(sick, "a"), request(well, "b")], 5000)
         assert isinstance(results[0], EndpointUnavailableError)
         assert results[1] == reply_text("b")
-        assert opened == [mock_server.generate_url]
+        assert opened == [parse_endpoint_url(mock_server.generate_url)]
         assert sick._idle == []
         assert mock_server.request_counts() == {"generate": 1}
 
@@ -947,7 +996,9 @@ class TestServerEndpoints:
             ("/embed", {"instruction": "\ud800", "inputs": ["a"]}, "instruction"),
         ],
     )
-    def test_field_of_the_wrong_type_gets_400(self, mock_server, path, body, field):
+    def test_field_of_the_wrong_type_gets_400(
+        self, mock_server, capfd, path, body, field
+    ):
         url = f"{mock_server.url}{path}"
         status, reply = http("POST", url, json.dumps(body).encode())
         assert status == 400
@@ -955,6 +1006,7 @@ class TestServerEndpoints:
         # A refused request is neither logged nor counted.
         assert mock_server.request_counts() == {}
         assert mock_server.request_log_snapshot() == []
+        assert capfd.readouterr().err == ""
         # The server keeps serving.
         assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
 

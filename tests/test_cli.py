@@ -80,6 +80,23 @@ def test_invalid_config_exits_two(cli_env, capsys):
     assert "k ≤ n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "endpoint", ["{mock}/a b", "{mock}/g\u00e9", "http://h\u00e9st:80/g"]
+)
+def test_endpoint_no_request_can_go_to_exits_two_before_any_request(
+    cli_env, cli_server, capsys, endpoint
+):
+    dataset, config, tmp = cli_env
+    bad = json.loads(config.read_text())
+    bad["verifier_endpoint"] = endpoint.format(mock=cli_server.url)
+    bad_path = tmp / "bad.json"
+    bad_path.write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["run", "--dataset", str(dataset), "--config", str(bad_path)])
+    assert code == 2
+    assert "has a space or non-ASCII character" in capsys.readouterr().err
+    assert cli_server.request_counts() == {}
+
+
 def test_scheme_less_endpoint_exits_two(cli_env, capsys):
     dataset, config, tmp = cli_env
     bad = json.loads(config.read_text())
@@ -178,11 +195,13 @@ def test_config_that_cannot_be_read_exits_two(cli_env, cli_server, capsys, conte
     assert cli_server.request_counts() == {}
 
 
-def test_results_that_cannot_be_written_exit_two_naming_the_path(cli_env, capsys):
+def test_results_that_cannot_be_written_exit_two_naming_the_path(
+    cli_env, cli_server, capsys
+):
     dataset, config, tmp = cli_env
     out = tmp / "out"
     # --out itself is a directory, but its results file cannot be made: that
-    # is found only when the results are written, after every record ran.
+    # is found when the file is opened, before the first record runs.
     taken = out / "speculative.results.jsonl"
     taken.mkdir(parents=True)
     code = main(
@@ -192,6 +211,7 @@ def test_results_that_cannot_be_written_exit_two_naming_the_path(cli_env, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(taken) in err
+    assert cli_server.request_counts() == {}
 
 
 @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
@@ -334,6 +354,7 @@ def test_report_prints_latency_table(cli_env, tmp_path, capsys):
         "not json",
         '{"timings": {"total_ms": "x"}}',
         pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
+        pytest.param('{"mode": "\\ud800", "timings": {"total_ms": 1}}', id="surrogate"),
     ],
 )
 def test_report_bad_results_line_exits_two(tmp_path, capsys, line):
@@ -373,6 +394,22 @@ def test_sweep_value_out_of_range_exits_two_before_any_request(
     assert code == 2
     assert flag in capsys.readouterr().err
     assert server.request_counts() == {}
+
+
+def test_sweep_point_that_is_not_a_valid_config_exits_two_before_any_request(
+    cli_env, cli_server, capsys
+):
+    dataset, config, tmp = cli_env
+    out = tmp / "sweep"
+    args = ["sweep", "--dataset", str(dataset), "--config", str(config)]
+    # The fixture's top_n is 4, so subset_9 asks for k > n clusters.
+    code = main(args + ["--subset-sizes", "2,9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid config subset_9:" in err
+    assert "k ≤ n" in err
+    assert not out.exists()
+    assert cli_server.request_counts() == {}
 
 
 def test_ablate_unknown_variant_exits_two(cli_env, cli_server, capsys):

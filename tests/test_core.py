@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -11,14 +12,18 @@ from draftrag.core import (
     MAX_NUM_DRAFTS,
     STAGES,
     ConfigError,
+    EndpointURL,
+    LoneSurrogateError,
     PipelineConfig,
     Query,
     StageTimings,
+    _lone_surrogate_at,
     derive_rng,
+    parse_endpoint_url,
     read_json_object,
     validate_config,
 )
-from json_strategies import DEEPEST, nested_arrays
+from json_strategies import ANY_TEXT, DEEPEST, JSON_VALUES, nested_arrays
 
 
 class TestSeededRng:
@@ -122,6 +127,23 @@ class TestConfig:
                 f"endpoint {url!r} must be an http(s) URL with a host"
             ]
 
+    @pytest.mark.parametrize(
+        "url, problem",
+        [
+            ("http://127.0.0.1:8080/a b", "has a space or non-ASCII character"),
+            ("http://hést:80/g", "has a space or non-ASCII character"),
+            ("http://127.0.0.1:8080/g?k=\x7f", "has a space or non-ASCII character"),
+            ("http://[::1/generate", "must be an http(s) URL with a host"),
+            ("http://127.0.0.1:0/generate", "must be an http(s) URL with a host"),
+            ("http://127.0.0.1:65536/generate", "must be an http(s) URL with a host"),
+            ("http://a..b/generate", "must be an http(s) URL with a host"),
+            (5, "must be an http(s) URL with a host"),  # a config made in code
+        ],
+    )
+    def test_endpoint_url_no_request_can_go_to_is_a_violation(self, url, problem):
+        violations = validate_config(PipelineConfig(verifier_endpoint=url))
+        assert violations == [f"endpoint {url!r} {problem}"]
+
     def test_validation_reports_every_violation_without_raising(self):
         cfg = PipelineConfig(
             num_drafts=0,
@@ -196,10 +218,30 @@ def test_stage_timings_dict_shape():
     assert STAGES == tuple(d)
 
 
+class TestParseEndpointUrl:
+    @pytest.mark.parametrize(
+        "url, parsed",
+        [
+            (
+                "http://127.0.0.1:8080/generate",
+                EndpointURL("127.0.0.1", 8080, False, "127.0.0.1:8080", "/generate"),
+            ),
+            ("https://Host.example", EndpointURL("host.example", 443, True, "Host.example", "/")),
+            (
+                "http://[::1]:9/g?k=v#frag",
+                EndpointURL("::1", 9, False, "[::1]:9", "/g?k=v"),
+            ),
+            ("http://u:p@h/", EndpointURL("h", 80, False, "u:p@h", "/")),
+            ("http://h?k=v", EndpointURL("h", 80, False, "h", "/?k=v")),
+        ],
+    )
+    def test_url_gives_where_and_what_to_send(self, url, parsed):
+        assert parse_endpoint_url(url) == parsed
+
+
 class TestReadJsonObject:
-    def test_bytes_and_text_decode_to_the_same_object(self):
+    def test_utf8_bytes_decode(self):
         assert read_json_object(b'{"a": [1, "\xc3\xa9"]}') == {"a": [1, "é"]}
-        assert read_json_object('{"a": [1, "é"]}') == {"a": [1, "é"]}
 
     def test_a_leading_byte_order_mark_is_skipped(self):
         assert read_json_object(b'\xef\xbb\xbf{"a": 1}') == {"a": 1}
@@ -218,7 +260,10 @@ class TestReadJsonObject:
         with pytest.raises(ValueError, match=r"^not UTF-8 \("):
             read_json_object(data)
 
-    @pytest.mark.parametrize("data", [b"", b"{broken", b'{"a": 1} x', "\ufeff{}"])
+    # Only the first of two byte order marks is skipped.
+    @pytest.mark.parametrize(
+        "data", [b"", b"{broken", b'{"a": 1} x', b"\xef\xbb\xbf\xef\xbb\xbf{}"]
+    )
     def test_text_that_is_not_json_is_refused(self, data):
         with pytest.raises(ValueError, match=r"^invalid JSON \(.* at character \d+\)$"):
             read_json_object(data)
@@ -238,3 +283,43 @@ class TestReadJsonObject:
     def test_a_value_other_than_an_object_is_refused(self, data):
         with pytest.raises(ValueError, match="^not a JSON object$"):
             read_json_object(data)
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (rb'{"a": "\ud800"}', ".a"),
+            (rb'{"a": [1, {"b": "x\uDFFF"}]}', ".a[1].b"),
+            (rb'{"a b": {"\udc00": 1}}', '["a b"]["\\udc00"]'),
+            (rb'{"x": "\udc00\ud800"}', ".x"),  # a pair in the wrong order
+            (rb'{"ok": "\ud83d\ude00", "no": "\ud83d"}', ".no"),
+        ],
+    )
+    def test_a_lone_surrogate_is_refused_naming_where(self, data, where):
+        message = f"{where} holds a lone surrogate, not encodable as UTF-8"
+        with pytest.raises(LoneSurrogateError, match=f"^{re.escape(message)}$"):
+            read_json_object(data)
+
+    def test_an_escaped_surrogate_pair_is_one_character(self):
+        assert read_json_object(rb'{"a": "\ud83d\ude00\\ud800"}') == {"a": "😀\\ud800"}
+
+    @given(value=JSON_VALUES, key=ANY_TEXT, ascii_only=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_what_is_read_is_utf8_and_what_is_refused_says_where(
+        self, value, key, ascii_only
+    ):
+        # Escaped (as json.dumps writes by default) or, where UTF-8 can
+        # carry it, written out.
+        text = json.dumps({key: value}, ensure_ascii=ascii_only)
+        data = text.encode("utf-8", "surrogatepass")
+        where = _lone_surrogate_at(json.loads(text))  # the full walk
+        try:
+            read = read_json_object(data)
+        except LoneSurrogateError as exc:
+            assert str(exc) == f"{where} holds a lone surrogate, not encodable as UTF-8"
+            return
+        except ValueError as exc:
+            # Written out, a surrogate is bytes UTF-8 does not allow.
+            assert not ascii_only and str(exc).startswith("not UTF-8")
+            return
+        assert where is None
+        json.dumps(read, ensure_ascii=False).encode("utf-8")

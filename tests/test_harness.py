@@ -2,7 +2,7 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftrag.backend import MalformedResponseError
+from draftrag.backend import EndpointDescriptor, MalformedResponseError
 from draftrag.core import (
     Document,
     PipelineConfig,
@@ -134,6 +134,8 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            ({"task_kind": "essay"}, 'unknown task_kind "essay"'),
+            ({"task_kind": ["free_form"]}, 'unknown task_kind "\\[\'free_form\'\\]"'),
             ({"answers": [None, {"a": 1}]}, "every answer must be a string"),
             ({"answers": ["ok", 7]}, "every answer must be a string"),
             (
@@ -158,30 +160,32 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            ({"question": "who \ud800 is"}, '"question"'),
-            ({"answers": ["ok", "x\udfff"]}, "answer 1"),
+            ({"question": "who \ud800 is"}, ".question"),
+            ({"answers": ["ok", "x\udfff"]}, ".answers[1]"),
             (
                 {"documents": [{"id": "d0", "title": "T", "text": "\ud83d"}]},
-                'document "d0" text',
+                ".documents[0].text",
             ),
             (
                 {"documents": [{"id": "d0", "title": "\udc00", "text": "t"}]},
-                'document "d0" title',
+                ".documents[0].title",
             ),
             (
                 {
                     "task_kind": "closed_set_choice",
                     "choices": [["A", "fine"], ["B", "no\ud800"]],
                 },
-                "choice 1 text",
+                ".choices[1][1]",
             ),
+            ({"extra": {"\ud800": 1}}, '.extra["\\ud800"]'),
         ],
     )
     def test_lone_surrogate_is_rejected_with_its_line(self, tmp_path, overrides, field):
         path = tmp_path / "data.jsonl"
         good, bad = record_line("q1"), record_line("q2", **overrides)
         path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match=f"line 2: {field} holds a lone surrogate"):
+        message = f"line 2: {field} holds a lone surrogate, not encodable as UTF-8"
+        with pytest.raises(DatasetError, match=re.escape(message)):
             load_dataset(path)
 
     def test_write_then_load_round_trip(self, tmp_path):
@@ -565,7 +569,9 @@ class TestPipelines:
             run_standard_baseline(rigged.records[0], cfg, make_backends(cfg))
         assert isinstance(info.value.__cause__, MalformedResponseError)
 
-    def test_reply_text_that_is_not_utf8_drops_one_draft(self, rigged, server_factory):
+    def test_reply_text_that_is_not_utf8_drops_one_draft(
+        self, rigged, server_factory, monkeypatch
+    ):
         server = server_factory(script=FirstDraftNotUtf8())
         cfg = replace(
             rigged.config,
@@ -573,10 +579,21 @@ class TestPipelines:
             verifier_endpoint=server.generate_url,
             embedding_endpoint=server.embed_url,
         )
+        failed_at = []
+        record_failure = EndpointDescriptor.record_failure
+
+        def counted(endpoint):
+            failed_at.append(endpoint.url)
+            record_failure(endpoint)
+
+        monkeypatch.setattr(EndpointDescriptor, "record_failure", counted)
         result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
         dropped = [c for c in result.candidates if c.dropped]
         assert len(dropped) == 1
-        assert "not encodable as UTF-8" in dropped[0].drop_reason
+        assert ".text holds a lone surrogate, not encodable as UTF-8" in (
+            dropped[0].drop_reason
+        )
+        assert failed_at == [server.generate_url]
         assert result.final_answer
 
     def test_reply_nested_too_deeply_drops_only_its_draft(
@@ -654,7 +671,7 @@ class TestPipelines:
         )
         result = run_speculative(record, cfg, make_backends(cfg))
         written = json.loads(
-            json.dumps(result.to_dict()).replace(server.generate_url, "<verifier>")
+            json.dumps(asdict(result)).replace(server.generate_url, "<verifier>")
         )
         echo_error = (
             "token 22 has logprob 0.5, not a finite value <= 0 (endpoint <verifier>)"
@@ -789,6 +806,30 @@ class TestExperiments:
         assert summary.evaluated == len(records)
         failed_row = [r for r in summary.per_record if r["query_id"] == "broken"]
         assert failed_row[0]["correct"] is None
+
+    def test_rows_of_finished_records_are_on_disk_when_a_run_is_interrupted(
+        self, rigged_env, tmp_path, monkeypatch
+    ):
+        records, cfg, _ = rigged_env
+        finished = 2
+        run = harness._RUNNERS["speculative"]
+        calls = []
+
+        def interrupted_after_two(*args):
+            calls.append(1)
+            if len(calls) > finished:
+                raise KeyboardInterrupt
+            return run(*args)
+
+        monkeypatch.setitem(harness._RUNNERS, "speculative", interrupted_after_two)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(records, cfg, name="spec", out_dir=tmp_path)
+        rows = (tmp_path / "spec.results.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(row)["query_id"] for row in rows.splitlines()] == [
+            r.query.id for r in records[:finished]
+        ]
+        assert (tmp_path / "spec.config.json").exists()
+        assert not (tmp_path / "spec.summary.json").exists()
 
     def test_interrupt_inside_a_stage_reaches_the_caller(self, rigged, monkeypatch):
         def interrupted(*args, **kwargs):
