@@ -6,16 +6,17 @@ HTTP POST. ``drafting.generate`` builds the generation and echo bodies and
 reads their replies, ``clustering.embed_documents`` does the same for
 embeddings, and every reply body is decoded by ``core.read_json_object``.
 
-The transport is a small keep-alive HTTP/1.1 client (``_Connection``). Each
-request goes out in one ``sendall`` on a socket with Nagle's algorithm off.
-Its reply is then taken in without blocking, piece by piece as it arrives,
-and parsed (``_parse_reply``) once enough of it is there. A reply body may
-be framed by ``Content-Length``, by chunked transfer coding, or by the
-server closing the connection. The parser applies the limits
+The transport is a small keep-alive HTTP/1.1 client. One ``_Request`` holds
+a request from its send to its decoded reply. It goes out in one
+``sendall`` on a socket with Nagle's algorithm off (``_connect``). Its reply
+is then taken in by ``_Request.poll`` without blocking, piece by piece as it
+arrives, and parsed (``_parse_reply``) once enough of it is there. A reply
+body may be framed by ``Content-Length``, by chunked transfer coding, or by
+the server closing the connection. The parser applies the limits
 ``http.client`` does: a line is at most 65 536 bytes and a reply has at
-most 100 header lines. Any other reply is a framing error.
+most 100 header lines. Any other reply is a framing error. Idle keep-alive
+sockets wait in their endpoint's pool; the reply bytes go with the request.
 
-A request is sent by ``_start`` and its reply taken in by ``_finish``.
 ``fan_out`` drives many requests from the calling thread, with no worker
 thread: each task is a generator that yields its requests, one selector
 waits on every socket with a request in flight, and each request has its
@@ -42,6 +43,12 @@ from typing import Generator, Iterable, TypeVar
 from .core import EndpointURL, parse_endpoint_url, read_json_object
 
 UNHEALTHY_AFTER_FAILURES = 3
+# An endpoint with UNHEALTHY_AFTER_FAILURES failures in a row is skipped for
+# this many timeouts of the request that last failed on it, then sent one
+# probe. A probe costs at most one request timeout, also when the endpoint
+# never replies or its connect hangs, so waiting on probes of a dead
+# endpoint takes at most 1 / (1 + this), a quarter, of a run's time.
+UNHEALTHY_COOLDOWN_TIMEOUTS = 3
 # Reply limits, the same as http.client's.
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
@@ -76,56 +83,79 @@ class MalformedResponseError(TransportError):
 
 
 class EndpointUnavailableError(TransportError):
-    """Routing error: the endpoint was already marked unhealthy."""
+    """Routing error: the endpoint is unhealthy, so it was not contacted."""
 
 
 @dataclass
 class EndpointDescriptor:
-    """One registered endpoint with health bookkeeping and a connection pool.
+    """One registered endpoint with health bookkeeping and a socket pool.
 
     Mutable state is guarded by a lock so concurrent dispatchers can share
-    a descriptor safely. ``_idle`` holds the keep-alive connections no call
+    a descriptor safely. ``_idle`` holds the keep-alive sockets no request
     is using, each with the parsed URL it was opened for; it grows to the
-    peak number of concurrent calls.
+    peak number of requests in flight at once.
     """
 
     url: str
-    healthy: bool = True
     consecutive_failures: int = 0
+    _retry_at: float = field(default=0.0, repr=False)  # monotonic
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _idle: list[tuple[EndpointURL, _Connection]] = field(
+    _idle: list[tuple[EndpointURL, socket.socket]] = field(
         default_factory=list, repr=False
     )
 
     def __post_init__(self) -> None:
-        # A dropped descriptor leaves no open socket: its idle connections
+        # A dropped descriptor leaves no open socket: its idle sockets
         # are closed when it is collected (or at interpreter exit).
         weakref.finalize(self, _close_all, self._idle)
+
+    @property
+    def healthy(self) -> bool:
+        """False from the ``UNHEALTHY_AFTER_FAILURES``-th failure in a row
+        until its cooldown has passed, and while a probe is out (see
+        ``admit``); a success clears the count."""
+        return (
+            self.consecutive_failures < UNHEALTHY_AFTER_FAILURES
+            or time.monotonic() >= self._retry_at
+        )
+
+    def admit(self, timeout_ms: int) -> bool:
+        """Whether a request with this timeout may be sent now. Once an
+        unhealthy endpoint's cooldown has passed, it admits one probe and
+        then nothing more until the probe's outcome is counted or its
+        timeout has passed."""
+        with self._lock:
+            if not self.healthy:
+                return False
+            if self.consecutive_failures >= UNHEALTHY_AFTER_FAILURES:
+                self._retry_at = time.monotonic() + timeout_ms / 1000.0
+            return True
 
     def record_success(self) -> None:
         with self._lock:
             self.consecutive_failures = 0
 
-    def record_failure(self) -> None:
+    def record_failure(self, timeout_ms: int) -> None:
+        """Count a failure of a request with this timeout."""
         with self._lock:
             self.consecutive_failures += 1
-            if self.consecutive_failures >= UNHEALTHY_AFTER_FAILURES:
-                self.healthy = False
+            cooldown_s = UNHEALTHY_COOLDOWN_TIMEOUTS * timeout_ms / 1000.0
+            self._retry_at = time.monotonic() + cooldown_s
 
-    def take_idle(self, url: EndpointURL) -> _Connection | None:
-        """An idle connection opened for ``url``, or None. Idle connections
-        opened for another URL are closed."""
+    def take_idle(self, url: EndpointURL) -> socket.socket | None:
+        """An idle socket opened for ``url``, or None. Idle sockets opened
+        for another URL are closed."""
         with self._lock:
             while self._idle:
-                conn_url, conn = self._idle.pop()
-                if conn_url == url:
-                    return conn
-                conn.close()
+                sock_url, sock = self._idle.pop()
+                if sock_url == url:
+                    return sock
+                sock.close()
         return None
 
-    def put_idle(self, url: EndpointURL, conn: _Connection) -> None:
+    def put_idle(self, url: EndpointURL, sock: socket.socket) -> None:
         with self._lock:
-            self._idle.append((url, conn))
+            self._idle.append((url, sock))
 
 
 # A task for ``fan_out``: it yields (endpoint, payload) for each request,
@@ -133,9 +163,9 @@ class EndpointDescriptor:
 Task = Generator[tuple[EndpointDescriptor, dict], dict, T]
 
 
-def _close_all(idle: list[tuple[EndpointURL, _Connection]]) -> None:
-    for _, conn in idle:
-        conn.close()
+def _close_all(idle: list[tuple[EndpointURL, socket.socket]]) -> None:
+    for _, sock in idle:
+        sock.close()
 
 
 class _ProtocolError(Exception):
@@ -260,46 +290,147 @@ def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
     return 200, body, reusable
 
 
-class _Connection:
-    """One keep-alive HTTP/1.1 connection; ``sock`` is None once closed.
+def _connect(url: EndpointURL, timeout_s: float) -> socket.socket:
+    """A socket connected to ``url``'s host and port, with Nagle's algorithm
+    off and, for an ``https`` URL, wrapped in TLS."""
+    sock = socket.create_connection((url.host, url.port), timeout_s)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if url.tls:
+            sock = _tls_context().wrap_socket(sock, server_hostname=url.host)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
 
-    A request is sent with the socket blocking, bounded by a timeout; the
-    reply is then received without blocking, as its bytes arrive, so one
-    thread can read many replies at once.
+
+class _Request:
+    """One JSON POST from its send to its decoded reply: where it goes, its
+    bytes, the socket it was sent on, the reply bytes taken in so far and
+    the monotonic time by which the reply must be read.
+
+    Making one sends it: the endpoint's health is checked, one of its idle
+    sockets is taken or a new one opened, and the request goes out in one
+    ``sendall``. Its deadline is ``timeout_ms`` from then, and it bounds
+    the connect and the send too. If the idle socket turns out to be closed
+    by the server, the request goes out on a new one: requests are
+    idempotent, so that is not a failure. An endpoint that does not admit
+    it (see ``EndpointDescriptor.admit``) is skipped with a routing error
+    rather than contacted. An endpoint URL that
+    ``core.parse_endpoint_url`` refuses fails the request, unsent, as a
+    connection error.
     """
 
-    __slots__ = ("sock", "_pieces", "_size", "_need", "_eof")
+    __slots__ = (
+        "endpoint", "url", "data", "timeout_ms", "deadline", "sock", "reused",
+        "_pieces", "_size", "_need", "_eof",
+    )
 
-    def __init__(self, url: EndpointURL, timeout_s: float):
-        sock = socket.create_connection((url.host, url.port), timeout_s)
+    def __init__(self, endpoint: EndpointDescriptor, payload: dict, timeout_ms: int):
+        if not endpoint.admit(timeout_ms):
+            raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
+        body = json.dumps(payload).encode("utf-8")
+        self.endpoint = endpoint
+        self.timeout_ms = timeout_ms
+        self.deadline = time.monotonic() + timeout_ms / 1000.0
+        self.sock: socket.socket | None = None
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if url.tls:
-                sock = _tls_context().wrap_socket(sock, server_hostname=url.host)
-        except BaseException:
-            sock.close()
-            raise
-        self.sock = sock
+            url = self.url = _endpoint_url(endpoint.url)
+            self.data = (
+                f"POST {url.target} HTTP/1.1\r\nHost: {url.host_header}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii") + body
+            self.sock = endpoint.take_idle(url)
+            self.reused = self.sock is not None
+            if self.reused:
+                try:
+                    self._send()
+                    return
+                except (ConnectionResetError, BrokenPipeError):
+                    pass  # the server closed the idle socket
+            self._send_on_new_socket()
+        except (OSError, ValueError) as exc:  # ValueError: a URL no request can go to
+            raise self.failed(exc)
 
-    def close(self) -> None:
+    def remaining_s(self) -> float:
+        # A socket timeout of 0 would make the socket non-blocking, so a
+        # request past its deadline gets one more millisecond.
+        return max(self.deadline - time.monotonic(), 0.001)
+
+    def _send(self) -> None:
+        """Send the request with the socket blocking, bounded by the
+        deadline, and make ready for its reply."""
+        self.sock.settimeout(self.remaining_s())
+        self.sock.sendall(self.data)
+        self.sock.setblocking(False)
+        self._pieces, self._size, self._need, self._eof = [], 0, 1, False
+
+    def _send_on_new_socket(self) -> None:
         if self.sock is not None:
             self.sock.close()
-            self.sock = None
+        self.reused = False
+        self.sock = _connect(self.url, self.remaining_s())
+        self._send()
 
-    def send(self, request: bytes, timeout_s: float) -> None:
-        """Send a request in one ``sendall`` and make ready for its reply."""
-        self.sock.settimeout(timeout_s)
-        self.sock.sendall(request)
-        self.sock.setblocking(False)
-        self._pieces: list[bytes] = []
-        self._size = 0
-        self._need = 1
-        self._eof = False
+    def failed(self, exc: BaseException) -> TransportError:
+        """Close the socket and count a failure; the error to raise for
+        ``exc``: an ``OSError``, a URL no request can go to or a broken
+        reply."""
+        if self.sock is not None:
+            self.sock.close()
+        self.endpoint.record_failure(self.timeout_ms)
+        if isinstance(exc, TimeoutError):
+            return EndpointTimeout(
+                self.endpoint.url, f"request timed out after {self.timeout_ms} ms"
+            )
+        return EndpointConnectionError(self.endpoint.url, f"connection failed: {exc}")
 
-    def read_reply(self) -> tuple[int, bytes, bool] | None:
-        """Take in the bytes that have arrived; the reply's status and body,
-        and whether the connection can carry another request, once they
-        complete it (see ``_parse_reply``), else None."""
+    def poll(self) -> dict | None:
+        """Take in the reply bytes that have arrived: the reply's body, read
+        by ``core.read_json_object``, once they complete it (see
+        ``_parse_reply``), else None.
+
+        None also follows when a reused socket turns out to be closed by the
+        server before any reply: the request has then gone out once more, on
+        a new socket, whose reply is still to come. The socket is pooled
+        again only after a complete HTTP/1.1 200 reply, framed by its length
+        or in chunks, that the server did not mark as closing; any other
+        socket is closed, so no later request can read a late reply. Every
+        outcome is counted for or against the endpoint's health.
+        """
+        endpoint = self.endpoint
+        try:
+            try:
+                reply = self._read_reply()
+            except (ConnectionResetError, BrokenPipeError):
+                if not self.reused:
+                    raise
+                self._send_on_new_socket()
+                return None
+        except (OSError, _ProtocolError) as exc:
+            raise self.failed(exc)
+        if reply is None:
+            return None
+        status, data, keep = reply
+        if keep:
+            endpoint.put_idle(self.url, self.sock)
+        else:
+            self.sock.close()
+
+        if status != 200:
+            endpoint.record_failure(self.timeout_ms)
+            raise MalformedResponseError(endpoint.url, f"unexpected HTTP status {status}")
+        try:
+            body = read_json_object(data)
+        except ValueError as exc:
+            endpoint.record_failure(self.timeout_ms)
+            raise MalformedResponseError(endpoint.url, f"response body: {exc}")
+        endpoint.record_success()
+        return body
+
+    def _read_reply(self) -> tuple[int, bytes, bool] | None:
+        """The status, body and reusability of the reply once the bytes
+        that have arrived complete it (see ``_parse_reply``), else None."""
         tls = isinstance(self.sock, ssl.SSLSocket)
         while True:
             try:
@@ -326,126 +457,6 @@ class _Connection:
             return None
 
 
-class _Request:
-    """One request on its way: where it goes, its bytes, the connection it
-    was sent on and the monotonic time by which its reply must be read."""
-
-    __slots__ = ("endpoint", "url", "data", "timeout_ms", "deadline", "conn", "reused")
-
-    def __init__(self, endpoint: EndpointDescriptor, timeout_ms: int):
-        self.endpoint = endpoint
-        self.url: EndpointURL | None = None
-        self.data = b""
-        self.timeout_ms = timeout_ms
-        self.deadline = time.monotonic() + timeout_ms / 1000.0
-        self.conn: _Connection | None = None
-        self.reused = False
-
-    def remaining_s(self) -> float:
-        # A socket timeout of 0 would make the socket non-blocking, so a
-        # request past its deadline gets one more millisecond.
-        return max(self.deadline - time.monotonic(), 0.001)
-
-    def failed(self, exc: BaseException) -> TransportError:
-        """Close the connection and count a failure; the error to raise for
-        ``exc``: an ``OSError``, a URL no request can go to or a broken
-        reply."""
-        if self.conn is not None:
-            self.conn.close()
-        self.endpoint.record_failure()
-        if isinstance(exc, TimeoutError):
-            return EndpointTimeout(
-                self.endpoint.url, f"request timed out after {self.timeout_ms} ms"
-            )
-        return EndpointConnectionError(self.endpoint.url, f"connection failed: {exc}")
-
-    def send_on_new_connection(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-        self.reused = False
-        self.conn = _Connection(self.url, self.remaining_s())
-        self.conn.send(self.data, self.remaining_s())
-
-
-def _start(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> _Request:
-    """Send a JSON POST: check the endpoint's health, take one of its idle
-    connections or open one (TLS for ``https`` URLs), and send the request
-    in one ``sendall``. The request's deadline is ``timeout_ms`` from now,
-    and it bounds the connect and the send too.
-
-    If the idle connection turns out to be closed by the server, the request
-    goes out on a new connection: requests are idempotent, so that is not a
-    failure. An unhealthy endpoint is skipped with a routing error rather
-    than contacted. An endpoint URL that ``core.parse_endpoint_url``
-    refuses fails the request, unsent, as a connection error.
-    """
-    if not endpoint.healthy:
-        raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
-    body = json.dumps(payload).encode("utf-8")
-    request = _Request(endpoint, timeout_ms)
-    try:
-        url = request.url = _endpoint_url(endpoint.url)
-        request.data = (
-            f"POST {url.target} HTTP/1.1\r\nHost: {url.host_header}\r\n"
-            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii") + body
-        request.conn = endpoint.take_idle(url)
-        if request.conn is not None:
-            try:
-                request.conn.send(request.data, request.remaining_s())
-                request.reused = True
-                return request
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # the server closed the idle connection
-        request.send_on_new_connection()
-    except (OSError, ValueError) as exc:  # ValueError: a URL no request can go to
-        raise request.failed(exc)
-    return request
-
-
-def _finish(request: _Request) -> dict | None:
-    """Take in what has arrived of the reply to a sent request: its body,
-    read by ``core.read_json_object``, once it is complete, else None.
-
-    None also follows when a reused connection turns out to be closed by
-    the server before any reply: the request has then gone out once more,
-    on a new connection, whose reply is still to come. The connection is
-    pooled again only after a complete HTTP/1.1 200 reply, framed by its
-    length or in chunks, that the server did not mark as closing; any other
-    connection is closed, so no later request can read a late reply. Marks
-    the endpoint unhealthy after three consecutive failures.
-    """
-    endpoint = request.endpoint
-    try:
-        try:
-            reply = request.conn.read_reply()
-        except (ConnectionResetError, BrokenPipeError):
-            if not request.reused:
-                raise
-            request.send_on_new_connection()
-            return None
-    except (OSError, _ProtocolError) as exc:
-        raise request.failed(exc)
-    if reply is None:
-        return None
-    status, data, keep = reply
-    if keep:
-        endpoint.put_idle(request.url, request.conn)
-    else:
-        request.conn.close()
-
-    if status != 200:
-        endpoint.record_failure()
-        raise MalformedResponseError(endpoint.url, f"unexpected HTTP status {status}")
-    try:
-        body = read_json_object(data)
-    except ValueError as exc:
-        endpoint.record_failure()
-        raise MalformedResponseError(endpoint.url, f"response body: {exc}")
-    endpoint.record_success()
-    return body
-
-
 def _one_request(endpoint: EndpointDescriptor, payload: dict) -> Task[dict]:
     return (yield endpoint, payload)
 
@@ -454,7 +465,7 @@ def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> di
     """POST a JSON payload to an endpoint and wait for the decoded response.
 
     ``timeout_ms`` bounds the whole request: connect, send and reply. This
-    is ``fan_out`` with one task; see ``_start`` and ``_finish``.
+    is ``fan_out`` with one task; see ``_Request``.
     """
     [body] = fan_out([_one_request(endpoint, payload)], timeout_ms)
     return body
@@ -484,7 +495,7 @@ def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:
     each request has its own deadline, ``timeout_ms`` after it was sent.
     Every task runs to its end before the first error a task raised, in
     task order, is raised. No request outlives the call: if the caller is
-    interrupted, the connections in flight are closed.
+    interrupted, the sockets in flight are closed.
     """
     tasks = list(tasks)
     results: list = [None] * len(tasks)
@@ -508,12 +519,12 @@ def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:
                 errors[i] = exc
                 return
             try:
-                request = _start(endpoint, payload, timeout_ms)
+                request = _Request(endpoint, payload, timeout_ms)
             except TransportError as exc:
                 reply, error = None, exc
                 continue
             in_flight[i] = request
-            selector.register(request.conn.sock, selectors.EVENT_READ, i)
+            selector.register(request.sock, selectors.EVENT_READ, i)
             return
 
     try:
@@ -524,27 +535,27 @@ def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:
             for key, _ in selector.select(max(wait_s, 0.0)):
                 i = key.data
                 request = in_flight.pop(i)
-                # ``_finish`` may close the socket or open another.
+                # ``poll`` may close the socket or open another.
                 selector.unregister(key.fileobj)
                 try:
-                    reply = _finish(request)
+                    reply = request.poll()
                 except TransportError as exc:
                     resume(i, error=exc)
                     continue
                 if reply is None:  # more to come
                     in_flight[i] = request
-                    selector.register(request.conn.sock, selectors.EVENT_READ, i)
+                    selector.register(request.sock, selectors.EVENT_READ, i)
                 else:
                     resume(i, reply)
             now = time.monotonic()
             for i, request in list(in_flight.items()):
                 if request.deadline <= now:
                     del in_flight[i]
-                    selector.unregister(request.conn.sock)
+                    selector.unregister(request.sock)
                     resume(i, error=request.failed(TimeoutError()))
     finally:
         for request in in_flight.values():
-            request.conn.close()
+            request.sock.close()
         selector.close()
         for task in tasks:
             task.close()

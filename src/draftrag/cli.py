@@ -11,7 +11,8 @@ configs and runs ``run_experiment`` once per entry.
 Exit codes: 0 success, 2 config or input error (a bad flag value, an empty
 selection, config, dataset, mock script or results line, or results that
 cannot be written), 3 pipeline error (including a run in which every
-record failed).
+record failed), 130 interrupted (Ctrl-C; the run under way writes the
+summary of its finished records, and no later named config runs).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .mock_server import MockLMServer, MockScript
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _load_config(args) -> PipelineConfig:
@@ -261,6 +263,9 @@ def main(argv=None) -> int:
     except (PipelineError, TransportError, DataError, ValueError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

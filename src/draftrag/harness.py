@@ -118,6 +118,9 @@ class EvalSummary:
     per_record: list[dict]
     latency: dict
     config: dict
+    # Set when a KeyboardInterrupt ended the run: the summary then covers
+    # the records that finished before it.
+    interrupted: bool = False
 
 
 @dataclass
@@ -606,7 +609,9 @@ def run_experiment(
     is written and ``{name}.results.jsonl`` opened before the first record,
     so results that cannot be written fail before any request; each record
     that ends with a result adds its row at once, flushed, and
-    ``{name}.summary.json`` is written last.
+    ``{name}.summary.json`` is written last. A ``KeyboardInterrupt`` still
+    writes the summary, of the records that finished and with
+    ``interrupted`` set, before it is raised on.
     """
     if mode not in _RUNNERS:
         raise ValueError(f"unknown mode {mode!r}; expected speculative or standard")
@@ -623,23 +628,28 @@ def run_experiment(
     timings: list[StageTimings] = []
     per_record: list[dict] = []
     correct = 0
+    interrupt: KeyboardInterrupt | None = None
     with rows:
-        for record in records:
-            row = {"query_id": record.query.id}
-            per_record.append(row)
-            try:
-                result = runner(record, cfg, backends)
-            except (PipelineError, TransportError, DataError) as exc:
-                row.update(correct=None, error=str(exc))
-                logger.warning("record %s failed: %s", record.query.id, exc)
-                continue
-            if out_dir is not None:
-                rows.write(json.dumps(asdict(result), sort_keys=True) + "\n")
-                rows.flush()
-            ok = evaluate_answer(result.final_answer, record.query)
-            row.update(correct=ok, final_answer=result.final_answer)
-            correct += ok
-            timings.append(result.timings)
+        try:
+            for record in records:
+                row = {"query_id": record.query.id}
+                try:
+                    result = runner(record, cfg, backends)
+                except (PipelineError, TransportError, DataError) as exc:
+                    row.update(correct=None, error=str(exc))
+                    per_record.append(row)
+                    logger.warning("record %s failed: %s", record.query.id, exc)
+                    continue
+                if out_dir is not None:
+                    rows.write(json.dumps(asdict(result), sort_keys=True) + "\n")
+                    rows.flush()
+                ok = evaluate_answer(result.final_answer, record.query)
+                row.update(correct=ok, final_answer=result.final_answer)
+                per_record.append(row)
+                correct += ok
+                timings.append(result.timings)
+        except KeyboardInterrupt as exc:
+            interrupt = exc
 
     evaluated = len(timings)
     summary = EvalSummary(
@@ -652,9 +662,12 @@ def run_experiment(
         per_record=per_record,
         latency=latency_stats(timings),
         config=cfg.to_dict(),
+        interrupted=interrupt is not None,
     )
     if out_dir is not None:
         _write_json(out_dir / f"{name}.summary.json", asdict(summary))
+    if interrupt is not None:
+        raise interrupt
     return summary
 
 

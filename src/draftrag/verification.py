@@ -36,6 +36,7 @@ from .core import (
 from .drafting import (
     Candidate,
     Span,
+    TokenLogprob,
     evidence_block,
     generate,
     instruction_text,
@@ -126,11 +127,11 @@ def build_verify_prompt(
 
 
 def score_candidate(
-    prompt: VerifyPrompt, endpoint: EndpointDescriptor
-) -> Task[tuple[float, float]]:
-    """Echo-score one prompt with one ``generate(..., echo=True)`` request,
-    as a ``fan_out`` task: the (self-consistency, self-reflection) logs."""
-    _, tokens = yield from generate(endpoint, prompt.text, echo=True)
+    prompt: VerifyPrompt, tokens: Sequence[TokenLogprob]
+) -> tuple[float, float]:
+    """The (self-consistency, self-reflection) logs of a prompt, from the
+    tokens of its echo: the logprobs summed over its consistency spans and
+    over its affirmation."""
     rho_sc = sum(sequence_logprob(tokens, span) for span in prompt.consistency_spans)
     rho_sr = sequence_logprob(tokens, prompt.affirmation_span)
     return float(rho_sc), float(rho_sr)
@@ -195,7 +196,8 @@ def verify_candidate(
     if score_terms & {ScoreTerm.SELF_CONSISTENCY, ScoreTerm.SELF_REFLECTION}:
         try:
             prompt = build_verify_prompt(query, candidate, docs_by_id, mode)
-            rho_sc, rho_sr = yield from score_candidate(prompt, endpoint)
+            _, tokens = yield from generate(endpoint, prompt.text, echo=True)
+            rho_sc, rho_sr = score_candidate(prompt, tokens)
         except TransportError as exc:
             logger.warning(
                 "verification for subset %d dropped: %s", candidate.subset_index, exc

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -21,6 +22,7 @@ from draftrag import backend
 from draftrag.backend import (
     MAX_HEADERS,
     MAX_LINE_BYTES,
+    UNHEALTHY_AFTER_FAILURES,
     EndpointConnectionError,
     EndpointDescriptor,
     EndpointTimeout,
@@ -47,6 +49,27 @@ from reference_texts import NIRVANA_COMPLETION, NIRVANA_PROMPT
 
 def drafter(url: str) -> EndpointDescriptor:
     return EndpointDescriptor(url)
+
+
+def mark_unhealthy(endpoint: EndpointDescriptor, timeout_ms: int = 60_000) -> None:
+    for _ in range(UNHEALTHY_AFTER_FAILURES):
+        endpoint.record_failure(timeout_ms)
+
+
+def record_connects(patch: pytest.MonkeyPatch, refuse: bool = False) -> list:
+    """Patch ``backend._connect`` to record the URL of each connect, and
+    with ``refuse`` to refuse them all; the list it records to."""
+    opened = []
+    real_connect = backend._connect
+
+    def connect(url, timeout_s):
+        opened.append(url)
+        if refuse:
+            raise ConnectionRefusedError("not connecting in this test")
+        return real_connect(url, timeout_s)
+
+    patch.setattr(backend, "_connect", connect)
+    return opened
 
 
 def http(method: str, url: str, body: bytes | None = None):
@@ -110,6 +133,59 @@ class TestDispatch:
             dispatch(ep, {"prompt": "hi"}, 50)
         assert len(server.request_log_snapshot()) == requests_before
 
+    def test_no_connection_is_opened_within_the_cooldown_and_one_after_it(
+        self, monkeypatch
+    ):
+        # Refused at once; the cooldown is UNHEALTHY_COOLDOWN_TIMEOUTS * 100 ms.
+        cooldown_s = backend.UNHEALTHY_COOLDOWN_TIMEOUTS * 0.1
+        opened = record_connects(monkeypatch, refuse=True)
+        ep = drafter(free_port_url())
+        for _ in range(UNHEALTHY_AFTER_FAILURES):
+            with pytest.raises(EndpointConnectionError):
+                dispatch(ep, {"prompt": "hi"}, 100)
+        for _ in range(3):
+            with pytest.raises(EndpointUnavailableError):
+                dispatch(ep, {"prompt": "hi"}, 100)
+        assert len(opened) == UNHEALTHY_AFTER_FAILURES
+        time.sleep(cooldown_s + 0.05)
+        with pytest.raises(EndpointConnectionError):
+            dispatch(ep, {"prompt": "hi"}, 100)
+        assert len(opened) == UNHEALTHY_AFTER_FAILURES + 1
+
+    def test_a_failed_probe_after_the_cooldown_skips_the_endpoint_again(self):
+        ep = drafter(free_port_url())
+        mark_unhealthy(ep, timeout_ms=50)
+        with pytest.raises(EndpointUnavailableError):
+            dispatch(ep, {"prompt": "hi"}, 100)
+        time.sleep(backend.UNHEALTHY_COOLDOWN_TIMEOUTS * 0.05 + 0.05)
+        assert ep.healthy
+        with pytest.raises(EndpointConnectionError):
+            dispatch(ep, {"prompt": "hi"}, 100)
+        assert ep.healthy is False
+        with pytest.raises(EndpointUnavailableError):
+            dispatch(ep, {"prompt": "hi"}, 100)
+        assert ep.consecutive_failures == UNHEALTHY_AFTER_FAILURES + 1
+
+    def test_one_probe_goes_to_an_endpoint_that_never_replies(self, monkeypatch):
+        # The listener takes connections into its backlog and never reads
+        # them, so every request sent to it times out.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            ep = drafter(f"http://127.0.0.1:{silent.getsockname()[1]}/generate")
+            mark_unhealthy(ep, timeout_ms=50)
+            time.sleep(backend.UNHEALTHY_COOLDOWN_TIMEOUTS * 0.05 + 0.05)
+            opened = record_connects(monkeypatch)
+            results = fan_out([reply_or_error(ep, str(i)) for i in range(4)], 200)
+            assert len(opened) == 1
+            assert [type(r) for r in results] == [EndpointTimeout] + [
+                EndpointUnavailableError
+            ] * 3
+            # The failed probe starts a new cooldown of three of its timeouts.
+            assert ep.healthy is False
+            assert ep._retry_at - time.monotonic() > 0.4
+            with pytest.raises(EndpointUnavailableError):
+                dispatch(ep, {"prompt": "hi"}, 200)
+            assert len(opened) == 1
+
     def test_success_resets_failure_counter(self, mock_server, server_factory):
         slow = server_factory(script=MockScript(delay_ms=300))
         ep = drafter(slow.generate_url)
@@ -135,13 +211,13 @@ class TestKeepAlive:
     def test_sequential_dispatches_reuse_one_connection(self, mock_server):
         ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        [(_, conn)] = ep._idle
-        local_port = conn.sock.getsockname()[1]
+        [(_, sock)] = ep._idle
+        local_port = sock.getsockname()[1]
         for prompt in ("b", "c"):
             dispatch(ep, {"prompt": prompt}, 5000)
         assert len(ep._idle) == 1
-        assert ep._idle[0][1] is conn
-        assert conn.sock.getsockname()[1] == local_port
+        assert ep._idle[0][1] is sock
+        assert sock.getsockname()[1] == local_port
 
     def test_next_request_after_a_timeout_reads_its_own_reply(self, server_factory):
         server = server_factory(script=SlowForPrompt())
@@ -225,10 +301,10 @@ class TestKeepAlive:
     def test_dropped_descriptor_closes_its_idle_connections(self, mock_server):
         ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        [(_, conn)] = ep._idle
+        [(_, sock)] = ep._idle
         del ep
         gc.collect()
-        assert conn.sock is None
+        assert sock.fileno() == -1
 
 
 class ScriptedServer:
@@ -236,7 +312,8 @@ class ScriptedServer:
 
     Connections are served one at a time: the request is read in full, then
     ``reply`` is sent as it is and the connection is closed if ``close`` is
-    set, or else held open until the next connection arrives.
+    set, or else held open until the next connection arrives or
+    ``reset_held`` ends it.
     """
 
     def __init__(self):
@@ -246,21 +323,21 @@ class ScriptedServer:
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)
         self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/generate"
+        self._held: list[socket.socket] = []
         self._stopping = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self):
-        held = []
         try:
             while not self._stopping.is_set():
                 try:
                     conn, _ = self._listener.accept()
                 except TimeoutError:
                     continue
-                for old in held:
+                for old in self._held:
                     old.close()
-                held = [conn]
+                self._held = [conn]
                 conn.settimeout(5)
                 try:
                     self.requests.append(read_request(conn))
@@ -270,8 +347,15 @@ class ScriptedServer:
                 if self.close:
                     conn.close()
         finally:
-            for old in held:
+            for old in self._held:
                 old.close()
+
+    def reset_held(self):
+        """End the held connection with a reset (RST) rather than a FIN:
+        with a zero linger time, closing the socket resets it."""
+        for conn in self._held:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
 
     def stop(self):
         self._stopping.set()
@@ -432,6 +516,27 @@ class TestFraming:
             dispatch(ep, {"prompt": "a"}, 5000)
         assert ep.consecutive_failures == 1
 
+    def test_pooled_connection_reset_before_the_send_is_resent_on_a_new_one(
+        self, scripted, monkeypatch
+    ):
+        body = b'{"text": "ok"}'
+        scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
+        scripted.close = False
+        ep = drafter(scripted.url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "ok"}
+        [(_, stale)] = ep._idle
+        scripted.reset_held()
+        time.sleep(0.1)  # the reset has reached the pooled socket by now
+        opened = record_connects(monkeypatch)
+        scripted.requests.clear()
+        assert dispatch(ep, {"prompt": "b"}, 5000) == {"text": "ok"}
+        [request] = scripted.requests
+        assert json.loads(request.partition(b"\r\n\r\n")[2]) == {"prompt": "b"}
+        assert opened == [parse_endpoint_url(scripted.url)]
+        assert ep.consecutive_failures == 0
+        assert stale.fileno() == -1
+        assert [sock for _, sock in ep._idle] != [stale]
+
     def test_request_carries_host_type_and_exact_length(self, scripted):
         body = b'{"text": "ok"}'
         scripted.reply = reply_with(body, b"Content-Length: %d" % len(body))
@@ -496,16 +601,9 @@ class TestEndpointUrls:
     def test_a_url_validates_exactly_when_a_request_is_sent_to_it(self, pieces):
         """No connection is made: one that would be is recorded and refused."""
         url = "".join(pieces)
-        opened = []
-
-        class RefusedConnection:
-            def __init__(self, where, timeout_s):
-                opened.append(where)
-                raise ConnectionRefusedError("not connecting in this test")
-
         ep = drafter(url)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(backend, "_Connection", RefusedConnection)
+            opened = record_connects(patch, refuse=True)
             with pytest.raises(EndpointConnectionError):
                 dispatch(ep, {"prompt": "a"}, 1000)
         assert ep.consecutive_failures == 1
@@ -779,16 +877,9 @@ class TestFanOut:
     def test_a_task_on_an_unhealthy_endpoint_gets_a_routing_error_unsent(
         self, mock_server, monkeypatch
     ):
-        opened = []
-
-        class CountedConnection(backend._Connection):
-            def __init__(self, url, timeout_s):
-                opened.append(url)
-                super().__init__(url, timeout_s)
-
-        monkeypatch.setattr(backend, "_Connection", CountedConnection)
+        opened = record_connects(monkeypatch)
         sick, well = drafter(mock_server.generate_url), drafter(mock_server.generate_url)
-        sick.healthy = False
+        mark_unhealthy(sick)
         results = fan_out([request(sick, "a"), request(well, "b")], 5000)
         assert isinstance(results[0], EndpointUnavailableError)
         assert results[1] == reply_text("b")
@@ -804,8 +895,8 @@ class TestFanOut:
         time.sleep(0.1)
         assert fan_out([request(ep, "b")], 5000) == [reply_text("b")]
         assert ep.consecutive_failures == 0
-        assert stale.sock is None
-        assert [conn for _, conn in ep._idle] != [stale]
+        assert stale.fileno() == -1
+        assert [sock for _, sock in ep._idle] != [stale]
         assert mock_server.request_counts() == {"generate": 2}
 
     def test_forty_tasks_are_in_flight_at_once_from_the_calling_thread(
@@ -849,7 +940,7 @@ class TestRoundRobin:
 
     def test_unhealthy_endpoints_are_skipped(self):
         pool = [drafter(f"http://e{i}") for i in range(3)]
-        pool[1].healthy = False
+        mark_unhealthy(pool[1])
         assigned = round_robin_assign(4, pool)
         assert [a.url for a in assigned] == [
             "http://e0",
@@ -860,7 +951,7 @@ class TestRoundRobin:
 
     def test_no_healthy_endpoints_is_routing_error(self):
         pool = [drafter("http://e0")]
-        pool[0].healthy = False
+        mark_unhealthy(pool[0])
         with pytest.raises(EndpointUnavailableError):
             round_robin_assign(1, pool)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from draftrag import harness
 from draftrag.cli import main
 from draftrag.core import MAX_NUM_DRAFTS, PipelineConfig
 from draftrag.harness import write_dataset
@@ -56,7 +57,8 @@ def test_run_speculative_exit_zero_and_outputs(cli_env, capsys):
     captured = capsys.readouterr().out
     assert "accuracy 1.0000" in captured
     assert (out / "speculative.results.jsonl").exists()
-    assert (out / "speculative.summary.json").exists()
+    summary = json.loads((out / "speculative.summary.json").read_text(encoding="utf-8"))
+    assert summary["interrupted"] is False
     assert (out / "speculative.config.json").exists()
 
 
@@ -252,6 +254,45 @@ def test_unreachable_backend_exits_three(cli_env, capsys, command):
     captured = capsys.readouterr()
     assert "accuracy 0.0000 (0/0, 3 failed)" in captured.out
     assert "every record failed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, first",
+    [
+        (["run"], "speculative"),
+        (["ablate", "--grid", "baseline,selection_random"], "baseline"),
+        (["sweep", "--m-values", "2,3"], "m_2"),
+    ],
+    ids=["run", "ablate", "sweep"],
+)
+def test_interrupt_exits_130_with_the_summary_of_finished_records(
+    cli_env, capsys, monkeypatch, command, first
+):
+    dataset, config, tmp = cli_env
+    run = harness._RUNNERS["speculative"]
+    calls = []
+
+    def interrupted_on_the_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run(*args)
+
+    monkeypatch.setitem(harness._RUNNERS, "speculative", interrupted_on_the_third)
+    out = tmp / "out"
+    args = ["--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+    code = main(command + args)
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    summary = json.loads((out / f"{first}.summary.json").read_text(encoding="utf-8"))
+    assert summary["interrupted"] is True
+    assert (summary["evaluated"], summary["failures"]) == (2, 0)
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{first}.config.json",
+        f"{first}.results.jsonl",
+        f"{first}.summary.json",
+    ]
+    assert len(calls) == 3
 
 
 def test_seed_override_changes_config_snapshot(cli_env, tmp_path):

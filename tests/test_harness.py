@@ -22,7 +22,7 @@ from draftrag.core import (
     StageTimings,
     TaskKind,
 )
-from draftrag import harness
+from draftrag import backend, harness
 from draftrag.clustering import (
     KMEANS_MAX_ITERS,
     embedding_input,
@@ -45,7 +45,7 @@ from draftrag.harness import (
     sweep_grid,
     write_dataset,
 )
-from draftrag.mock_server import MockScript, uniform_tokens
+from draftrag.mock_server import MockLMServer, MockScript, uniform_tokens
 from draftrag.synthetic import make_rigged_fixture
 from json_strategies import DEEPEST, nested_arrays
 from reference_texts import WORKED_ANSWER_B
@@ -582,9 +582,9 @@ class TestPipelines:
         failed_at = []
         record_failure = EndpointDescriptor.record_failure
 
-        def counted(endpoint):
+        def counted(endpoint, timeout_ms):
             failed_at.append(endpoint.url)
-            record_failure(endpoint)
+            record_failure(endpoint, timeout_ms)
 
         monkeypatch.setattr(EndpointDescriptor, "record_failure", counted)
         result = run_speculative(rigged.records[0], cfg, make_backends(cfg))
@@ -829,7 +829,49 @@ class TestExperiments:
             r.query.id for r in records[:finished]
         ]
         assert (tmp_path / "spec.config.json").exists()
-        assert not (tmp_path / "spec.summary.json").exists()
+        summary = json.loads((tmp_path / "spec.summary.json").read_text(encoding="utf-8"))
+        assert summary["interrupted"] is True
+        assert [row["query_id"] for row in summary["per_record"]] == [
+            r.query.id for r in records[:finished]
+        ]
+
+    def test_a_failed_endpoint_serves_a_later_record_after_the_cooldown(
+        self, rigged, monkeypatch
+    ):
+        cooldown_s = 0.3
+        timeouts = cooldown_s * 1000 / rigged.config.request_timeout_ms
+        monkeypatch.setattr(backend, "UNHEALTHY_COOLDOWN_TIMEOUTS", timeouts)
+        server = MockLMServer(script=rigged.script)
+        cfg = replace(
+            rigged.config,
+            drafter_endpoints=(server.generate_url,),
+            verifier_endpoint=server.generate_url,
+            embedding_endpoint=server.embed_url,
+        )
+        port = server.port
+        server.stop()  # nothing listens on the port until the fifth record
+        run = harness._RUNNERS["speculative"]
+        calls, restarted = [], []
+
+        def restarted_before_the_fifth(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                restarted.append(MockLMServer(script=rigged.script, port=port).start())
+                time.sleep(cooldown_s)
+            return run(*args)
+
+        monkeypatch.setitem(harness._RUNNERS, "speculative", restarted_before_the_fifth)
+        records = [*rigged.records, *rigged.records[:2]]
+        try:
+            summary = run_experiment(records, cfg)
+        finally:
+            for restarted_server in restarted:
+                restarted_server.stop()
+        errors = [row.get("error", "") for row in summary.per_record]
+        assert ["connection failed" in e for e in errors] == [True] * 3 + [False] * 2
+        assert "endpoint marked unhealthy" in errors[3]
+        assert (summary.evaluated, summary.correct) == (1, 1)
+        assert restarted[0].request_counts()["embed"] == 1
 
     def test_interrupt_inside_a_stage_reaches_the_caller(self, rigged, monkeypatch):
         def interrupted(*args, **kwargs):

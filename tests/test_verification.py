@@ -14,7 +14,7 @@ from draftrag.core import (
     VerificationContextMode,
     derive_rng,
 )
-from draftrag.drafting import Candidate, Span, parse_draft
+from draftrag.drafting import Candidate, Span, generate, parse_draft
 from draftrag.mock_server import whitespace_token_spans
 from draftrag.verification import (
     build_verify_prompt,
@@ -120,9 +120,9 @@ def _verifier(server):
 
 
 def score(prompt, server):
-    """``score_candidate`` run through the request driver."""
-    [scores] = fan_out([score_candidate(prompt, _verifier(server))], 5000)
-    return scores
+    """``score_candidate`` of the server's echo of the prompt."""
+    [(_, tokens)] = fan_out([generate(_verifier(server), prompt.text, echo=True)], 5000)
+    return score_candidate(prompt, tokens)
 
 
 def brute_force_span_sum(tokens: list[dict], span: Span) -> float:
