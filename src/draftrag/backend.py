@@ -472,15 +472,16 @@ def dispatch(endpoint: EndpointDescriptor, payload: dict, timeout_ms: int) -> di
 
 
 def round_robin_assign(
-    count: int, endpoints: list[EndpointDescriptor]
+    count: int, endpoints: list[EndpointDescriptor], start: int = 0
 ) -> list[EndpointDescriptor]:
-    """Assign request i to healthy endpoint (i mod p); fails if none are healthy."""
+    """Assign request i to healthy endpoint ((start + i) mod p); fails if
+    none are healthy."""
     healthy = [e for e in endpoints if e.healthy]
     if not healthy:
         raise EndpointUnavailableError(
             endpoints[0].url if endpoints else "<none>", "no healthy endpoints in pool"
         )
-    return [healthy[i % len(healthy)] for i in range(count)]
+    return [healthy[(start + i) % len(healthy)] for i in range(count)]
 
 
 def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:

@@ -28,19 +28,12 @@ from .core import (
     STAGES,
     ConfigError,
     DataError,
+    DatasetError,
     PipelineConfig,
     PipelineError,
     StageTimings,
     read_json_object,
     validate_config,
-)
-from .harness import (
-    DatasetError,
-    ablation_grid,
-    load_dataset,
-    report_latency,
-    run_experiment,
-    sweep_grid,
 )
 from .mock_server import MockLMServer, MockScript
 
@@ -64,7 +57,13 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+# The commands that run the pipeline import ``harness`` themselves, so that
+# ``mock-serve`` loads neither the pipeline nor numpy.
+
+
 def _ablate_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
+    from .harness import ablation_grid
+
     names = [v.strip() for v in args.grid.split(",") if v.strip()]
     return ablation_grid(cfg, None if args.grid == "all" else names)
 
@@ -83,6 +82,8 @@ def _parse_counts(raw: str | None, flag: str) -> list[int]:
 
 
 def _sweep_configs(args, cfg: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
+    from .harness import sweep_grid
+
     m_values = _parse_counts(args.m_values, "--m-values")
     if any(m > MAX_NUM_DRAFTS for m in m_values):
         raise ConfigError(
@@ -101,6 +102,8 @@ def _cmd_experiments(args) -> int:
     ``validate_config`` refuses, exits 2 before ``--out`` is made or any
     request is sent; a run whose records all fail exits 3 once every run
     has ended."""
+    from .harness import load_dataset, run_experiment
+
     cfg = _load_config(args)
     records = load_dataset(args.dataset)
     configs = args.configs(args, cfg)
@@ -192,6 +195,8 @@ def _results_timings(path: str, lineno: int, line: bytes) -> tuple[str, StageTim
 
 
 def _cmd_report(args) -> int:
+    from .harness import report_latency
+
     by_mode: dict[str, list[StageTimings]] = {}
     for path in args.inputs:
         # Split at \n, \r\n or \r, as a file read as text is.

@@ -8,10 +8,11 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlsplit
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_SEED = 2**64 - 1
 # The most milliseconds a C int holds, about 24.8 days. Socket timeouts take
@@ -192,6 +193,10 @@ class DataError(Exception):
     """Malformed or inconsistent data (bad embeddings, unresolvable doc ids)."""
 
 
+class DatasetError(Exception):
+    """A dataset file that cannot be read, or a record in it that is malformed."""
+
+
 class PipelineError(Exception):
     """A pipeline stage failed in a way that invalidates the whole run."""
 
@@ -366,6 +371,9 @@ def derive_rng(seed: int, *labels: str) -> np.random.Generator:
     so adding draws to one stage never perturbs another. With no labels this
     is the seed's own stream.
     """
+    # Imported here, not at the top, so the mock server can import core without numpy.
+    import numpy as np
+
     if not (0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     entropy = [seed]

@@ -46,6 +46,7 @@ from .core import (
     STAGES,
     ConfigError,
     DataError,
+    DatasetError,
     Document,
     PipelineConfig,
     PipelineError,
@@ -78,10 +79,6 @@ STANDARD_PROMPT_HEADER = (
     "Below is an instruction that describes a task. "
     "Write a response that appropriately completes the request. "
 )
-
-
-class DatasetError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,9 @@ class PipelineBackends:
     drafters: list[EndpointDescriptor]
     verifier: EndpointDescriptor
     embedder: EndpointDescriptor
+    # Where the next query's round robin over ``drafters`` starts, so that
+    # drafters past a query's subset count get its successors' requests.
+    next_drafter: int = 0
 
 
 def make_backends(cfg: PipelineConfig) -> PipelineBackends:
@@ -421,7 +421,10 @@ def run_speculative(
 
     drafting_started = time.perf_counter()
     with _stage_errors("draft"):
-        drafters = round_robin_assign(len(plan.subsets), backends.drafters)
+        drafters = round_robin_assign(
+            len(plan.subsets), backends.drafters, backends.next_drafter
+        )
+        backends.next_drafter += len(plan.subsets)
         outcomes = fan_out(
             [
                 _draft_then_verify(

@@ -1,6 +1,6 @@
 import pytest
 
-from draftrag import MockLMServer
+from draftrag.mock_server import MockLMServer
 
 
 @pytest.fixture

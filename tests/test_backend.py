@@ -1232,17 +1232,25 @@ class TestRequestFuzz:
             conn.close()
 
 
-def test_runtime_imports_and_dispatch_work_without_requests():
+@pytest.mark.parametrize("blocked", ["requests", "numpy"])
+def test_runtime_imports_and_dispatch_work_without_requests(blocked):
     # ``sys.modules[name] = None`` makes any import of the package fail.
-    code = """
+    # The mock server and ``mock-serve`` load neither numpy nor the pipeline.
+    code = f"""
 import sys
-sys.modules["requests"] = None
-import draftrag, draftrag.cli
+sys.modules[{blocked!r}] = None
+import draftrag.cli
 from draftrag.backend import EndpointDescriptor, dispatch
 from draftrag.mock_server import MockLMServer
 with MockLMServer() as server:
     ep = EndpointDescriptor(server.generate_url)
-    print(dispatch(ep, {"prompt": "hi"}, 5000)["text"])
+    print(dispatch(ep, {{"prompt": "hi"}}, 5000)["text"])
+    ep = EndpointDescriptor(server.embed_url)
+    print(len(dispatch(ep, {{"inputs": ["hi"]}}, 5000)["embeddings"]), "embedding")
+assert draftrag.cli.main(["mock-serve", "--port", "99999"]) == 2
+assert "draftrag.harness" not in sys.modules
+if {blocked!r} == "requests":  # the pipeline needs no requests either
+    import draftrag.harness, draftrag.synthetic
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -1255,3 +1263,4 @@ with MockLMServer() as server:
     )
     assert done.returncode == 0, done.stderr
     assert "## Response: hi." in done.stdout
+    assert "1 embedding" in done.stdout

@@ -615,6 +615,23 @@ class TestPipelines:
         assert len(result.candidates) > 1 and result.final_answer
         assert backends.drafters[0].consecutive_failures == 1
 
+    def test_successive_queries_spread_over_every_drafter(self, server_factory):
+        # Two subsets per query over three drafters: the second query starts
+        # where the first stopped, so the third drafter serves too.
+        base = PipelineConfig(top_n=4, num_drafts=2, rng_seed=7)
+        fixture = make_rigged_fixture(base, num_records=2)
+        servers = [server_factory(script=fixture.script) for _ in range(3)]
+        cfg = replace(
+            base,
+            drafter_endpoints=tuple(s.generate_url for s in servers),
+            verifier_endpoint=servers[0].generate_url,
+            embedding_endpoint=servers[0].embed_url,
+        )
+        backends = make_backends(cfg)
+        for record in fixture.records:
+            assert len(run_speculative(record, cfg, backends).candidates) == 2
+        assert [s.request_counts().get("generate", 0) for s in servers] == [2, 1, 1]
+
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must
         # not appear in any outbound prompt.
