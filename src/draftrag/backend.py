@@ -12,10 +12,12 @@ a request from its send to its decoded reply. It goes out in one
 is then taken in by ``_Request.poll`` without blocking, piece by piece as it
 arrives, and parsed (``_parse_reply``) once enough of it is there. A reply
 body may be framed by ``Content-Length``, by chunked transfer coding, or by
-the server closing the connection. The parser applies the limits
-``http.client`` does: a line is at most 65 536 bytes and a reply has at
-most 100 header lines. Any other reply is a framing error. Idle keep-alive
-sockets wait in their endpoint's pool; the reply bytes go with the request.
+the server closing the connection. Its header block is read by
+``core.read_http_headers``, as the mock server reads a request's, with the
+limits ``http.client`` applies: a line is at most 65 536 bytes and a block
+has at most 100 header lines. Any other reply is a framing error. Idle
+keep-alive sockets wait in their endpoint's pool; the reply bytes go with
+the request.
 
 ``fan_out`` drives many requests from the calling thread, with no worker
 thread: each task is a generator that yields its requests, one selector
@@ -40,7 +42,15 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, TypeVar
-from .core import EndpointURL, parse_endpoint_url, read_json_object
+from .core import (
+    EndpointURL,
+    FramingError,
+    Incomplete,
+    parse_endpoint_url,
+    read_http_headers,
+    read_http_line,
+    read_json_object,
+)
 
 UNHEALTHY_AFTER_FAILURES = 3
 # An endpoint with UNHEALTHY_AFTER_FAILURES failures in a row is skipped for
@@ -49,13 +59,9 @@ UNHEALTHY_AFTER_FAILURES = 3
 # never replies or its connect hangs, so waiting on probes of a dead
 # endpoint takes at most 1 / (1 + this), a quarter, of a run's time.
 UNHEALTHY_COOLDOWN_TIMEOUTS = 3
-# Reply limits, the same as http.client's.
-MAX_LINE_BYTES = 65536
-MAX_HEADERS = 100
 # The most a reply read takes from a socket at once.
 _RECV_BYTES = 1 << 16
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-_BLANK_LINES = (b"\r\n", b"\n")
 # Every request reads its endpoint's URL, and the few URLs in use repeat.
 _endpoint_url = functools.lru_cache(maxsize=64)(parse_endpoint_url)
 
@@ -168,10 +174,6 @@ def _close_all(idle: list[tuple[EndpointURL, socket.socket]]) -> None:
         sock.close()
 
 
-class _ProtocolError(Exception):
-    """A reply breaks HTTP/1.1 framing."""
-
-
 @functools.cache
 def _tls_context() -> ssl.SSLContext:
     # One context for every https connection, made on first use: loading
@@ -179,67 +181,42 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
-class _Incomplete(Exception):
-    """The bytes so far start a reply but do not finish it; parsing can go
-    further once ``need`` bytes have arrived (or the server has closed)."""
-
-    def __init__(self, need: float):
-        super().__init__(need)
-        self.need = need
-
-
 def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
     """The status and body of the reply at the start of ``buf``, and whether
     its connection can carry another request; ``eof`` says the server has
     closed the connection, so no more bytes will come.
 
-    Raises ``_Incomplete`` while more bytes may complete the reply, and
-    ``_ProtocolError`` when none can. The body of a reply other than 200 is
-    not read, and its connection is not reusable. Nor is one whose reply is
-    HTTP/1.0, says ``Connection: close``, ends where the server closes or
-    is followed by more bytes.
+    Raises ``Incomplete`` when the bytes end before the reply does, and
+    ``FramingError`` when no bytes can complete it. The body of a reply
+    other than 200 is not read, and its connection is not reusable. Nor is
+    one whose reply is HTTP/1.0, says ``Connection: close``, ends where the
+    server closes or is followed by more bytes.
     """
-
-    def cut_short(need: int):
-        if eof:
-            raise _ProtocolError("reply cut short")
-        raise _Incomplete(need)
-
-    def line(pos: int) -> tuple[bytes, int]:
-        end = buf.find(b"\n", pos, pos + MAX_LINE_BYTES)
-        if end < 0:
-            if len(buf) - pos >= MAX_LINE_BYTES:
-                raise _ProtocolError(f"reply line over {MAX_LINE_BYTES} bytes")
-            cut_short(len(buf) + 1)
-        return buf[pos : end + 1], end + 1
 
     def chunked(pos: int) -> tuple[bytes, int]:
         pieces = []
         while True:
-            size_line, pos = line(pos)
+            size_line, pos = read_http_line(buf, pos)
             size = size_line.split(b";", 1)[0].strip()
             if not _CHUNK_SIZE.fullmatch(size):
-                raise _ProtocolError(f"bad chunk size {size[:80]!r}")
+                raise FramingError(f"bad chunk size {size[:80]!r}")
             end = pos + int(size, 16)
             if end == pos:
                 break
             if len(buf) < end + 2:
-                cut_short(end + 2)
+                raise Incomplete(end + 2)
             if buf[end : end + 2] != b"\r\n":
-                raise _ProtocolError("chunk data not followed by CRLF")
+                raise FramingError("chunk data not followed by CRLF")
             pieces.append(buf[pos:end])
             pos = end + 2
-        for _ in range(MAX_HEADERS + 1):  # trailer lines, then a blank one
-            trailer, pos = line(pos)
-            if trailer in _BLANK_LINES:
-                return b"".join(pieces), pos
-        raise _ProtocolError(f"more than {MAX_HEADERS} trailer lines")
+        _trailers, pos = read_http_headers(buf, pos)
+        return b"".join(pieces), pos
 
     if not buf and eof:
         # The server closed the connection without reading the request, as
         # it may close an idle one.
         raise ConnectionResetError("connection closed before any reply")
-    status_line, pos = line(0)
+    status_line, pos = read_http_line(buf, 0)
     version, _, rest = status_line.partition(b" ")
     status = rest[:3]
     if not (
@@ -248,40 +225,28 @@ def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
         and status.isdigit()
         and not rest[3:4].strip()
     ):
-        raise _ProtocolError(f"bad status line {status_line[:80]!r}")
+        raise FramingError(f"bad status line {status_line[:80]!r}")
     if status != b"200":
         return int(status), b"", False
 
-    headers: dict[bytes, bytes] = {}
-    for _ in range(MAX_HEADERS + 1):
-        header, pos = line(pos)
-        if header in _BLANK_LINES:
-            break
-        name, colon, value = header.partition(b":")
-        if not colon:
-            raise _ProtocolError(f"bad header line {header[:80]!r}")
-        name, value = name.lower(), value.strip()
-        headers[name] = headers[name] + b", " + value if name in headers else value
-    else:
-        raise _ProtocolError(f"more than {MAX_HEADERS} headers")
-
+    headers, pos = read_http_headers(buf, pos)
     coding = headers.get(b"transfer-encoding")
     length = headers.get(b"content-length")
     if coding is not None:
         if coding.lower() != b"chunked":
-            raise _ProtocolError(f"unsupported transfer-encoding {coding[:80]!r}")
+            raise FramingError(f"unsupported transfer-encoding {coding[:80]!r}")
         body, pos = chunked(pos)
     elif length is not None:
         if not (length.isdigit() and len(length) <= 18):
-            raise _ProtocolError(f"bad content-length {length[:80]!r}")
+            raise FramingError(f"bad content-length {length[:80]!r}")
         end = pos + int(length)
         if len(buf) < end:
-            cut_short(end)
+            raise Incomplete(end)
         body, pos = buf[pos:end], end
     elif eof:
         return 200, buf[pos:], False
     else:
-        raise _Incomplete(float("inf"))  # the body ends where the server closes
+        raise Incomplete(float("inf"))  # the body ends where the server closes
     reusable = (
         version == b"HTTP/1.1"
         and b"close" not in headers.get(b"connection", b"").lower()
@@ -407,7 +372,7 @@ class _Request:
                     raise
                 self._send_on_new_socket()
                 return None
-        except (OSError, _ProtocolError) as exc:
+        except (OSError, FramingError) as exc:
             raise self.failed(exc)
         if reply is None:
             return None
@@ -452,7 +417,9 @@ class _Request:
         self._pieces = [buf]
         try:
             return _parse_reply(buf, self._eof)
-        except _Incomplete as incomplete:
+        except Incomplete as incomplete:
+            if self._eof:
+                raise FramingError("reply cut short") from None
             self._need = incomplete.need
             return None
 

@@ -1,5 +1,6 @@
-"""Shared domain types, pipeline configuration, seeded randomness, and the
-one reader of JSON from outside the program."""
+"""Shared domain types, pipeline configuration, seeded randomness, the one
+reader of JSON from outside the program, and the one reader of an HTTP/1.1
+header block, which the client and the mock server share."""
 
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ _NOT_IN_REQUEST_HEAD = re.compile(r"[^\x21-\x7e]")
 # left one unpaired: the decoder joins each escaped pair into one character.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD]")
+# HTTP/1.1 head limits, the same as http.client's: the client applies them
+# to replies and the mock server to requests.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+_BLANK_LINES = (b"\r\n", b"\n")
 
 
 class TaskKind(str, Enum):
@@ -357,6 +363,51 @@ def _location(path: tuple | None) -> str:
         plain = isinstance(step, str) and step.isidentifier()
         steps.append(f".{step}" if plain else f"[{json.dumps(step)}]")
     return "".join(reversed(steps))
+
+
+class FramingError(ValueError):
+    """Bytes that break HTTP/1.1 framing, so no more of them can be read."""
+
+
+class Incomplete(Exception):
+    """The bytes so far start an HTTP message but do not finish it; parsing
+    can go further once ``need`` bytes have arrived."""
+
+    def __init__(self, need: float):
+        super().__init__(need)
+        self.need = need
+
+
+def read_http_line(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """The line of ``buf`` at ``pos``, its LF included, and where the next
+    line starts. Raises ``Incomplete`` while the LF may still come, and
+    ``FramingError`` once the line is over ``MAX_LINE_BYTES``."""
+    end = buf.find(b"\n", pos, pos + MAX_LINE_BYTES)
+    if end < 0:
+        if len(buf) - pos >= MAX_LINE_BYTES:
+            raise FramingError(f"line over {MAX_LINE_BYTES} bytes")
+        raise Incomplete(len(buf) + 1)
+    return buf[pos : end + 1], end + 1
+
+
+def read_http_headers(buf: bytes, pos: int) -> tuple[dict[bytes, bytes], int]:
+    """The header block of ``buf`` from ``pos`` through the blank line that
+    ends it, and where the bytes after that line start. Names are lowercased
+    and values stripped; the values of a repeated name are joined by ", ".
+    Raises ``Incomplete`` while the block may still be completed, and
+    ``FramingError`` for a line over the limit, a line without a colon or
+    more than ``MAX_HEADERS`` header lines."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        header, pos = read_http_line(buf, pos)
+        if header in _BLANK_LINES:
+            return headers, pos
+        name, colon, value = header.partition(b":")
+        if not colon:
+            raise FramingError(f"bad header line {header[:80]!r}")
+        name, value = name.lower(), value.strip()
+        headers[name] = headers[name] + b", " + value if name in headers else value
+    raise FramingError(f"more than {MAX_HEADERS} headers")
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

@@ -15,6 +15,14 @@ non-whitespace; each token's span stretches to the start of the next token
 the first), so tokens tile the text. Offsets are byte offsets.
 
 Echo rule: logprob(token) = -(1 + (sum(token bytes) mod 7)) / 10.
+
+Transport: each connection gets a thread that runs a small HTTP/1.1 loop
+on the raw socket. It reads a head through ``core.read_http_headers``, the
+reader the client uses for reply heads, then exactly ``Content-Length``
+body bytes, keeping any bytes after them for the next, pipelined request,
+and writes each whole reply in one ``sendall``. Every reply is a status
+line with a JSON body. The module loads only the standard library and
+``core``: no numpy, no pipeline module, no ``http.server``.
 """
 
 from __future__ import annotations
@@ -23,15 +31,23 @@ import hashlib
 import json
 import re
 import socket
+import socketserver
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
+from typing import Callable
 
-from .core import LoneSurrogateError, read_json_object
+from .core import (
+    Incomplete,
+    LoneSurrogateError,
+    read_http_headers,
+    read_http_line,
+    read_json_object,
+)
 
 DEFAULT_EMBED_DIMS = 8
 FALLBACK_LOGPROB = -1.0
@@ -228,17 +244,140 @@ class MockScript:
         return cls.from_dict(read_json_object(Path(path).read_bytes()))
 
 
-class _MockHTTPServer(ThreadingHTTPServer):
+# The most a request read takes from a socket at once.
+_RECV_BYTES = 1 << 16
+# A request line: a method token, a target and a version, one space apart.
+_REQUEST_LINE = re.compile(
+    rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) ([\x21-\x7e]+) HTTP/(\d\.\d)\r?\n"
+)
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+class _Refusal(ValueError):
+    """A request refused with ``status``. Any other ValueError a request
+    raises refuses it with a 400."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+def _parse_head(buf: bytes) -> tuple[bytes, str, bytes, dict[bytes, bytes], int]:
+    """The method, target, version and headers of the request head at the
+    start of ``buf``, and where its body starts. The request line is judged
+    as soon as it has arrived; ``core.Incomplete`` says more bytes are
+    needed, and a ValueError refuses the request."""
+    line, pos = read_http_line(buf, 0)
+    match = _REQUEST_LINE.fullmatch(line)
+    if not match:
+        raise ValueError(f"bad request line {line[:80]!r}")
+    method, target, version = match.groups()
+    if version not in (b"1.0", b"1.1"):
+        raise _Refusal(505, f"HTTP/{version.decode()} is not supported")
+    if method not in (b"GET", b"POST"):
+        raise _Refusal(501, f"method {method.decode()} is not supported")
+    headers, pos = read_http_headers(buf, pos)
+    return method, target.decode("ascii"), version, headers, pos
+
+
+def _content_length(headers: dict[bytes, bytes]) -> int:
+    if b"transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported: send a Content-Length")
+    raw = headers.get(b"content-length", b"0")
+    if not raw.isdigit():  # ASCII digits only, for bytes
+        raise ValueError(
+            f"Content-Length {raw.decode('latin-1')!r} is not a non-negative integer"
+        )
+    length = int(raw)
+    if length > MAX_REQUEST_BODY_BYTES:
+        raise ValueError(
+            f"Content-Length {length} is above {MAX_REQUEST_BODY_BYTES} bytes"
+        )
+    return length
+
+
+def _read_request(
+    sock: socket.socket, buf: bytes
+) -> tuple[bytes, str, bool, bytes, bytes] | None:
+    """The next request on ``sock``, where ``buf`` holds the bytes received
+    but not yet read: its method, target, whether the connection stays open
+    after its reply, its body, and the bytes received after it. None if the
+    client closes the connection first. A ValueError refuses the request as
+    soon as enough of it has arrived to tell; the body is not read then.
+
+    A head is read up to its blank line and a body exactly to its
+    ``Content-Length``, so the bytes after it start the next request. A
+    request that expects ``100 Continue`` gets it once its head is
+    accepted, if its body has not arrived with it."""
+    while True:
+        try:
+            method, target, version, headers, pos = _parse_head(buf)
+            break
+        except Incomplete:
+            pass
+        piece = sock.recv(_RECV_BYTES)
+        if not piece:
+            return None
+        buf += piece
+    end = pos + _content_length(headers)
+    connection = headers.get(b"connection", b"").lower()
+    keep_alive = b"close" not in connection and (
+        version == b"1.1" or b"keep-alive" in connection
+    )
+    expects = headers.get(b"expect", b"").lower() == b"100-continue"
+    if len(buf) < end and expects and version == b"1.1":
+        sock.sendall(_CONTINUE)
+    pieces = [buf[pos:end]]
+    missing = end - pos - len(pieces[0])
+    while missing > 0:
+        piece = sock.recv(min(missing, _RECV_BYTES))
+        if not piece:
+            return None
+        pieces.append(piece)
+        missing -= len(piece)
+    return method, target, keep_alive, b"".join(pieces), buf[end:]
+
+
+def _json_body(data: bytes) -> dict:
+    """The JSON object a POST body holds; an empty body is ``{}``."""
+    try:
+        return read_json_object(data or b"{}")
+    except LoneSurrogateError:
+        raise  # its reason names the field
+    except ValueError:
+        raise ValueError("request body is not a JSON object") from None
+
+
+def _reply(status: int, payload: object, keep_alive: bool) -> bytes:
+    """A whole reply: status line, headers and JSON body."""
+    body = json.dumps(payload).encode("utf-8")
+    close = "" if keep_alive else "Connection: close\r\n"
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+class _MockTCPServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, each running ``serve`` on its socket:
+    ``MockScript`` methods may sleep, and the sleeps of requests in flight
+    at once must overlap."""
+
     daemon_threads = True
+    allow_reuse_address = True
     # socketserver's default backlog of 5 drops SYNs when ten verifications
     # connect at once, and each dropped connect is retried only after 1 s.
     request_queue_size = 128
-    owner: "MockLMServer"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, address, serve: Callable[[socket.socket], None]):
+        super().__init__(address, None)
+        self._serve = serve
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+
+    def finish_request(self, request, client_address):
+        self._serve(request)
 
     def process_request(self, request, client_address):
         with self._open_lock:
@@ -251,8 +390,8 @@ class _MockHTTPServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def shutdown_open_connections(self) -> None:
-        """End every keep-alive connection: each handler thread reads end of
-        input and returns, and the client sees the connection closed."""
+        """End every keep-alive connection: each connection's thread reads
+        end of input and returns, and the client sees the connection closed."""
         with self._open_lock:
             open_now = list(self._open)
         for request in open_now:
@@ -270,93 +409,6 @@ class _MockHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: _MockHTTPServer
-    # Keep-alive connections. With Nagle's algorithm on, a reply's body
-    # waits for the client's delayed ACK of its headers, about 40 ms per
-    # request; so turn it off and buffer ``wfile``, which the handler
-    # flushes once per request: headers and body leave in one write.
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    wbufsize = -1
-
-    def log_message(self, fmt, *args):  # silence per-request stderr noise
-        pass
-
-    @property
-    def mock(self) -> "MockLMServer":
-        return self.server.owner
-
-    def _read_body(self) -> dict:
-        raw = self.headers.get("Content-Length", "0").strip()
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError(f"Content-Length {raw!r} is not a non-negative integer")
-        length = int(raw)
-        if length > MAX_REQUEST_BODY_BYTES:
-            raise ValueError(
-                f"Content-Length {length} is above {MAX_REQUEST_BODY_BYTES} bytes"
-            )
-        data = self.rfile.read(length) if length else b"{}"
-        try:
-            return read_json_object(data)
-        except LoneSurrogateError:
-            raise  # its reason names the field
-        except ValueError:
-            raise ValueError("request body is not a JSON object") from None
-
-    def _send_json(self, status: int, payload) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    @property
-    def _route(self) -> str:
-        """The request path without its query string."""
-        return self.path.partition("?")[0]
-
-    def do_GET(self):
-        if self._route == "/requests":
-            self._send_json(200, self.mock.request_log_snapshot())
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    def do_POST(self):
-        try:
-            self._post()
-        except ValueError as exc:
-            # The body may be unread (say, a Content-Length that is not a
-            # number), so the next request's start is unknown: close.
-            self.close_connection = True
-            self._send_json(400, {"error": str(exc)})
-
-    def _post(self) -> None:
-        body = self._read_body()
-        if self._route == "/generate":
-            prompt = _text(body.get("prompt", ""), "prompt")
-            kind = "echo" if body.get("echo") else "generate"
-            self.mock.log_request_entry(kind, prompt)
-            self.mock.apply_delay()
-            script = self.mock.script
-            result = script.echo(prompt) if kind == "echo" else script.generate(prompt)
-            self._send_json(200, result)
-        elif self._route == "/embed":
-            instruction = _text(body.get("instruction", ""), "instruction")
-            inputs = body.get("inputs", [])
-            if not isinstance(inputs, list):
-                raise ValueError('"inputs" must be a list of strings')
-            inputs = [_text(text, "inputs") for text in inputs]
-            self.mock.log_request_entry("embed", "\x1f".join([instruction, *inputs]))
-            self.mock.apply_delay()
-            self._send_json(200, self.mock.script.embed(instruction, inputs))
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-
 class MockLMServer:
     """Threaded HTTP server exposing the mock LM on an ephemeral port.
 
@@ -365,9 +417,14 @@ class MockLMServer:
     ``REQUEST_LOG_LIMIT`` entries of the request log, each an object of
     "index", "kind" and "prompt"; "index" counts every request since the
     last reset, and an embed request's "prompt" is its instruction and
-    inputs joined by U+001F). Speaks HTTP/1.1 with keep-alive and handles
-    concurrent connections; responses depend only on request content.
-    ``stop`` also ends every open connection.
+    inputs joined by U+001F). Speaks HTTP/1.1 with keep-alive, one thread
+    per connection, so the sleeps of concurrent requests overlap; responses
+    depend only on request content. A method other than GET or POST gets a
+    501, a version other than HTTP/1.0 or 1.1 a 505, and any other request
+    it cannot read, including one with a ``Transfer-Encoding``, a 400; each
+    refusal is a JSON ``{"error": ...}`` reply that closes the connection
+    and is neither logged nor counted. ``stop`` also ends every open
+    connection.
     """
 
     def __init__(self, script: MockScript | None = None, port: int = 0):
@@ -375,8 +432,7 @@ class MockLMServer:
         self._log: deque[dict] = deque(maxlen=REQUEST_LOG_LIMIT)
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._httpd = _MockHTTPServer(("127.0.0.1", port), _Handler)
-        self._httpd.owner = self
+        self._httpd = _MockTCPServer(("127.0.0.1", port), self._serve_connection)
         self._serving = False
         self._thread: threading.Thread | None = None
 
@@ -423,6 +479,56 @@ class MockLMServer:
     def serve_forever(self) -> None:
         self._serving = True
         self._httpd.serve_forever()
+
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Answer the requests on one connection, each reply in one
+        ``sendall``, until the client closes it or a reply closes it."""
+        # With Nagle's algorithm on, a reply sent after a 100 Continue
+        # waits for the client's delayed ACK, about 40 ms.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buf = b""
+        while True:
+            try:
+                request = _read_request(sock, buf)
+                if request is None:
+                    return
+                method, target, keep_alive, body, buf = request
+                status, payload = self._answer(method, target, body)
+            except ValueError as exc:
+                # The request may be partly unread, so where the next one
+                # starts is unknown: close.
+                status = exc.status if isinstance(exc, _Refusal) else 400
+                payload, keep_alive = {"error": str(exc)}, False
+            sock.sendall(_reply(status, payload, keep_alive))
+            if not keep_alive:
+                return
+
+    def _answer(self, method: bytes, target: str, body: bytes) -> tuple[int, object]:
+        """The status and JSON payload of a request's reply; a ValueError
+        refuses the request, which is then neither logged nor counted."""
+        route = target.partition("?")[0]
+        if method == b"GET":
+            if route == "/requests":
+                return 200, self.request_log_snapshot()
+            return 404, {"error": f"unknown path {target}"}
+        fields = _json_body(body)
+        if route == "/generate":
+            prompt = _text(fields.get("prompt", ""), "prompt")
+            kind = "echo" if fields.get("echo") else "generate"
+            self.log_request_entry(kind, prompt)
+            self.apply_delay()
+            script = self.script
+            return 200, script.echo(prompt) if kind == "echo" else script.generate(prompt)
+        if route == "/embed":
+            instruction = _text(fields.get("instruction", ""), "instruction")
+            inputs = fields.get("inputs", [])
+            if not isinstance(inputs, list):
+                raise ValueError('"inputs" must be a list of strings')
+            inputs = [_text(text, "inputs") for text in inputs]
+            self.log_request_entry("embed", "\x1f".join([instruction, *inputs]))
+            self.apply_delay()
+            return 200, self.script.embed(instruction, inputs)
+        return 404, {"error": f"unknown path {target}"}
 
     def apply_delay(self) -> None:
         if self.script.delay_ms > 0:

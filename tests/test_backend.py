@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from draftrag import backend
 from draftrag.backend import (
-    MAX_HEADERS,
-    MAX_LINE_BYTES,
     UNHEALTHY_AFTER_FAILURES,
     EndpointConnectionError,
     EndpointDescriptor,
@@ -33,7 +31,13 @@ from draftrag.backend import (
     fan_out,
     round_robin_assign,
 )
-from draftrag.core import PipelineConfig, parse_endpoint_url, validate_config
+from draftrag.core import (
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
+    PipelineConfig,
+    parse_endpoint_url,
+    validate_config,
+)
 from draftrag.mock_server import (
     MAX_REQUEST_BODY_BYTES,
     REQUEST_LOG_LIMIT,
@@ -83,6 +87,64 @@ def http(method: str, url: str, body: bytes | None = None):
         return resp.status, json.loads(resp.read())
     finally:
         conn.close()
+
+
+class RawConnection:
+    """A client socket to a mock server: sends raw bytes and reads replies
+    framed by their Content-Length, keeping any bytes that follow one."""
+
+    def __init__(self, port: int):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        self.buf = b""
+
+    def __enter__(self) -> "RawConnection":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.sock.close()
+
+    def send(self, data: bytes, one_byte_at_a_time: bool = False) -> None:
+        """Send ``data``; stop quietly if the server has closed meanwhile."""
+        pieces = [data[i : i + 1] for i in range(len(data))] if one_byte_at_a_time else [data]
+        try:
+            for piece in pieces:
+                self.sock.sendall(piece)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+
+    def fill(self) -> bool:
+        try:
+            piece = self.sock.recv(65536)
+        except ConnectionResetError:
+            piece = b""
+        self.buf += piece
+        return bool(piece)
+
+    def reply(self) -> tuple[int, dict[str, str], object]:
+        """Status, headers and JSON body of the next reply; it must be a
+        whole HTTP/1.1 reply framed by its Content-Length."""
+        while b"\r\n\r\n" not in self.buf:
+            assert self.fill(), f"connection closed inside a reply head: {self.buf!r}"
+        head, self.buf = self.buf.split(b"\r\n\r\n", 1)
+        status_line, *lines = head.decode("ascii").split("\r\n")
+        version, status, _reason = status_line.split(" ", 2)
+        assert version == "HTTP/1.1" and status.isdigit(), status_line
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers["Content-Length"])
+        while len(self.buf) < length:
+            assert self.fill(), "connection closed inside a reply body"
+        body, self.buf = self.buf[:length], self.buf[length:]
+        assert headers["Content-Type"] == "application/json"
+        return int(status), headers, json.loads(body)
+
+    def closed_by_server(self) -> bool:
+        """Whether the server closes the connection with nothing more sent."""
+        return not self.buf and not self.fill()
+
+
+def post(prompt: str) -> bytes:
+    body = json.dumps({"prompt": prompt}).encode()
+    return b"POST /generate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
 
 
 def free_port_url(path="/generate") -> str:
@@ -1146,6 +1208,70 @@ class TestServerEndpoints:
         assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
         assert capfd.readouterr().err == ""
 
+    def test_chunked_request_is_refused_unlogged(self, mock_server, capfd):
+        body = b'{"prompt": "hi"}'
+        raw = b"POST /generate HTTP/1.1\r\nHost: mock\r\nTransfer-Encoding: chunked\r\n\r\n"
+        with RawConnection(mock_server.port) as conn:
+            conn.send(raw + chunked(body))
+            status, headers, reply = conn.reply()
+            assert status == 400 and headers["Connection"] == "close"
+            assert "Transfer-Encoding" in reply["error"]
+            assert conn.closed_by_server()
+        assert mock_server.request_counts() == {}
+        assert capfd.readouterr().err == ""
+
+    def test_expect_100_continue_gets_the_interim_reply_at_once(self, mock_server):
+        body = b'{"prompt": "big"}'
+        head = b"POST /generate HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+        with RawConnection(mock_server.port) as conn:
+            conn.sock.settimeout(0.5)
+            conn.send(head % len(body))
+            expected = b"HTTP/1.1 100 Continue\r\n\r\n"
+            while len(conn.buf) < len(expected):
+                assert conn.fill()
+            assert conn.buf == expected
+            conn.buf = b""
+            conn.send(body)
+            status, _, reply = conn.reply()
+        assert status == 200 and reply["text"] == reply_text("big")
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            pytest.param(b"PUT /generate HTTP/1.1\r\n\r\n", 501, id="put"),
+            pytest.param(b"GET /requests HTTP/2.0\r\n\r\n", 505, id="http-2.0"),
+            pytest.param(b"GET /requests\r\n\r\n", 400, id="two-words"),
+            pytest.param(b"GET /requests HTTP/1.1\r\nno colon\r\n\r\n", 400, id="no-colon"),
+            pytest.param(
+                b"GET /requests HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1))
+                + b"\r\n",
+                400,
+                id="101-headers",
+            ),
+            pytest.param(
+                b"GET /requests HTTP/1.1\r\nX-Long: " + b"a" * MAX_LINE_BYTES + b"\r\n\r\n",
+                400,
+                id="long-header",
+            ),
+            # The start of a TLS ClientHello up to its first LF byte: the
+            # refusal must not wait for a blank line that never comes.
+            pytest.param(b"\x16\x03\x01\x02\x00\x01\x00\x01\xfc\x03\x03\n", 400, id="tls"),
+        ],
+    )
+    def test_refusal_is_a_framed_json_error_and_closes(
+        self, mock_server, capfd, raw, status
+    ):
+        with RawConnection(mock_server.port) as conn:
+            conn.send(raw)
+            got, headers, reply = conn.reply()
+            assert got == status and headers["Connection"] == "close"
+            assert set(reply) == {"error"}
+            assert conn.closed_by_server()
+        assert capfd.readouterr().err == ""
+        assert http("POST", mock_server.generate_url, b'{"prompt": "p"}')[0] == 200
+        assert mock_server.request_counts() == {"generate": 1}
+
     def test_request_log_keeps_the_most_recent_entries(self, mock_server):
         total = REQUEST_LOG_LIMIT + 5
         for i in range(total):
@@ -1210,6 +1336,67 @@ REQUEST_BODIES = (
 )
 
 
+HEADERS = st.tuples(HEADER_NAMES, HEADER_VALUES)
+BROKEN_REQUEST_LINES = st.sampled_from(
+    [
+        b"",
+        b"GET",
+        b"GET /requests",
+        b"GET  /requests HTTP/1.1",
+        b"GET /requests HTTP/1.1 x",
+        b"GET /re quests HTTP/1.1",
+        b"GET /\xff HTTP/1.1",
+        b"GET /requests HTTP/2",
+        b"GET /requests http/1.1",
+        b"G@T /requests HTTP/1.1",
+    ]
+) | st.binary(max_size=40).map(lambda line: line.replace(b" ", b"").replace(b"\n", b""))
+
+
+@st.composite
+def raw_requests(draw):
+    """(head, body, the status the head alone is refused with or None, and
+    whether the request asks to keep its connection open)."""
+    version = draw(st.sampled_from([b"1.1", b"1.1", b"1.0", b"2.0", b"1.2"]))
+    method = draw(st.sampled_from([b"POST", b"POST", b"GET", b"PUT", b"HEAD"]))
+    target = draw(
+        st.sampled_from([b"/generate", b"/embed", b"/requests", b"/generate?x=1", b"*"])
+    )
+    line = b"%s %s HTTP/%s" % (method, target, version)
+    if draw(st.integers(0, 9)) == 0:
+        line, refusal = draw(BROKEN_REQUEST_LINES), 400
+    elif version not in (b"1.0", b"1.1"):
+        refusal = 505
+    elif method not in (b"GET", b"POST"):
+        refusal = 501
+    else:
+        refusal = None
+    body = draw(REQUEST_BODIES) if method == b"POST" or draw(st.booleans()) else b""
+    headers = [b"Content-Length: %d" % len(body)] if body or draw(st.booleans()) else []
+    connection = draw(st.sampled_from([None, b"close", b"keep-alive", b"Keep-Alive, x"]))
+    if connection is not None:
+        headers.append(b"Connection: " + connection)
+    if draw(st.integers(0, 9)) == 0:
+        headers.append(b"Transfer-Encoding: chunked")
+        refusal = refusal or 400
+    if draw(st.integers(0, 9)) == 0:
+        headers.append(b"no colon")
+        refusal = refusal or 400
+    headers += [b"%s: %s" % pair for pair in draw(st.lists(HEADERS, max_size=2))]
+    long_line = draw(st.sampled_from([None, None, None, MAX_LINE_BYTES, MAX_LINE_BYTES + 1]))
+    if long_line is not None:
+        headers.append(b"X-Long: " + b"a" * (long_line - len(b"X-Long: \r\n")))
+        refusal = refusal or (400 if long_line > MAX_LINE_BYTES else None)
+    count = draw(st.sampled_from([None, None, None, MAX_HEADERS, MAX_HEADERS + 1]))
+    if count is not None:  # header lines in all
+        headers += [b"X-H%d: v" % i for i in range(count - len(headers))]
+        refusal = refusal or (400 if count > MAX_HEADERS else None)
+    eol = draw(st.sampled_from([b"\r\n", b"\r\n", b"\n"]))
+    head = b"".join(h + eol for h in [line, *headers]) + eol
+    keep_alive = connection != b"close" and (version == b"1.1" or connection is not None)
+    return head, body, refusal, keep_alive
+
+
 class TestRequestFuzz:
     @given(st.sampled_from(["/generate", "/embed"]), REQUEST_BODIES)
     @settings(max_examples=200, deadline=None)
@@ -1230,6 +1417,55 @@ class TestRequestFuzz:
                 assert json.loads(reply.read())["text"] == reply_text("next")
         finally:
             conn.close()
+
+    @given(raw_requests(), st.booleans(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_raw_request_gets_one_framed_reply(
+        self, steady_server, request, pipelined, delivery
+    ):
+        head, body, refusal, keep_alive = request
+        with RawConnection(steady_server.port) as conn:
+            # A quarter of the heads arrive one byte at a time; a second
+            # request sometimes comes in the same send as the first.
+            conn.send(head, one_byte_at_a_time=delivery == 0 and len(head) < 4096)
+            conn.send(body + (post("second") if pipelined else b""))
+            status, headers, reply = conn.reply()
+            if refusal is not None:
+                assert status == refusal
+            else:
+                assert status in (200, 400, 404)
+            if status != 200:
+                assert set(reply) == {"error"}
+            if "Connection" in headers:
+                assert headers["Connection"] == "close"
+                assert status == 400 or refusal is not None or not keep_alive
+                assert conn.closed_by_server()
+                return
+            assert refusal is None and status != 400 and keep_alive
+            if pipelined:
+                status, _, reply = conn.reply()
+                assert status == 200 and reply["text"] == reply_text("second")
+            conn.send(post("next"))
+            status, _, reply = conn.reply()
+            assert status == 200 and reply["text"] == reply_text("next")
+
+
+def test_the_mock_server_loads_no_http_server_or_email_parser():
+    code = """
+import sys
+import draftrag.mock_server
+loaded = [m for m in sys.modules if m in ("http.server", "http.client", "email") or m.startswith("email.")]
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("blocked", ["requests", "numpy"])
