@@ -154,7 +154,8 @@ def _cmd_mock_serve(args) -> int:
     print(f"mock LM server on {server.url}")
     print(f"  generation/echo: POST {server.generate_url}")
     print(f"  embeddings:      POST {server.embed_url}")
-    print(f"  request log:     GET  {server.url}/requests")
+    # Flushed, so a process reading the banner through a pipe learns the port.
+    print(f"  request log:     GET  {server.url}/requests", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

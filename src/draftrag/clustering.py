@@ -113,12 +113,18 @@ def embed_documents(
     return unit_rows(rows)
 
 
+# Below this norm the squares of a row's values are subnormal or zero, and
+# dividing by the norm can leave a row well off unit length: one value of
+# 2.37e-161 normalizes to 0.9989.
+_MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def unit_rows(rows: list[list[float]]) -> np.ndarray:
     """Equal-length rows as an ``(n, d)`` float64 array of unit-norm rows. Each
     row is divided by its own ``np.linalg.norm(row)``: an axis-1 norm sums in
     another order and can move the last bit. A row that is not a list of
-    numbers (bools excluded), or is zero or non-finite, or holds an integer
-    beyond the float range, raises DataError."""
+    numbers (bools excluded), or holds an integer beyond the float range,
+    or whose norm is non-finite or below ``_MIN_NORM``, raises DataError."""
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
@@ -136,7 +142,7 @@ def unit_rows(rows: list[list[float]]) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflowing norm is rejected here
         for i, row in enumerate(points):
             norm = np.linalg.norm(row)
-            if not 0.0 < norm < np.inf:
+            if not _MIN_NORM <= norm < np.inf:
                 raise DataError(f"cannot normalize embedding row {i} with norm {norm}")
             row /= norm
     return points

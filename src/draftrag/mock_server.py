@@ -16,13 +16,15 @@ the first), so tokens tile the text. Offsets are byte offsets.
 
 Echo rule: logprob(token) = -(1 + (sum(token bytes) mod 7)) / 10.
 
-Transport: each connection gets a thread that runs a small HTTP/1.1 loop
-on the raw socket. It reads a head through ``core.read_http_headers``, the
-reader the client uses for reply heads, then exactly ``Content-Length``
-body bytes, keeping any bytes after them for the next, pipelined request,
-and writes each whole reply in one ``sendall``. Every reply is a status
-line with a JSON body. The module loads only the standard library and
-``core``: no numpy, no pipeline module, no ``http.server``.
+Transport: one accept loop gives each connection a thread that runs a
+small HTTP/1.1 loop on the raw socket; ``stop`` wakes the accept loop by
+shutting the listener down, without polling. The connection's loop reads a
+head through ``core.read_http_headers``, the reader the client uses for
+reply heads, then exactly ``Content-Length`` body bytes, keeping any bytes
+after them for the next, pipelined request, and writes each whole reply in
+one ``sendall``. Every reply is a status line with a JSON body. The module
+loads only the standard library and ``core``: no numpy, no pipeline
+module, no ``http.server`` or ``socketserver``.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ import hashlib
 import json
 import re
 import socket
-import socketserver
-import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from pathlib import Path
-from typing import Callable
 
 from .core import (
     Incomplete,
@@ -54,9 +53,6 @@ FALLBACK_LOGPROB = -1.0
 # GET /requests keeps only this many of the most recent entries; each holds
 # its full prompt, so an unbounded log grows with every request served.
 REQUEST_LOG_LIMIT = 1024
-# ``stop`` waits until the serving thread next polls; socketserver's default
-# interval of 0.5 s made stopping a server take up to half a second.
-STOP_POLL_INTERVAL_S = 0.05
 # The largest request body the mock reads, far above any prompt or embed
 # batch the pipeline sends. A longer declared body gets a 400 before any of
 # it is read, so a huge Content-Length cannot make the server allocate it.
@@ -116,13 +112,17 @@ def fallback_completion(prompt: str) -> dict:
 def embed_vector(instruction: str, text: str, dims: int = DEFAULT_EMBED_DIMS) -> list[float]:
     """Hash-to-vector rule: component i comes from sha256(instruction, text, i).
 
-    Each component is uniform in [-1, 1); the vector is L2-normalized.
+    Each component is uniform in [-1, 1); the vector is L2-normalized. The
+    squares are added left to right, so the bits do not depend on the
+    Python version: ``sum`` of floats compensates for rounding since 3.12.
     """
     raw = []
+    norm = 0.0
     for i in range(dims):
         digest = hashlib.sha256(f"{instruction}\x1f{text}\x1f{i}".encode()).digest()
         raw.append(int.from_bytes(digest[:8], "big") / 2**64 * 2 - 1)
-    norm = sum(v * v for v in raw) ** 0.5
+        norm += raw[-1] * raw[-1]
+    norm **= 0.5
     if norm == 0.0:
         raw[0] = 1.0
         norm = 1.0
@@ -359,58 +359,10 @@ def _reply(status: int, payload: object, keep_alive: bool) -> bytes:
     return head.encode("ascii") + body
 
 
-class _MockTCPServer(socketserver.ThreadingTCPServer):
-    """One thread per connection, each running ``serve`` on its socket:
-    ``MockScript`` methods may sleep, and the sleeps of requests in flight
-    at once must overlap."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 drops SYNs when ten verifications
-    # connect at once, and each dropped connect is retried only after 1 s.
-    request_queue_size = 128
-
-    def __init__(self, address, serve: Callable[[socket.socket], None]):
-        super().__init__(address, None)
-        self._serve = serve
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
-
-    def finish_request(self, request, client_address):
-        self._serve(request)
-
-    def process_request(self, request, client_address):
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._open_lock:
-            self._open.discard(request)
-        super().shutdown_request(request)
-
-    def shutdown_open_connections(self) -> None:
-        """End every keep-alive connection: each connection's thread reads
-        end of input and returns, and the client sees the connection closed."""
-        with self._open_lock:
-            open_now = list(self._open)
-        for request in open_now:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:  # the client closed it already
-                pass
-
-    def handle_error(self, request, client_address):
-        # Clients that hit their timeout close the socket mid-response;
-        # that is expected, not a server fault.
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return
-        super().handle_error(request, client_address)
-
-
 class MockLMServer:
-    """Threaded HTTP server exposing the mock LM on an ephemeral port.
+    """HTTP server exposing the mock LM on an ephemeral port. It listens
+    from construction; ``serve_forever`` is its accept loop, and ``start``
+    runs that loop on a daemon thread.
 
     Routes: POST /generate (generation, or echo scoring when the body sets
     "echo"), POST /embed, and GET /requests (the most recent
@@ -423,8 +375,8 @@ class MockLMServer:
     501, a version other than HTTP/1.0 or 1.1 a 505, and any other request
     it cannot read, including one with a ``Transfer-Encoding``, a 400; each
     refusal is a JSON ``{"error": ...}`` reply that closes the connection
-    and is neither logged nor counted. ``stop`` also ends every open
-    connection.
+    and is neither logged nor counted. ``stop`` returns at once: it wakes
+    the accept loop, closes the listener and ends every open connection.
     """
 
     def __init__(self, script: MockScript | None = None, port: int = 0):
@@ -432,13 +384,19 @@ class MockLMServer:
         self._log: deque[dict] = deque(maxlen=REQUEST_LOG_LIMIT)
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._httpd = _MockTCPServer(("127.0.0.1", port), self._serve_connection)
-        self._serving = False
+        self._open: set[socket.socket] = set()  # accepted and not yet closed
+        self._listener = socket.socket()
+        try:  # closed on any failure, an OverflowError for port 99999 too
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(("127.0.0.1", port))
+            # A backlog of 5 drops SYNs when ten verifications connect at
+            # once, and each dropped connect is retried only after 1 s.
+            self._listener.listen(128)
+        except BaseException:
+            self._listener.close()
+            raise
+        self.port: int = self._listener.getsockname()[1]
         self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
 
     @property
     def url(self) -> str:
@@ -453,22 +411,24 @@ class MockLMServer:
         return f"{self.url}/embed"
 
     def start(self) -> "MockLMServer":
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(STOP_POLL_INTERVAL_S,), daemon=True
-        )
+        """Run ``serve_forever`` on a daemon thread."""
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        # socketserver's shutdown() waits for a serving loop to end, and
-        # waits forever when no loop ever ran.
-        if self._serving:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd.shutdown_open_connections()
+        """Stop accepting, close the listener and end every open connection;
+        also frees the port of a server that never served."""
+        try:
+            # On Linux this fails a blocked ``accept`` at once, and every
+            # later one.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # closed by an earlier ``stop``
+            pass
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._listener.close()
+        self._shutdown_open_connections()
 
     def __enter__(self) -> "MockLMServer":
         return self.start()
@@ -477,31 +437,60 @@ class MockLMServer:
         self.stop()
 
     def serve_forever(self) -> None:
-        self._serving = True
-        self._httpd.serve_forever()
+        """Accept connections until ``stop``, each served by
+        ``_serve_connection`` on a daemon thread of its own."""
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # ``stop`` shut the listener down
+                return
+            with self._lock:
+                self._open.add(sock)
+            threading.Thread(
+                target=self._serve_connection, args=(sock,), daemon=True
+            ).start()
+
+    def _shutdown_open_connections(self) -> None:
+        """End every open connection: its thread reads end of input and
+        returns. The lock keeps each socket open while it is shut down."""
+        with self._lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client closed it already
+                    pass
 
     def _serve_connection(self, sock: socket.socket) -> None:
         """Answer the requests on one connection, each reply in one
-        ``sendall``, until the client closes it or a reply closes it."""
-        # With Nagle's algorithm on, a reply sent after a 100 Continue
-        # waits for the client's delayed ACK, about 40 ms.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        buf = b""
-        while True:
-            try:
-                request = _read_request(sock, buf)
-                if request is None:
+        ``sendall``, until the client or a reply closes it."""
+        try:
+            # With Nagle's algorithm on, a reply sent after a 100 Continue
+            # waits for the client's delayed ACK, about 40 ms.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            buf = b""
+            while True:
+                try:
+                    request = _read_request(sock, buf)
+                    if request is None:
+                        return
+                    method, target, keep_alive, body, buf = request
+                    status, payload = self._answer(method, target, body)
+                except ValueError as exc:
+                    # The request may be partly unread, so where the next
+                    # one starts is unknown: close.
+                    status = exc.status if isinstance(exc, _Refusal) else 400
+                    payload, keep_alive = {"error": str(exc)}, False
+                sock.sendall(_reply(status, payload, keep_alive))
+                if not keep_alive:
                     return
-                method, target, keep_alive, body, buf = request
-                status, payload = self._answer(method, target, body)
-            except ValueError as exc:
-                # The request may be partly unread, so where the next one
-                # starts is unknown: close.
-                status = exc.status if isinstance(exc, _Refusal) else 400
-                payload, keep_alive = {"error": str(exc)}, False
-            sock.sendall(_reply(status, payload, keep_alive))
-            if not keep_alive:
-                return
+        except (BrokenPipeError, ConnectionResetError):
+            # Clients that hit their timeout close the socket mid-response;
+            # that is expected, not a server fault.
+            pass
+        finally:
+            with self._lock:
+                self._open.discard(sock)
+            sock.close()
 
     def _answer(self, method: bytes, target: str, body: bytes) -> tuple[int, object]:
         """The status and JSON payload of a request's reply; a ValueError

@@ -131,10 +131,14 @@ def score_candidate(
 ) -> tuple[float, float]:
     """The (self-consistency, self-reflection) logs of a prompt, from the
     tokens of its echo: the logprobs summed over its consistency spans and
-    over its affirmation."""
-    rho_sc = sum(sequence_logprob(tokens, span) for span in prompt.consistency_spans)
+    over its affirmation. The spans are added left to right, so the bits do
+    not depend on the Python version: ``sum`` of floats compensates for
+    rounding since 3.12."""
+    rho_sc = 0.0
+    for span in prompt.consistency_spans:
+        rho_sc += sequence_logprob(tokens, span)
     rho_sr = sequence_logprob(tokens, prompt.affirmation_span)
-    return float(rho_sc), float(rho_sr)
+    return rho_sc, rho_sr
 
 
 def combine_scores(

@@ -1,6 +1,13 @@
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 from dataclasses import replace
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -520,3 +527,35 @@ def test_mock_serve_port_in_use_exits_two(capsys):
         code = main(["mock-serve", "--port", str(port)])
     assert code == 2
     assert f"cannot serve on port {port}: " in capsys.readouterr().err
+
+
+def test_mock_serve_answers_then_exits_zero_on_sigint():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # the banner must be flushed by itself
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "draftrag.cli", "mock-serve", "--port", "0"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no banner in 30 s"
+        banner = proc.stdout.readline()
+        assert banner.startswith("mock LM server on http://127.0.0.1:"), banner
+        conn = HTTPConnection("127.0.0.1", int(banner.rsplit(":", 1)[1]), timeout=10)
+        try:
+            conn.request("POST", "/generate", b'{"prompt": "hi"}')
+            reply = conn.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read())["text"] == "## Rationale: hi. ## Response: hi."
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from draftrag.backend import (
@@ -295,7 +295,17 @@ class TestUnitRows:
         with pytest.raises(DataError, match="beyond the float range"):
             unit_rows([[10**400, 1]])
 
+    def test_norm_whose_square_underflows_rejected(self):
+        # The square of this value is subnormal: normalized, the row's norm
+        # would be 0.9989.
+        with pytest.raises(DataError, match="row 1"):
+            unit_rows([[1.0], [2.3706902874095685e-161]])
+
+    def test_tiny_norm_above_the_floor_is_normalized(self):
+        assert np.array_equal(unit_rows([[1e-150, 0.0]]), [[1.0, 0.0]])
+
     @given(rows=st.lists(st.lists(NUMBERS, min_size=1, max_size=3) | JSON_VALUES, max_size=4))
+    @example(rows=[[2.3706902874095685e-161]])
     @settings(max_examples=150, deadline=None)
     def test_any_json_rows_give_unit_rows_or_a_data_error(self, rows):
         try:

@@ -14,9 +14,10 @@ from draftrag.core import (
     VerificationContextMode,
     derive_rng,
 )
-from draftrag.drafting import Candidate, Span, generate, parse_draft
+from draftrag.drafting import Candidate, Span, TokenLogprob, generate, parse_draft
 from draftrag.mock_server import whitespace_token_spans
 from draftrag.verification import (
+    VerifyPrompt,
     build_verify_prompt,
     combine_scores,
     score_candidate,
@@ -161,6 +162,22 @@ class TestScoreCandidate:
         expected_sr = brute_force_span_sum(tokens, vp.affirmation_span)
         assert rho_sc == pytest.approx(expected_sc, rel=1e-12)
         assert rho_sr == pytest.approx(expected_sr, rel=1e-12)
+
+    def test_spans_are_added_left_to_right(self):
+        # Compensated summation, as ``sum`` of floats does since Python
+        # 3.12, would give -0.6.
+        prompt = VerifyPrompt(
+            text="a b c d",
+            consistency_spans=(Span(0, 2), Span(2, 4), Span(4, 6)),
+            affirmation_span=Span(6, 7),
+        )
+        tokens = [
+            TokenLogprob(-0.1, 0, 2),
+            TokenLogprob(-0.2, 2, 4),
+            TokenLogprob(-0.3, 4, 6),
+            TokenLogprob(-0.5, 6, 7),
+        ]
+        assert score_candidate(prompt, tokens) == (-0.6000000000000001, -0.5)
 
     def test_all_zero_logprobs_score_zero(self, mock_server):
         candidate = make_candidate()
