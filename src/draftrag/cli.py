@@ -32,6 +32,7 @@ from .core import (
     PipelineConfig,
     PipelineError,
     StageTimings,
+    json_lines,
     read_json_object,
     validate_config,
 )
@@ -166,11 +167,8 @@ def _cmd_mock_serve(args) -> int:
 
 
 def _results_timings(path: str, lineno: int, line: bytes) -> tuple[str, StageTimings] | None:
-    """The mode and stage timings of one results line, or None for a blank
-    line or one without timings. Anything else raises ConfigError naming
-    the line."""
-    if not line.decode("utf-8", "replace").strip():
-        return None  # blank, as ``str.strip`` sees it
+    """The mode and stage timings of one results line, or None for one
+    without timings. Anything else raises ConfigError naming the line."""
     where = f"{path}:{lineno}"
     try:
         obj = read_json_object(line)
@@ -200,8 +198,7 @@ def _cmd_report(args) -> int:
 
     by_mode: dict[str, list[StageTimings]] = {}
     for path in args.inputs:
-        # Split at \n, \r\n or \r, as a file read as text is.
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        for lineno, line in json_lines(Path(path).read_bytes()):
             if row := _results_timings(path, lineno, line):
                 by_mode.setdefault(row[0], []).append(row[1])
     if not by_mode:

@@ -1,6 +1,6 @@
 """Shared domain types, pipeline configuration, seeded randomness, the one
-reader of JSON from outside the program, and the one reader of an HTTP/1.1
-header block, which the client and the mock server share."""
+reader of JSON and JSON Lines from outside the program, and the one reader
+of an HTTP/1.1 header block, which the client and the mock server share."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 if TYPE_CHECKING:
@@ -333,6 +333,15 @@ def read_json_object(data: bytes) -> dict:
         if where := _lone_surrogate_at(value):
             raise LoneSurrogateError(f"{where} holds a lone surrogate, not encodable as UTF-8")
     return value
+
+
+def json_lines(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """Each non-blank line of a dataset or results file, numbered from 1.
+    Only LF ends a line, so a CR left in one is JSON whitespace. A line is
+    blank as ``str.strip`` sees it."""
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if line.decode("utf-8", "replace").strip():
+            yield number, line
 
 
 def _lone_surrogate_at(value: object) -> str | None:

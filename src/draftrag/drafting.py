@@ -220,12 +220,13 @@ def parse_token_payload(
 ) -> tuple[TokenLogprob, ...]:
     """Decode an endpoint's token list for the scored ``text``.
 
-    Each token is an object whose ``text`` is a string, ``logprob`` a JSON
-    number and ``start``/``end`` integers (a bool or a numeric string is
-    the wrong type); every logprob must be finite and at most 0, and every
-    token's byte range must satisfy 0 <= start <= end <= len(text in
-    UTF-8). Anything else is a ``MalformedResponseError``, so no such reply
-    reaches ranking.
+    Each token is an object whose ``logprob`` is a JSON number and
+    ``start``/``end`` integers (a bool or a numeric string is the wrong
+    type); other keys, such as the ``text`` of a script written when tokens
+    carried one, are ignored. Every logprob must be finite and at most 0,
+    and every token's byte range must satisfy 0 <= start <= end <= len(text
+    in UTF-8). Anything else is a ``MalformedResponseError``, so no such
+    reply reaches ranking.
     """
     if not isinstance(raw_tokens, list):
         raise MalformedResponseError(url, 'response lacks a "tokens" list')
@@ -233,20 +234,15 @@ def parse_token_payload(
     out = []
     for i, t in enumerate(raw_tokens):
         try:
-            tok_text, logprob = t["text"], t["logprob"]
-            start, end = t["start"], t["end"]
+            logprob, start, end = t["logprob"], t["start"], t["end"]
         except (KeyError, TypeError):
             raise MalformedResponseError(
-                url, f"token {i} is not an object with text, logprob, start and end"
+                url, f"token {i} is not an object with logprob, start and end"
             )
         # Exact types: JSON decodes to exactly str, int or float, and
-        # type(True) is bool, so a bool fails every check. The token's text
-        # is checked but not kept: its offsets locate it.
+        # type(True) is bool, so a bool fails every check.
         if not (
-            type(tok_text) is str
-            and type(logprob) in (int, float)
-            and type(start) is int
-            and type(end) is int
+            type(logprob) in (int, float) and type(start) is int and type(end) is int
         ):
             raise MalformedResponseError(
                 url, f"token {i} has a field of the wrong type: {t}"

@@ -56,6 +56,7 @@ from .core import (
     StageTimings,
     TaskKind,
     derive_rng,
+    json_lines,
     read_json_object,
 )
 from .drafting import (
@@ -228,9 +229,7 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}")
-    for line_no, line in enumerate(data.split(b"\n"), start=1):
-        if not line.decode("utf-8", "replace").strip():
-            continue  # blank, as ``str.strip`` sees it
+    for line_no, line in json_lines(data):
         try:
             obj = read_json_object(line)
         except ValueError as exc:
@@ -452,9 +451,9 @@ def run_speculative(
         if c.dropped:
             notices.append(c.drop_notice)
 
-    winner = select_best(
-        survivors, cfg.selection_mode, derive_rng(cfg.rng_seed, "selection", query.id)
-    )
+    random = cfg.selection_mode is SelectionMode.RANDOM
+    rng = derive_rng(cfg.rng_seed, "selection", query.id) if random else None
+    winner = select_best(survivors, cfg.selection_mode, rng)
     timings.total_ms = (time.perf_counter() - started) * 1000.0
 
     return PipelineResult(

@@ -9,6 +9,10 @@ real model weights. Responses are pure functions of the request content:
   from a scripted per-prompt table or from the byte-sum rule below;
 - embeddings hash (instruction, text) pairs into unit vectors.
 
+A generation reply is {"text", "tokens"} and an echo reply {"tokens"}, each
+token {"logprob", "start", "end"}: the client holds the prompt it scores,
+and a token's byte range locates its text.
+
 Tokenization rule: the prompt's UTF-8 bytes are split at runs of
 non-whitespace; each token's span stretches to the start of the next token
 (trailing whitespace attaches to the preceding token, leading whitespace to
@@ -65,16 +69,13 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def whitespace_token_spans(text: str) -> list[tuple[str, int, int]]:
-    """Whitespace tokenization with tiling byte spans, see module docstring."""
+def whitespace_token_spans(text: str) -> list[tuple[int, int]]:
+    """Tiling (start, end) byte spans of whitespace tokens, see module docstring."""
     data = text.encode("utf-8")
-    runs = [m.span() for m in _NONSPACE.finditer(data)]
-    tokens = []
-    for i, (run_start, _run_end) in enumerate(runs):
-        start = 0 if i == 0 else run_start
-        end = runs[i + 1][0] if i + 1 < len(runs) else len(data)
-        tokens.append((data[start:end].decode("utf-8"), start, end))
-    return tokens
+    starts = [m.start() for m in _NONSPACE.finditer(data)]
+    if starts:
+        starts[0] = 0
+    return list(zip(starts, [*starts[1:], len(data)]))
 
 
 def echo_rule(token_bytes: bytes) -> float:
@@ -83,21 +84,17 @@ def echo_rule(token_bytes: bytes) -> float:
 
 
 def tokens_from_rule(text: str) -> list[dict]:
+    data = text.encode("utf-8")
     return [
-        {
-            "text": tok,
-            "logprob": echo_rule(tok.encode("utf-8")),
-            "start": start,
-            "end": end,
-        }
-        for tok, start, end in whitespace_token_spans(text)
+        {"logprob": echo_rule(data[start:end]), "start": start, "end": end}
+        for start, end in whitespace_token_spans(text)
     ]
 
 
 def uniform_tokens(text: str, logprob: float) -> list[dict]:
     return [
-        {"text": tok, "logprob": logprob, "start": start, "end": end}
-        for tok, start, end in whitespace_token_spans(text)
+        {"logprob": logprob, "start": start, "end": end}
+        for start, end in whitespace_token_spans(text)
     ]
 
 
@@ -168,8 +165,9 @@ class MockScript:
 
     ``completions`` and ``echoes`` are keyed by the sha256 hex of the exact
     prompt. Completion values are {"text", "tokens"}; echo values are token
-    lists for the prompt itself. ``delay_ms`` is applied to every LM/embed
-    request to simulate inference latency.
+    lists for the prompt itself, and ``echo`` replies with the list alone.
+    ``delay_ms`` is applied to every LM/embed request to simulate inference
+    latency.
     """
 
     completions: dict[str, dict] = field(default_factory=dict)
@@ -197,7 +195,7 @@ class MockScript:
         tokens = self.echoes.get(prompt_sha256(prompt))
         if tokens is None:
             tokens = tokens_from_rule(prompt)
-        return {"text": prompt, "tokens": tokens}
+        return {"tokens": tokens}
 
     def embed(self, instruction: str, inputs: list[str]) -> dict:
         return {

@@ -165,13 +165,13 @@ def combine_scores(
 def select_best(
     candidates: Sequence[Candidate],
     selection_mode: SelectionMode,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> Candidate:
     """Pick the winner among the surviving candidates.
 
     argmax takes the highest ``rho_final_log``, ties broken by the lowest
-    subset index; random picks uniformly with one draw from ``rng`` and
-    reads no score (the no-verification ablation).
+    subset index, and needs no ``rng``; random picks uniformly with one
+    draw from ``rng`` and reads no score (the no-verification ablation).
     """
     if not candidates:
         raise PipelineError("no surviving candidates to select from")

@@ -116,7 +116,7 @@ def test_criterion_2_scoring_oracle_equivalence():
 
         tokens = tuple(
             TokenLogprob(float(-rng.random() * 3), start, end)
-            for _, start, end in whitespace_token_spans(completion)
+            for start, end in whitespace_token_spans(completion)
         )
         candidate = Candidate(
             subset_index=0,
@@ -149,7 +149,7 @@ def test_criterion_2_scoring_oracle_equivalence():
         )
         echo_tokens = tuple(
             TokenLogprob(float(-rng.random() * 2), start, end)
-            for _, start, end in whitespace_token_spans(vp.text)
+            for start, end in whitespace_token_spans(vp.text)
         )
         for span in [*vp.consistency_spans, vp.affirmation_span]:
             brute = brute_product(echo_tokens, span)

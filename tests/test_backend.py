@@ -1061,6 +1061,42 @@ class TestMockEcho:
             assert token["logprob"] == pytest.approx(echo_rule(raw))
 
 
+class TestReplyShapes:
+    """Replies carry only what the client reads: a generation reply its text
+    and tokens, an echo reply its tokens, and each token its logprob and
+    byte range."""
+
+    ROW = {"logprob", "start", "end"}
+
+    def check(self, reply: dict, keys: set) -> None:
+        assert set(reply) == keys
+        assert reply["tokens"] and all(set(t) == self.ROW for t in reply["tokens"])
+
+    def test_scripted_completion(self):
+        script = MockScript()
+        script.script_completion(NIRVANA_PROMPT, NIRVANA_COMPLETION)
+        self.check(script.generate(NIRVANA_PROMPT), {"text", "tokens"})
+
+    def test_fallback_completion(self):
+        self.check(MockScript().generate("first line\nlast line"), {"text", "tokens"})
+
+    def test_scripted_echo(self):
+        script = MockScript()
+        script.script_echo("p", [{"logprob": -0.5, "start": 0, "end": 1}])
+        self.check(script.echo("p"), {"tokens"})
+
+    def test_rule_echo_keeps_its_logprobs(self):
+        reply = MockScript().echo("alpha béta\n  gamma ünï Yes")
+        self.check(reply, {"tokens"})
+        assert reply["tokens"] == [
+            {"logprob": -0.5, "start": 0, "end": 6},
+            {"logprob": -0.1, "start": 6, "end": 14},
+            {"logprob": -0.2, "start": 14, "end": 20},
+            {"logprob": -0.7, "start": 20, "end": 26},
+            {"logprob": -0.5, "start": 26, "end": 29},
+        ]
+
+
 class TestWhitespaceTokenization:
     @given(st.text(min_size=0, max_size=200))
     @settings(max_examples=100)
@@ -1070,21 +1106,23 @@ class TestWhitespaceTokenization:
         if not tokens:
             assert data.strip() == b""
             return
-        assert tokens[0][1] == 0
-        assert tokens[-1][2] == len(data)
-        for (_, _, prev_end), (_, start, _) in zip(tokens, tokens[1:]):
+        assert tokens[0][0] == 0
+        assert tokens[-1][1] == len(data)
+        for (_, prev_end), (start, _) in zip(tokens, tokens[1:]):
             assert prev_end == start
-        for tok, start, end in tokens:
+        for start, end in tokens:
             assert start < end
-            assert data[start:end].decode("utf-8") == tok
+            data[start:end].decode("utf-8")  # whole characters only
 
     def test_trailing_whitespace_attaches_to_previous_token(self):
-        tokens = whitespace_token_spans("ab  cd")
-        assert [t[0] for t in tokens] == ["ab  ", "cd"]
+        data = b"ab  cd"
+        tokens = whitespace_token_spans(data.decode())
+        assert [data[start:end] for start, end in tokens] == [b"ab  ", b"cd"]
 
     def test_final_token_excludes_nothing(self):
-        tokens = whitespace_token_spans("statement\nYes")
-        assert tokens[-1][0] == "Yes"
+        data = b"statement\nYes"
+        start, end = whitespace_token_spans(data.decode())[-1]
+        assert data[start:end] == b"Yes"
 
 
 class TestServerEndpoints:
@@ -1109,7 +1147,7 @@ class TestServerEndpoints:
             {"prompt": "alpha beta", "echo": True, "max_tokens": 0},
             5000,
         )
-        assert body["text"] == "alpha beta"
+        assert body == MockScript().echo("alpha beta")
         assert mock_server.request_counts() == {"echo": 1}
 
     @pytest.mark.parametrize("path", ["/generate", "/embed"])

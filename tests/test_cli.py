@@ -414,6 +414,26 @@ def test_report_bad_results_line_exits_two(tmp_path, capsys, line):
     assert f"{results}:2" in capsys.readouterr().err
 
 
+def test_report_reads_a_cr_in_a_line_as_json_whitespace(tmp_path, capsys):
+    results = tmp_path / "results.jsonl"
+    results.write_bytes(
+        b'{"mode": "speculative",\r"timings": {"total_ms": 3.0}}\n'
+        b'{"mode": "standard", "timings": {"total_ms": 5.0}}\r\n'
+    )
+    assert main(["report", "--in", str(results)]) == 0
+    table = capsys.readouterr().out
+    assert "speculative" in table and "standard" in table
+
+
+def test_report_refuses_lines_ended_by_a_lone_cr(tmp_path, capsys):
+    # Only LF ends a line, as in a dataset: this file is one line of two objects.
+    results = tmp_path / "results.jsonl"
+    good = b'{"mode": "speculative", "timings": {"total_ms": 3.0}}'
+    results.write_bytes(good + b"\r" + good + b"\r")
+    assert main(["report", "--in", str(results)]) == 2
+    assert f"{results}:1: invalid JSON (Extra data" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, values",
     [

@@ -165,8 +165,8 @@ class TestParseTokenPayload:
 
     def payload(self, logprob=-0.5, start=3, end=5):
         return [
-            {"text": "ab ", "logprob": -1.0, "start": 0, "end": 3},
-            {"text": "é", "logprob": logprob, "start": start, "end": end},
+            {"logprob": -1.0, "start": 0, "end": 3},
+            {"logprob": logprob, "start": start, "end": end},
         ]
 
     def test_valid_tokens_decode(self):
@@ -189,7 +189,6 @@ class TestParseTokenPayload:
     @pytest.mark.parametrize(
         "key,value",
         [
-            ("text", 5),
             ("logprob", "-0.5"),
             ("logprob", True),
             ("start", 1.9),
@@ -202,6 +201,17 @@ class TestParseTokenPayload:
         payload[1][key] = value
         with pytest.raises(MalformedResponseError, match="token 1 has a field of the"):
             parse_token_payload(payload, "u", self.TEXT)
+
+    @given(value=JSON_VALUES)
+    @settings(max_examples=50, deadline=None)
+    def test_extra_text_of_any_type_is_ignored(self, value):
+        # Rows as scripts written before tokens lost their text hold them.
+        payload = self.payload()
+        for row in payload:
+            row["text"] = value
+        assert parse_token_payload(payload, "u", self.TEXT) == parse_token_payload(
+            self.payload(), "u", self.TEXT
+        )
 
     def test_missing_field_and_non_object_entry_are_rejected(self):
         payload = self.payload()
@@ -216,11 +226,11 @@ class TestParseTokenPayload:
 
     token_like = st.fixed_dictionaries(
         {
-            "text": ANY_TEXT | JSON_VALUES,
             "logprob": st.floats(max_value=0.0) | JSON_VALUES,
             "start": st.integers(-1, 6) | JSON_VALUES,
             "end": st.integers(-1, 6) | JSON_VALUES,
-        }
+        },
+        optional={"text": ANY_TEXT | JSON_VALUES},
     )
 
     @given(
@@ -233,7 +243,10 @@ class TestParseTokenPayload:
             tokens = parse_token_payload(raw, "u", text)
         except MalformedResponseError:
             return
-        assert all(type(t["text"]) is str for t in raw)
+        # Each row's logprob and byte range, whatever else it holds.
+        assert tokens == tuple(
+            TokenLogprob(float(t["logprob"]), t["start"], t["end"]) for t in raw
+        )
         for t in tokens:
             assert math.isfinite(t.logprob) and t.logprob <= 0.0
             assert 0 <= t.char_start <= t.char_end <= len(text.encode("utf-8"))

@@ -18,8 +18,10 @@ from dataclasses import replace
 
 import pytest
 
+from draftrag import synthetic
 from draftrag.core import PipelineConfig
 from draftrag.harness import ablation_grid, run_experiment
+from draftrag.mock_server import MockScript, uniform_tokens
 from draftrag.synthetic import make_rigged_fixture
 
 # (fixture config, make_rigged_fixture keywords, ablation variants run)
@@ -62,20 +64,25 @@ GOLDEN = {
     "default/score_wo_draft": "d3228c05261ae446dbe02d5a417534962c1a1f31dafdd0853f8376ca786ed5be",
     "default/score_wo_self_consistency": "59a08d6e2cb31c57415faed1dd5abad9a12bfaef6932a45622f4ff855b418ad9",
     "default/score_wo_self_reflection": "45f1011ffc5925f6c734611a3513df1c1e6e96f1123f5c0db784950d22555dab",
-    "default/script": "ffb90b88ada1c55143cf65fa1ceed40e5c5078cc96fbe61f460a1df25340e677",
+    "default/script": "69432843f73c59a3b4a3d3f3747e347656d18146a81c40064b0157bf407aabf9",
     "default/selection_random": "0683e0ba9b8f34295bb0f4f17657f404d53112048befaae1452450b2645317fd",
     "default/standard": "eeb6ca1640fb8d831e870f622fc22334aa391719e996724173385d0782b2169b",
     "musique/baseline": "5be251dab6beef835d96c83b6b00847417ee3f469a4659323a877ce56de33b98",
     "musique/sampling_random_no_cluster": "05427b729f55ef42a33c4e81cda0f7938b18a8963d4836e546ddc3b6fc329c02",
     "musique/sampling_same_cluster": "a82a0545c250548e80fc55e88a99a3cf78230e154e81a194aa9e77215d74967b",
-    "musique/script": "3b60fdaa7d08dfa7f7d9231d66dd0212c155f0fc4432a8186bfaa45d8011cd9e",
+    "musique/script": "09f936305979b5347f75604242c54964831942773d3577fd981a848b3b2efac4",
     "musique/standard": "394f97c7b9393207cd77401e24cc0776b66259e120dc2edd17965de11ce6dc8b",
     "short_retrieval/baseline": "645d6152353d38fa4a7f044a57611bedfa10600dfb73074e2631c128818bfbd0",
     "short_retrieval/sampling_random_no_cluster": "b87af2c7aee7444a7f762f69f48a10b3bf52d9e214797a3dfe082ccee4b7dea4",
     "short_retrieval/sampling_same_cluster": "cd91da0ec6f8000e3acb1c2640252b23345a06469a3b3b8f4485f1cfa6c5beda",
-    "short_retrieval/script": "7456542f26193789fa8471960bc2fe7a9b21e749f4f3299160798a2c50b46526",
+    "short_retrieval/script": "e3f7029b6f99ab4f0cdcc92705f76301d981fc812d78e0e583d57b4e230b6726",
     "short_retrieval/standard": "3a7156f98dd1c14b7fade3c713dae29ae04513ed3482a80d6c7bbba682e45680",
 }
+
+# The ``default`` script's digest when every token row carried its text.
+DEFAULT_SCRIPT_WITH_TOKEN_TEXT = (
+    "ffb90b88ada1c55143cf65fa1ceed40e5c5078cc96fbe61f460a1df25340e677"
+)
 
 
 def _sha256(text: str) -> str:
@@ -118,3 +125,28 @@ def case_digests(name, server_factory, out_dir) -> dict[str, str]:
 def test_results_and_script_bytes_are_pinned(name, server_factory, tmp_path):
     expected = {k: v for k, v in GOLDEN.items() if k.split("/")[0] == name}
     assert case_digests(name, server_factory, tmp_path) == expected
+
+
+def test_a_script_whose_token_rows_carry_text_serves_the_same_results(
+    server_factory, tmp_path, monkeypatch
+):
+    """A script file written when token rows carried their text still
+    serves, read back from its JSON, and gives the same results."""
+
+    def rows_with_text(text, logprob):
+        data = text.encode("utf-8")
+        return [
+            {"text": data[t["start"] : t["end"]].decode("utf-8"), **t}
+            for t in uniform_tokens(text, logprob)
+        ]
+
+    def serve_from_file(script):
+        written = json.dumps(script.to_dict())
+        return server_factory(script=MockScript.from_dict(json.loads(written)))
+
+    monkeypatch.setattr(synthetic, "uniform_tokens", rows_with_text)
+    digests = case_digests("default", serve_from_file, tmp_path)
+    assert digests.pop("default/script") == DEFAULT_SCRIPT_WITH_TOKEN_TEXT
+    expected = {k: v for k, v in GOLDEN.items() if k.startswith("default/")}
+    del expected["default/script"]
+    assert digests == expected

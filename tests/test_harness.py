@@ -21,6 +21,7 @@ from draftrag.core import (
     SelectionMode,
     StageTimings,
     TaskKind,
+    derive_rng,
 )
 from draftrag import backend, harness
 from draftrag.clustering import (
@@ -108,6 +109,20 @@ class TestLoadDataset:
         blank = "\u00a0 \u2028\t\r\n"
         path.write_text(f"{blank}{json.dumps(record_line())}\n{blank}", encoding="utf-8")
         assert [r.query.id for r in load_dataset(path)] == ["q1"]
+
+    def test_a_cr_before_or_inside_a_line_is_json_whitespace(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        first = json.dumps(record_line("q1")).replace(', "question"', ',\r"question"')
+        path.write_bytes(f"{first}\n{json.dumps(record_line('q2'))}\r\n".encode())
+        assert [r.query.id for r in load_dataset(path)] == ["q1", "q2"]
+
+    def test_lines_ended_by_a_lone_cr_are_refused(self, tmp_path):
+        # Only LF ends a line, as in ``draftrag report``: this is one line.
+        path = tmp_path / "data.jsonl"
+        lines = (json.dumps(record_line(f"q{i}")) for i in range(2))
+        path.write_bytes("".join(line + "\r" for line in lines).encode())
+        with pytest.raises(DatasetError, match="line 1: invalid JSON \\(Extra data"):
+            load_dataset(path)
 
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         path = tmp_path / "data.jsonl"
@@ -427,6 +442,24 @@ class TestPipelines:
                 if c.subset_index == result.winning_subset_index
             ]
             assert winning[0].answer == result.final_answer
+
+    @pytest.mark.parametrize(
+        "mode, streams", [(SelectionMode.ARGMAX, 0), (SelectionMode.RANDOM, 1)]
+    )
+    def test_only_random_selection_derives_a_selection_stream(
+        self, rigged_env, monkeypatch, mode, streams
+    ):
+        records, cfg, _ = rigged_env
+        cfg = replace(cfg, selection_mode=mode)
+        labels = []
+
+        def recording_derive_rng(seed, *rest):
+            labels.append(rest[0])
+            return derive_rng(seed, *rest)
+
+        monkeypatch.setattr(harness, "derive_rng", recording_derive_rng)
+        run_speculative(records[0], cfg, make_backends(cfg))
+        assert labels.count("selection") == streams
 
     def test_single_draft_degenerates_to_that_draft(self, server_factory):
         base = PipelineConfig(top_n=4, num_drafts=1, rng_seed=5)

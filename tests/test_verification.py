@@ -146,12 +146,11 @@ class TestScoreCandidate:
         rng = derive_rng(17)
         tokens = [
             {
-                "text": text,
                 "logprob": float(-rng.random() * 3),
                 "start": start,
                 "end": end,
             }
-            for text, start, end in whitespace_token_spans(vp.text)
+            for start, end in whitespace_token_spans(vp.text)
         ]
         mock_server.script.script_echo(vp.text, tokens)
 
