@@ -16,7 +16,7 @@ import argparse
 import json
 from pathlib import Path
 
-from draftrag.core import PipelineConfig
+from draftrag.core import PipelineConfig, validate_config
 from draftrag.harness import write_dataset
 from draftrag.synthetic import make_rigged_fixture
 
@@ -29,6 +29,8 @@ def main() -> None:
     parser.add_argument("--docs-per-record", type=int, default=4)
     parser.add_argument("--port", type=int, default=8080, help="mock server port baked into config.json")
     args = parser.parse_args()
+    if args.records < 1 or args.docs_per_record < 1:
+        parser.error("--records and --docs-per-record must each be at least 1")
 
     cfg = PipelineConfig(
         top_n=args.docs_per_record,
@@ -37,6 +39,8 @@ def main() -> None:
         verifier_endpoint=f"http://127.0.0.1:{args.port}/generate",
         embedding_endpoint=f"http://127.0.0.1:{args.port}/embed",
     )
+    if violations := validate_config(cfg):
+        parser.error("invalid config: " + "; ".join(violations))
     fixture = make_rigged_fixture(
         cfg, num_records=args.records, distractors=args.docs_per_record - 1
     )

@@ -10,7 +10,7 @@ delay so the parallel-drafting effect is visible in the numbers.
 import argparse
 from dataclasses import replace
 
-from draftrag.core import PipelineConfig
+from draftrag.core import PipelineConfig, validate_config
 from draftrag.harness import (
     make_backends,
     report_latency,
@@ -29,8 +29,12 @@ def main() -> None:
     parser.add_argument("--delay-ms", type=int, default=50)
     parser.add_argument("--drafter-endpoints", type=int, default=5)
     args = parser.parse_args()
+    if args.records < 1 or args.drafter_endpoints < 1:
+        parser.error("--records and --drafter-endpoints must each be at least 1")
 
     base = PipelineConfig(top_n=4, rng_seed=args.seed)
+    if violations := validate_config(base):
+        parser.error("invalid config: " + "; ".join(violations))
     fixture = make_rigged_fixture(base, num_records=args.records)
     fixture.script.delay_ms = args.delay_ms
 

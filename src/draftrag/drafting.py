@@ -9,7 +9,9 @@ verification then adds the remaining scores to the same candidate, which
 is also the subset's results row.
 
 All offsets in this module are byte offsets into the UTF-8 encoding of the
-surrounding text, matching the token offsets reported by the endpoints.
+surrounding text, matching the token offsets reported by the endpoints. From
+decoding to the score, a token is the plain tuple ``(logprob, start, end)``:
+its wire row's values, in the row's key order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ RATIONALE_MARKER = "## Rationale:"
 RESPONSE_MARKER = "## Response:"
 MAX_COMPLETION_TOKENS = 512
 
+# (logprob, start, end) of one token over the bytes [start, end).
+Token = tuple[float, int, int]
+
 
 class Span(NamedTuple):
     """Half-open byte range [start, end)."""
@@ -60,14 +65,6 @@ class DraftParseError(Exception):
 
 class NoValidDraftsError(PipelineError):
     pass
-
-
-class TokenLogprob(NamedTuple):
-    """One token's log-probability and byte offsets."""
-
-    logprob: float
-    char_start: int
-    char_end: int
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ def parse_draft(raw_completion: str) -> ParsedDraft:
     )
 
 
-def sequence_logprob(tokens: Sequence[TokenLogprob], span: Span) -> float:
+def sequence_logprob(tokens: Sequence[Token], span: Span) -> float:
     """Sum of log-probabilities of tokens overlapping a byte span.
 
     A token counts when its byte range intersects the span at all, so spans
@@ -194,14 +191,15 @@ def sequence_logprob(tokens: Sequence[TokenLogprob], span: Span) -> float:
     """
     if span.empty:
         return 0.0
+    lo, hi = span
     total = 0.0
-    for tok in tokens:
-        if tok.char_start < span.end and tok.char_end > span.start:
-            total += tok.logprob
+    for logprob, start, end in tokens:
+        if start < hi and end > lo:
+            total += logprob
     return total
 
 
-def compute_rho_draft(tokens: Sequence[TokenLogprob], parsed: ParsedDraft) -> float:
+def compute_rho_draft(tokens: Sequence[Token], parsed: ParsedDraft) -> float:
     """Draft confidence in log domain, from the completion's tokens and the
     spans ``parse_draft`` found in it.
 
@@ -215,10 +213,9 @@ def compute_rho_draft(tokens: Sequence[TokenLogprob], parsed: ParsedDraft) -> fl
     return float(np.logaddexp(l_rationale, l_answer))
 
 
-def parse_token_payload(
-    raw_tokens: object, url: str, text: str
-) -> tuple[TokenLogprob, ...]:
-    """Decode an endpoint's token list for the scored ``text``.
+def parse_token_payload(raw_tokens: object, url: str, text: str) -> tuple[Token, ...]:
+    """Decode an endpoint's token list for the scored ``text`` into
+    ``(logprob, start, end)`` tuples, one per row, in the list's order.
 
     Each token is an object whose ``logprob`` is a JSON number and
     ``start``/``end`` integers (a bool or a numeric string is the wrong
@@ -261,12 +258,12 @@ def parse_token_payload(
                 f"token {i} spans bytes [{start}, {end}) "
                 f"outside the {text_bytes}-byte text",
             )
-        out.append(TokenLogprob(logprob, start, end))
+        out.append((logprob, start, end))
     return tuple(out)
 
 
 def draft_candidate(
-    subset: DocumentSubset, text: str, tokens: tuple[TokenLogprob, ...]
+    subset: DocumentSubset, text: str, tokens: tuple[Token, ...]
 ) -> Candidate:
     """Parse a drafter completion for ``subset`` and score its ``rho_draft``.
 
@@ -285,7 +282,7 @@ def draft_candidate(
 
 def generate(
     endpoint: EndpointDescriptor, prompt: str, echo: bool = False
-) -> Task[tuple[str, tuple[TokenLogprob, ...]]]:
+) -> Task[tuple[str, tuple[Token, ...]]]:
     """The one ``/generate`` request, as a ``fan_out`` task: the scored text
     and its tokens. Drafts and the standard call generate greedily, up to
     ``MAX_COMPLETION_TOKENS``, and score the reply's ``"text"``; with

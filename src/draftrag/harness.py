@@ -168,6 +168,11 @@ def _parse_record(obj: dict, line_no: int) -> DatasetRecord:
             raise fail("choices must be [label, text] pairs")
         if not all(isinstance(part, str) for c in choices_raw for part in c):
             raise fail("choice labels and texts must be strings")
+        # The judge matches a label as a standalone word against a stripped
+        # gold answer: an empty label matches anywhere, a padded one never.
+        for lbl, _ in choices_raw:
+            if not lbl or lbl != lbl.strip():
+                raise fail(f"choice label {json.dumps(lbl)} is empty or padded")
         choices = tuple((lbl, txt) for lbl, txt in choices_raw)
     elif choices_raw:
         raise fail("choices are only allowed for closed_set_choice records")

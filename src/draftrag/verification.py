@@ -36,7 +36,7 @@ from .core import (
 from .drafting import (
     Candidate,
     Span,
-    TokenLogprob,
+    Token,
     evidence_block,
     generate,
     instruction_text,
@@ -127,7 +127,7 @@ def build_verify_prompt(
 
 
 def score_candidate(
-    prompt: VerifyPrompt, tokens: Sequence[TokenLogprob]
+    prompt: VerifyPrompt, tokens: Sequence[Token]
 ) -> tuple[float, float]:
     """The (self-consistency, self-reflection) logs of a prompt, from the
     tokens of its echo: the logprobs summed over its consistency spans and

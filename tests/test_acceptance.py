@@ -102,9 +102,9 @@ def test_criterion_2_scoring_oracle_equivalence():
 
     def brute_product(tokens, span):
         total = Decimal(1)
-        for t in tokens:
-            if t.char_start < span.end and t.char_end > span.start:
-                total *= Decimal(math.exp(t.logprob))
+        for logprob, start, end in tokens:
+            if start < span.end and end > span.start:
+                total *= Decimal(math.exp(logprob))
         return float(total)
 
     for _ in range(200):
@@ -112,10 +112,8 @@ def test_criterion_2_scoring_oracle_equivalence():
         answer = " ".join(rng.choice(words, size=rng.integers(1, 12)))
         completion = f"## Rationale: {rationale}\n## Response: {answer}"
         parsed = parse_draft(completion)
-        from draftrag.drafting import TokenLogprob
-
         tokens = tuple(
-            TokenLogprob(float(-rng.random() * 3), start, end)
+            (float(-rng.random() * 3), start, end)
             for start, end in whitespace_token_spans(completion)
         )
         candidate = Candidate(
@@ -148,7 +146,7 @@ def test_criterion_2_scoring_oracle_equivalence():
             VerificationContextMode.RATIONALE_ONLY,
         )
         echo_tokens = tuple(
-            TokenLogprob(float(-rng.random() * 2), start, end)
+            (float(-rng.random() * 2), start, end)
             for start, end in whitespace_token_spans(vp.text)
         )
         for span in [*vp.consistency_spans, vp.affirmation_span]:

@@ -15,7 +15,6 @@ from draftrag.drafting import (
     DraftParseError,
     ParsedDraft,
     Span,
-    TokenLogprob,
     build_draft_prompt,
     compute_rho_draft,
     generate,
@@ -171,10 +170,7 @@ class TestParseTokenPayload:
 
     def test_valid_tokens_decode(self):
         tokens = parse_token_payload(self.payload(logprob=0.0), "u", self.TEXT)
-        assert tokens == (
-            TokenLogprob(-1.0, 0, 3),
-            TokenLogprob(0.0, 3, 5),
-        )
+        assert tokens == ((-1.0, 0, 3), (0.0, 3, 5))
 
     @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, 0.25])
     def test_logprob_that_is_not_finite_and_at_most_zero_is_rejected(self, logprob):
@@ -244,12 +240,10 @@ class TestParseTokenPayload:
         except MalformedResponseError:
             return
         # Each row's logprob and byte range, whatever else it holds.
-        assert tokens == tuple(
-            TokenLogprob(float(t["logprob"]), t["start"], t["end"]) for t in raw
-        )
-        for t in tokens:
-            assert math.isfinite(t.logprob) and t.logprob <= 0.0
-            assert 0 <= t.char_start <= t.char_end <= len(text.encode("utf-8"))
+        assert tokens == tuple((float(t["logprob"]), t["start"], t["end"]) for t in raw)
+        for logprob, start, end in tokens:
+            assert math.isfinite(logprob) and logprob <= 0.0
+            assert 0 <= start <= end <= len(text.encode("utf-8"))
 
 
 class TestGenerate:
@@ -280,7 +274,7 @@ class TestGenerate:
         next(task)
         with pytest.raises(StopIteration) as done:
             task.send({"tokens": self.TOKENS})
-        assert done.value.value == ("ab", (TokenLogprob(-0.5, 0, 2),))
+        assert done.value.value == ("ab", ((-0.5, 0, 2),))
 
     def test_generation_reply_without_text_is_malformed(self):
         task = generate(self.ENDPOINT, "ab")
@@ -289,26 +283,22 @@ class TestGenerate:
             task.send({"tokens": self.TOKENS})
 
 
-def tok(lp, start, end):
-    return TokenLogprob(logprob=lp, char_start=start, char_end=end)
-
-
 class TestSequenceLogprob:
     def test_three_token_sum(self):
-        tokens = [tok(-0.1, 0, 2), tok(-0.2, 2, 4), tok(-0.3, 4, 6)]
+        tokens = [(-0.1, 0, 2), (-0.2, 2, 4), (-0.3, 4, 6)]
         total = sequence_logprob(tokens, Span(0, 6))
         assert total == pytest.approx(-0.6, rel=1e-12)
         assert math.exp(total) == pytest.approx(0.5488116360940264, rel=1e-9)
 
     def test_empty_span_is_certainty(self):
-        tokens = [tok(-0.5, 0, 3)]
+        tokens = [(-0.5, 0, 3)]
         assert sequence_logprob(tokens, Span(2, 2)) == 0.0
 
     def test_single_certain_token(self):
-        assert sequence_logprob([tok(0.0, 0, 3)], Span(0, 3)) == 0.0
+        assert sequence_logprob([(0.0, 0, 3)], Span(0, 3)) == 0.0
 
     def test_partial_overlap_counts_token(self):
-        tokens = [tok(-0.1, 0, 4), tok(-0.2, 4, 8)]
+        tokens = [(-0.1, 0, 4), (-0.2, 4, 8)]
         assert sequence_logprob(tokens, Span(3, 5)) == pytest.approx(-0.3)
 
     @given(
@@ -323,14 +313,14 @@ class TestSequenceLogprob:
         self, logprobs, bump_index, bump
     ):
         bump_index %= len(logprobs)
-        tokens = [tok(lp, i * 2, i * 2 + 2) for i, lp in enumerate(logprobs)]
+        tokens = [(lp, i * 2, i * 2 + 2) for i, lp in enumerate(logprobs)]
         span = Span(0, len(logprobs) * 2)
         before = sequence_logprob(tokens, span)
         raised = list(logprobs)
         raised[bump_index] = min(0.0, raised[bump_index] + bump)
         # Skip bumps that vanish at float64 precision within the span sum.
         assume(raised[bump_index] - logprobs[bump_index] > 1e-6)
-        tokens2 = [tok(lp, i * 2, i * 2 + 2) for i, lp in enumerate(raised)]
+        tokens2 = [(lp, i * 2, i * 2 + 2) for i, lp in enumerate(raised)]
         assert sequence_logprob(tokens2, span) > before
 
     @given(
@@ -340,7 +330,7 @@ class TestSequenceLogprob:
     )
     @settings(max_examples=80)
     def test_log_domain_matches_direct_product(self, logprobs):
-        tokens = [tok(lp, i * 2, i * 2 + 2) for i, lp in enumerate(logprobs)]
+        tokens = [(lp, i * 2, i * 2 + 2) for i, lp in enumerate(logprobs)]
         span = Span(0, len(logprobs) * 2)
         direct = math.prod(math.exp(lp) for lp in logprobs)
         assert math.exp(sequence_logprob(tokens, span)) == pytest.approx(
@@ -354,12 +344,12 @@ def scored_draft(rationale_lp, answer_lp, n_rationale=1, n_answer=1):
     tokens = []
     pos = 0
     for _ in range(n_rationale):
-        tokens.append(tok(rationale_lp, pos, pos + 2))
+        tokens.append((rationale_lp, pos, pos + 2))
         pos += 2
     r_span = Span(0, pos)
     a_start = pos
     for _ in range(n_answer):
-        tokens.append(tok(answer_lp, pos, pos + 2))
+        tokens.append((answer_lp, pos, pos + 2))
         pos += 2
     return tuple(tokens), ParsedDraft("r", "a", r_span, Span(a_start, pos))
 

@@ -172,6 +172,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"line 2: {message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", ["", " A", "A\t", "\u00a0", "\n"])
+    def test_empty_or_padded_choice_label_names_the_line(self, tmp_path, label):
+        path = tmp_path / "data.jsonl"
+        good = record_line("q1")
+        bad = record_line(
+            "q2",
+            task_kind="closed_set_choice",
+            choices=[[label, "x"], ["B", "y"]],
+            answers=["B"],
+        )
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 2: choice label .* padded"):
+            load_dataset(path)
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -346,7 +360,7 @@ class EchoRefusesAll(MockScript):
 
     def echo(self, prompt):
         *tokens, last = super().echo(prompt)["tokens"]  # shared with the script
-        return {"text": prompt, "tokens": [*tokens, {**last, "logprob": 0.5}]}
+        return {"tokens": [*tokens, {**last, "logprob": 0.5}]}
 
 
 class TokenlessGeneration(MockScript):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from draftrag.cli import main
 from draftrag.mock_server import MockScript
 
@@ -54,3 +56,26 @@ def test_demo_script_runs_both_modes():
     assert done.returncode == 0, done.stderr
     assert "speculative: accuracy" in done.stdout
     assert "standard: accuracy" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_demo.py", ["--records", "0"]),
+        ("run_demo.py", ["--drafter-endpoints", "0"]),
+        ("run_demo.py", ["--seed", "-1"]),
+        ("make_rigged_dataset.py", ["--records", "-3"]),
+        ("make_rigged_dataset.py", ["--docs-per-record", "0"]),
+        # Two clusters need at least two documents.
+        ("make_rigged_dataset.py", ["--docs-per-record", "1"]),
+        ("make_rigged_dataset.py", ["--seed", "-1"]),
+    ],
+)
+def test_out_of_range_flag_exits_2_without_a_traceback(tmp_path, script, args):
+    out = tmp_path / "fixture"
+    if script == "make_rigged_dataset.py":
+        args = ["--out", str(out), *args]
+    done = run_script(script, *args)
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()

@@ -14,7 +14,7 @@ from draftrag.core import (
     VerificationContextMode,
     derive_rng,
 )
-from draftrag.drafting import Candidate, Span, TokenLogprob, generate, parse_draft
+from draftrag.drafting import Candidate, Span, generate, parse_draft
 from draftrag.mock_server import whitespace_token_spans
 from draftrag.verification import (
     VerifyPrompt,
@@ -170,12 +170,7 @@ class TestScoreCandidate:
             consistency_spans=(Span(0, 2), Span(2, 4), Span(4, 6)),
             affirmation_span=Span(6, 7),
         )
-        tokens = [
-            TokenLogprob(-0.1, 0, 2),
-            TokenLogprob(-0.2, 2, 4),
-            TokenLogprob(-0.3, 4, 6),
-            TokenLogprob(-0.5, 6, 7),
-        ]
+        tokens = [(-0.1, 0, 2), (-0.2, 2, 4), (-0.3, 4, 6), (-0.5, 6, 7)]
         assert score_candidate(prompt, tokens) == (-0.6000000000000001, -0.5)
 
     def test_all_zero_logprobs_score_zero(self, mock_server):
@@ -205,7 +200,7 @@ class TestScoreCandidate:
         assert counts == {"echo": 1}
 
     def test_span_additivity_over_disjoint_spans(self, mock_server):
-        from draftrag.drafting import TokenLogprob, sequence_logprob
+        from draftrag.drafting import sequence_logprob
         from draftrag.mock_server import tokens_from_rule
 
         candidate = make_candidate(
@@ -219,7 +214,7 @@ class TestScoreCandidate:
         )
         rho_sc, _ = score(vp, mock_server)
         rule_tokens = tuple(
-            TokenLogprob(t["logprob"], t["start"], t["end"])
+            (t["logprob"], t["start"], t["end"])
             for t in tokens_from_rule(vp.text)
         )
         per_span = [sequence_logprob(rule_tokens, s) for s in vp.consistency_spans]
