@@ -3,8 +3,10 @@
 
 Runs the draft-then-verify pipeline and the single-call baseline over a
 rigged synthetic dataset, then prints accuracy for both modes and the
-per-stage latency table. Drafter endpoints get a configurable artificial
-delay so the parallel-drafting effect is visible in the numbers.
+per-stage latency table. Every request waits a configurable artificial
+delay, so the parallel-drafting effect is visible in the numbers: all the
+servers share one mock script, so the verifier and the embedder on the
+first server wait as long as each drafter.
 """
 
 import argparse
@@ -31,6 +33,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.records < 1 or args.drafter_endpoints < 1:
         parser.error("--records and --drafter-endpoints must each be at least 1")
+    if args.delay_ms < 0:
+        parser.error("--delay-ms must be at least 0")
 
     base = PipelineConfig(top_n=4, rng_seed=args.seed)
     if violations := validate_config(base):

@@ -17,7 +17,10 @@ the server closing the connection. Its header block is read by
 limits ``http.client`` applies: a line is at most 65 536 bytes and a block
 has at most 100 header lines. Any other reply is a framing error. Idle
 keep-alive sockets wait in their endpoint's pool; the reply bytes go with
-the request.
+the request. An endpoint's URL is read once, by ``core.parse_endpoint_url``
+when its ``EndpointDescriptor`` is made, which refuses a URL no request
+can go to; the descriptor also keeps the head bytes every request to it
+starts with.
 
 ``fan_out`` drives many requests from the calling thread, with no worker
 thread: each task is a generator that yields its requests, one selector
@@ -62,8 +65,6 @@ UNHEALTHY_COOLDOWN_TIMEOUTS = 3
 # The most a reply read takes from a socket at once.
 _RECV_BYTES = 1 << 16
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-# Every request reads its endpoint's URL, and the few URLs in use repeat.
-_endpoint_url = functools.lru_cache(maxsize=64)(parse_endpoint_url)
 
 T = TypeVar("T")
 
@@ -96,21 +97,32 @@ class EndpointUnavailableError(TransportError):
 class EndpointDescriptor:
     """One registered endpoint with health bookkeeping and a socket pool.
 
+    Making one reads ``url`` with ``core.parse_endpoint_url``, whose
+    ``ValueError`` (the text ``validate_config`` reports) refuses a URL no
+    request can go to, and builds the request head every request to the
+    endpoint starts with. The URL is fixed for the descriptor's life: for
+    another URL, make another descriptor.
+
     Mutable state is guarded by a lock so concurrent dispatchers can share
     a descriptor safely. ``_idle`` holds the keep-alive sockets no request
-    is using, each with the parsed URL it was opened for; it grows to the
-    peak number of requests in flight at once.
+    is using; it grows to the peak number of requests in flight at once.
     """
 
     url: str
     consecutive_failures: int = 0
     _retry_at: float = field(default=0.0, repr=False)  # monotonic
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _idle: list[tuple[EndpointURL, socket.socket]] = field(
-        default_factory=list, repr=False
-    )
+    _idle: list[socket.socket] = field(default_factory=list, repr=False)
+    _address: EndpointURL = field(init=False, repr=False)
+    # The request line and headers up to the value of Content-Length.
+    _head: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        address = self._address = parse_endpoint_url(self.url)
+        self._head = (
+            f"POST {address.target} HTTP/1.1\r\nHost: {address.host_header}\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
         # A dropped descriptor leaves no open socket: its idle sockets
         # are closed when it is collected (or at interpreter exit).
         weakref.finalize(self, _close_all, self._idle)
@@ -119,23 +131,24 @@ class EndpointDescriptor:
     def healthy(self) -> bool:
         """False from the ``UNHEALTHY_AFTER_FAILURES``-th failure in a row
         until its cooldown has passed, and while a probe is out (see
-        ``admit``); a success clears the count."""
+        ``checkout``); a success clears the count."""
         return (
             self.consecutive_failures < UNHEALTHY_AFTER_FAILURES
             or time.monotonic() >= self._retry_at
         )
 
-    def admit(self, timeout_ms: int) -> bool:
-        """Whether a request with this timeout may be sent now. Once an
-        unhealthy endpoint's cooldown has passed, it admits one probe and
-        then nothing more until the probe's outcome is counted or its
-        timeout has passed."""
+    def checkout(self, timeout_ms: int) -> socket.socket | None:
+        """Admit a request with this timeout: an idle socket for it, or None
+        if it needs a new one. Raises ``EndpointUnavailableError`` when the
+        endpoint admits nothing. Once an unhealthy endpoint's cooldown has
+        passed, it admits one probe and then nothing more until the probe's
+        outcome is counted or its timeout has passed."""
         with self._lock:
             if not self.healthy:
-                return False
+                raise EndpointUnavailableError(self.url, "endpoint marked unhealthy")
             if self.consecutive_failures >= UNHEALTHY_AFTER_FAILURES:
                 self._retry_at = time.monotonic() + timeout_ms / 1000.0
-            return True
+            return self._idle.pop() if self._idle else None
 
     def record_success(self) -> None:
         with self._lock:
@@ -148,20 +161,9 @@ class EndpointDescriptor:
             cooldown_s = UNHEALTHY_COOLDOWN_TIMEOUTS * timeout_ms / 1000.0
             self._retry_at = time.monotonic() + cooldown_s
 
-    def take_idle(self, url: EndpointURL) -> socket.socket | None:
-        """An idle socket opened for ``url``, or None. Idle sockets opened
-        for another URL are closed."""
+    def put_idle(self, sock: socket.socket) -> None:
         with self._lock:
-            while self._idle:
-                sock_url, sock = self._idle.pop()
-                if sock_url == url:
-                    return sock
-                sock.close()
-        return None
-
-    def put_idle(self, url: EndpointURL, sock: socket.socket) -> None:
-        with self._lock:
-            self._idle.append((url, sock))
+            self._idle.append(sock)
 
 
 # A task for ``fan_out``: it yields (endpoint, payload) for each request,
@@ -169,8 +171,8 @@ class EndpointDescriptor:
 Task = Generator[tuple[EndpointDescriptor, dict], dict, T]
 
 
-def _close_all(idle: list[tuple[EndpointURL, socket.socket]]) -> None:
-    for _, sock in idle:
+def _close_all(idle: list[socket.socket]) -> None:
+    for sock in idle:
         sock.close()
 
 
@@ -270,43 +272,36 @@ def _connect(url: EndpointURL, timeout_s: float) -> socket.socket:
 
 
 class _Request:
-    """One JSON POST from its send to its decoded reply: where it goes, its
+    """One JSON POST from its send to its decoded reply: its endpoint, its
     bytes, the socket it was sent on, the reply bytes taken in so far and
     the monotonic time by which the reply must be read.
 
-    Making one sends it: the endpoint's health is checked, one of its idle
-    sockets is taken or a new one opened, and the request goes out in one
-    ``sendall``. Its deadline is ``timeout_ms`` from then, and it bounds
-    the connect and the send too. If the idle socket turns out to be closed
-    by the server, the request goes out on a new one: requests are
-    idempotent, so that is not a failure. An endpoint that does not admit
-    it (see ``EndpointDescriptor.admit``) is skipped with a routing error
-    rather than contacted. An endpoint URL that
-    ``core.parse_endpoint_url`` refuses fails the request, unsent, as a
-    connection error.
+    Making one sends it: the payload is encoded, the endpoint's health is
+    checked and one of its idle sockets taken or a new one opened, and the
+    request, the endpoint's head then the body's length and the body, goes
+    out in one ``sendall``. Its deadline is ``timeout_ms`` from then, and
+    it bounds the connect and the send too. If the idle socket turns out to
+    be closed by the server, the request goes out on a new one: requests
+    are idempotent, so that is not a failure. An endpoint that does not
+    admit it (see ``EndpointDescriptor.checkout``) is skipped with a
+    routing error rather than contacted. A payload ``json.dumps`` refuses
+    raises its error before the endpoint is touched.
     """
 
     __slots__ = (
-        "endpoint", "url", "data", "timeout_ms", "deadline", "sock", "reused",
+        "endpoint", "data", "timeout_ms", "deadline", "sock", "reused",
         "_pieces", "_size", "_need", "_eof",
     )
 
     def __init__(self, endpoint: EndpointDescriptor, payload: dict, timeout_ms: int):
-        if not endpoint.admit(timeout_ms):
-            raise EndpointUnavailableError(endpoint.url, "endpoint marked unhealthy")
         body = json.dumps(payload).encode("utf-8")
+        self.sock = endpoint.checkout(timeout_ms)
+        self.reused = self.sock is not None
         self.endpoint = endpoint
         self.timeout_ms = timeout_ms
         self.deadline = time.monotonic() + timeout_ms / 1000.0
-        self.sock: socket.socket | None = None
+        self.data = b"%s%d\r\n\r\n%s" % (endpoint._head, len(body), body)
         try:
-            url = self.url = _endpoint_url(endpoint.url)
-            self.data = (
-                f"POST {url.target} HTTP/1.1\r\nHost: {url.host_header}\r\n"
-                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
-            ).encode("ascii") + body
-            self.sock = endpoint.take_idle(url)
-            self.reused = self.sock is not None
             if self.reused:
                 try:
                     self._send()
@@ -314,7 +309,7 @@ class _Request:
                 except (ConnectionResetError, BrokenPipeError):
                     pass  # the server closed the idle socket
             self._send_on_new_socket()
-        except (OSError, ValueError) as exc:  # ValueError: a URL no request can go to
+        except OSError as exc:
             raise self.failed(exc)
 
     def remaining_s(self) -> float:
@@ -334,13 +329,12 @@ class _Request:
         if self.sock is not None:
             self.sock.close()
         self.reused = False
-        self.sock = _connect(self.url, self.remaining_s())
+        self.sock = _connect(self.endpoint._address, self.remaining_s())
         self._send()
 
     def failed(self, exc: BaseException) -> TransportError:
         """Close the socket and count a failure; the error to raise for
-        ``exc``: an ``OSError``, a URL no request can go to or a broken
-        reply."""
+        ``exc``: an ``OSError`` or a broken reply."""
         if self.sock is not None:
             self.sock.close()
         self.endpoint.record_failure(self.timeout_ms)
@@ -378,7 +372,7 @@ class _Request:
             return None
         status, data, keep = reply
         if keep:
-            endpoint.put_idle(self.url, self.sock)
+            endpoint.put_idle(self.sock)
         else:
             self.sock.close()
 

@@ -218,11 +218,12 @@ class EndpointURL(NamedTuple):
 
 
 def parse_endpoint_url(url: str) -> EndpointURL:
-    """The one reading of an endpoint URL, for ``validate_config`` and the
-    transport alike. A ``ValueError`` says the URL ``must be an http(s) URL
-    with a host`` (and a port in 1..65535, and a host the socket layer can
-    encode), or ``has a space or non-ASCII character`` (or a control one)
-    where the request line or Host header would carry it."""
+    """The one reading of an endpoint URL, for ``validate_config`` and
+    ``backend.EndpointDescriptor`` alike. A ``ValueError`` says the URL
+    ``must be an http(s) URL with a host`` (and a port in 1..65535, and a
+    host the socket layer can encode), or ``has a space or non-ASCII
+    character`` (or a control one) where the request line or Host header
+    would carry it."""
     try:
         parts = urlsplit(url if isinstance(url, str) else "")
         valid = (
@@ -268,8 +269,10 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
         violations.append("verifier_endpoint must be set")
     if not cfg.embedding_endpoint:
         violations.append("embedding_endpoint must be set")
-    for url in (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint):
-        if url:
+    # Each distinct URL once, in first-seen order: roles may share a URL.
+    urls = (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint)
+    for i, url in enumerate(urls):
+        if url and url not in urls[:i]:
             try:
                 parse_endpoint_url(url)
             except ValueError as exc:

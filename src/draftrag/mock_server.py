@@ -221,13 +221,16 @@ class MockScript:
     @classmethod
     def from_dict(cls, raw: dict) -> "MockScript":
         """Inverse of ``to_dict``; a value that is not an object, a field of
-        the wrong type or an ``embed_dims`` below 1 raises ValueError."""
+        the wrong type, a ``delay_ms`` below 0 or an ``embed_dims`` below 1
+        raises ValueError."""
         if not isinstance(raw, dict):
             raise ValueError("a mock script must be a JSON object")
         script = cls(
             delay_ms=_int_field(raw, "delay_ms", 0),
             embed_dims=_int_field(raw, "embed_dims", DEFAULT_EMBED_DIMS),
         )
+        if script.delay_ms < 0:
+            raise ValueError('"delay_ms" must be at least 0')
         if script.embed_dims < 1:
             raise ValueError('"embed_dims" must be at least 1')
         for key, entry in _script_entries(raw, "completions", text=str, tokens=list):

@@ -7,7 +7,9 @@ send for a given config. It scripts those prompts so that every subset
 containing the record's gold document yields a gold-bearing draft with
 strictly higher logprobs on all three score terms, while the remaining
 subsets yield wrong answers with much lower ones. Argmax selection must then
-recover the gold answer on every record; random selection must not.
+recover the gold answer on every record; random selection must not. The
+standard call over the record's top-n documents is scripted too, with the
+gold draft's reply, so the single-call baseline answers every record.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from .clustering import SubsetPlan, embedding_input, unit_rows
 from .core import Document, PipelineConfig, Query, StageTimings
 from .drafting import build_draft_prompt, draft_candidate
-from .harness import DatasetRecord, plan_subsets, prepare_record
+from .harness import DatasetRecord, build_standard_prompt, plan_subsets, prepare_record
 from .mock_server import MockScript, uniform_tokens
 from .verification import build_verify_prompt
 
@@ -42,6 +44,17 @@ def _gold_answer(i: int) -> str:
 
 def _wrong_answer(i: int) -> str:
     return f"Morvale-{i}"
+
+
+def _completion(i: int, has_gold: bool) -> str:
+    """A draft's reply: the gold answer read from the register, or the
+    wrong one read from an atlas."""
+    answer_name = _gold_answer(i) if has_gold else _wrong_answer(i)
+    source = "register" if has_gold else "atlas"
+    return (
+        f"## Rationale: The {source} states that the charted location is "
+        f"{answer_name}.\n## Response: The charted location is {answer_name}."
+    )
 
 
 def _build_record(i: int, salt: int, distractors: int) -> DatasetRecord:
@@ -88,11 +101,7 @@ def _script_record(
 
     for subset in plan.subsets:
         has_gold = gold_id in subset.member_doc_ids
-        answer_name = _gold_answer(i) if has_gold else _wrong_answer(i)
-        source = "register" if has_gold else "atlas"
-        rationale = f"The {source} states that the charted location is {answer_name}."
-        answer = f"The charted location is {answer_name}."
-        completion = f"## Rationale: {rationale}\n## Response: {answer}"
+        completion = _completion(i, has_gold)
         token_lp = GOLD_TOKEN_LOGPROB if has_gold else WRONG_TOKEN_LOGPROB
 
         prompt = build_draft_prompt(query, subset, docs_by_id)
@@ -107,6 +116,11 @@ def _script_record(
         script.script_echo(
             verify_prompt.text, uniform_tokens(verify_prompt.text, echo_lp)
         )
+
+    gold = _completion(i, True)
+    script.script_completion(
+        build_standard_prompt(query, docs), gold, uniform_tokens(gold, GOLD_TOKEN_LOGPROB)
+    )
 
 
 def make_rigged_fixture(

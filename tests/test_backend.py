@@ -153,6 +153,15 @@ def free_port_url(path="/generate") -> str:
         return f"http://127.0.0.1:{s.getsockname()[1]}{path}"
 
 
+class SlowForPrompt(MockScript):
+    """Generation of the prompt "slow" takes 300 ms; every other is immediate."""
+
+    def generate(self, prompt):
+        if prompt == "slow":
+            time.sleep(0.3)
+        return super().generate(prompt)
+
+
 class TestDispatch:
     def test_success_records_latency(self, mock_server):
         ep = drafter(mock_server.generate_url)
@@ -248,37 +257,26 @@ class TestDispatch:
                 dispatch(ep, {"prompt": "hi"}, 200)
             assert len(opened) == 1
 
-    def test_success_resets_failure_counter(self, mock_server, server_factory):
-        slow = server_factory(script=MockScript(delay_ms=300))
-        ep = drafter(slow.generate_url)
+    def test_success_resets_failure_counter(self, server_factory):
+        ep = drafter(server_factory(script=SlowForPrompt()).generate_url)
         for _ in range(2):
             with pytest.raises(EndpointTimeout):
-                dispatch(ep, {"prompt": "hi"}, 50)
-        ep.url = mock_server.generate_url
-        dispatch(ep, {"prompt": "hi"}, 5000)
+                dispatch(ep, {"prompt": "slow"}, 50)
+        dispatch(ep, {"prompt": "fast"}, 5000)
         assert ep.consecutive_failures == 0
         assert ep.healthy is True
-
-
-class SlowForPrompt(MockScript):
-    """Generation of the prompt "slow" takes 300 ms; every other is immediate."""
-
-    def generate(self, prompt):
-        if prompt == "slow":
-            time.sleep(0.3)
-        return super().generate(prompt)
 
 
 class TestKeepAlive:
     def test_sequential_dispatches_reuse_one_connection(self, mock_server):
         ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        [(_, sock)] = ep._idle
+        [sock] = ep._idle
         local_port = sock.getsockname()[1]
         for prompt in ("b", "c"):
             dispatch(ep, {"prompt": prompt}, 5000)
         assert len(ep._idle) == 1
-        assert ep._idle[0][1] is sock
+        assert ep._idle[0] is sock
         assert sock.getsockname()[1] == local_port
 
     def test_next_request_after_a_timeout_reads_its_own_reply(self, server_factory):
@@ -296,13 +294,13 @@ class TestKeepAlive:
     def test_connection_closed_by_the_server_is_retried(self, mock_server):
         ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        [(_, stale)] = ep._idle
+        [stale] = ep._idle
         mock_server._shutdown_open_connections()
         time.sleep(0.1)
         body = dispatch(ep, {"prompt": "b"}, 5000)
         assert body["text"] == "## Rationale: b. ## Response: b."
         assert ep.consecutive_failures == 0
-        assert [conn for _, conn in ep._idle] != [stale]
+        assert ep._idle != [stale]
         assert mock_server.request_counts() == {"generate": 2}
 
     def test_stopped_server_answers_no_pooled_connection(self):
@@ -326,15 +324,18 @@ class TestKeepAlive:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=1).close()
 
-    def test_connection_is_reused_only_for_its_own_origin(self, server_factory):
-        first, second = server_factory(), server_factory()
-        ep = drafter(first.generate_url)
+    def test_payload_that_cannot_be_encoded_takes_no_socket_and_counts_nothing(
+        self, mock_server
+    ):
+        ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        ep.url = second.generate_url
-        dispatch(ep, {"prompt": "b"}, 5000)
-        assert first.request_counts() == {"generate": 1}
-        assert second.request_counts() == {"generate": 1}
-        assert [url for url, _ in ep._idle] == [parse_endpoint_url(second.generate_url)]
+        [sock] = ep._idle
+        ep.record_failure(5000)
+        with pytest.raises(TypeError):
+            dispatch(ep, {"prompt": object()}, 5000)
+        assert ep._idle == [sock]
+        assert ep.consecutive_failures == 1
+        assert mock_server.request_counts() == {"generate": 1}
 
     def test_concurrent_calls_never_share_a_connection(self, mock_server):
         ep = drafter(mock_server.generate_url)
@@ -355,7 +356,7 @@ class TestKeepAlive:
         for prompt, text in replies:
             assert text == f"## Rationale: {prompt}. ## Response: {prompt}."
         assert ep.consecutive_failures == 0
-        idle = [conn for _, conn in ep._idle]
+        idle = ep._idle
         assert 1 <= len(idle) <= workers
         assert len({id(conn) for conn in idle}) == len(idle)
         assert mock_server.request_counts() == {"generate": workers * calls}
@@ -363,7 +364,7 @@ class TestKeepAlive:
     def test_dropped_descriptor_closes_its_idle_connections(self, mock_server):
         ep = drafter(mock_server.generate_url)
         dispatch(ep, {"prompt": "a"}, 5000)
-        [(_, sock)] = ep._idle
+        [sock] = ep._idle
         del ep
         gc.collect()
         assert sock.fileno() == -1
@@ -586,7 +587,7 @@ class TestFraming:
         scripted.close = False
         ep = drafter(scripted.url)
         assert dispatch(ep, {"prompt": "a"}, 5000) == {"text": "ok"}
-        [(_, stale)] = ep._idle
+        [stale] = ep._idle
         scripted.reset_held()
         time.sleep(0.1)  # the reset has reached the pooled socket by now
         opened = record_connects(monkeypatch)
@@ -597,7 +598,7 @@ class TestFraming:
         assert opened == [parse_endpoint_url(scripted.url)]
         assert ep.consecutive_failures == 0
         assert stale.fileno() == -1
-        assert [sock for _, sock in ep._idle] != [stale]
+        assert ep._idle != [stale]
 
     def test_request_carries_host_type_and_exact_length(self, scripted):
         body = b'{"text": "ok"}'
@@ -628,18 +629,28 @@ class TestFraming:
         [request] = scripted.requests
         assert request.split(b"\r\n", 1)[0] == b"POST /generate?key=abc&v=1 HTTP/1.1"
 
-    def test_space_in_the_query_string_is_refused_unsent(self, scripted):
+    def test_space_in_the_query_string_is_refused_unsent(self, scripted, monkeypatch):
         scripted.requests.clear()
-        ep = drafter(f"{scripted.url}?key=a b")
-        with pytest.raises(EndpointConnectionError, match="space or non-ASCII"):
-            dispatch(ep, {"prompt": "a"}, 5000)
-        assert scripted.requests == []
+        opened = record_connects(monkeypatch)
+        url = f"{scripted.url}?key=a b"
+        with pytest.raises(ValueError, match="space or non-ASCII") as refused:
+            drafter(url)
+        assert validate_config(PipelineConfig(verifier_endpoint=url)) == [
+            str(refused.value)
+        ]
+        assert (opened, scripted.requests) == ([], [])
 
-    def test_url_that_does_not_parse_is_a_connection_error_counted_once(self):
-        ep = drafter("http://[::1/generate")
-        with pytest.raises(EndpointConnectionError, match="must be an http"):
-            dispatch(ep, {"prompt": "a"}, 5000)
-        assert ep.consecutive_failures == 1
+    def test_url_that_does_not_parse_is_refused_when_the_descriptor_is_made(
+        self, monkeypatch
+    ):
+        opened = record_connects(monkeypatch)
+        url = "http://[::1/generate"
+        with pytest.raises(ValueError, match="must be an http") as refused:
+            drafter(url)
+        assert validate_config(PipelineConfig(verifier_endpoint=url)) == [
+            str(refused.value)
+        ]
+        assert opened == []
 
 
 URL_PIECES = st.tuples(
@@ -661,22 +672,26 @@ class TestEndpointUrls:
     @given(pieces=URL_PIECES)
     @settings(max_examples=300, deadline=None)
     def test_a_url_validates_exactly_when_a_request_is_sent_to_it(self, pieces):
-        """No connection is made: one that would be is recorded and refused."""
+        """A descriptor can be made exactly for a URL that validates, and
+        its one request goes to the URL's host and port. No connection is
+        made: one that would be is recorded and refused."""
         url = "".join(pieces)
-        ep = drafter(url)
+        valid = validate_config(PipelineConfig(verifier_endpoint=url)) == []
+        try:
+            ep = drafter(url)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
         with pytest.MonkeyPatch.context() as patch:
             opened = record_connects(patch, refuse=True)
             with pytest.raises(EndpointConnectionError):
                 dispatch(ep, {"prompt": "a"}, 1000)
         assert ep.consecutive_failures == 1
-        valid = validate_config(PipelineConfig(verifier_endpoint=url)) == []
-        assert valid == (len(opened) == 1)
-        if valid:
-            parts = urlsplit(url)
-            assert (opened[0].host, opened[0].port) == (
-                parts.hostname,
-                parts.port or (443 if parts.scheme == "https" else 80),
-            )
+        parts = urlsplit(url)
+        assert [(u.host, u.port) for u in opened] == [
+            (parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
+        ]
 
 
 FUZZ_TIMEOUT_MS = 150
@@ -792,7 +807,7 @@ class TestReplyFuzz:
                     result = exc
             elapsed = time.monotonic() - start
             pooled = len(ep._idle) == 1
-            for _, conn in ep._idle:
+            for conn in ep._idle:
                 conn.close()
             assert elapsed < FUZZ_TIMEOUT_MS / 1000 + 1.0
             assert isinstance(result, (dict, TransportError))
@@ -909,7 +924,7 @@ class TestFanOut:
                 fan_out([task(i) for i in range(4)], 5000)
             assert sorted(finished) == [0, 3]
             assert len(ep._idle) == 3
-            for _, conn in ep._idle:
+            for conn in ep._idle:
                 conn.close()
 
         assert resource_warnings(run) == []
@@ -953,13 +968,13 @@ class TestFanOut:
     def test_connection_closed_by_the_server_is_retried_once(self, mock_server):
         ep = drafter(mock_server.generate_url)
         assert fan_out([request(ep, "a")], 5000) == [reply_text("a")]
-        [(_, stale)] = ep._idle
+        [stale] = ep._idle
         mock_server._shutdown_open_connections()
         time.sleep(0.1)
         assert fan_out([request(ep, "b")], 5000) == [reply_text("b")]
         assert ep.consecutive_failures == 0
         assert stale.fileno() == -1
-        assert [sock for _, sock in ep._idle] != [stale]
+        assert ep._idle != [stale]
         assert mock_server.request_counts() == {"generate": 2}
 
     def test_forty_tasks_are_in_flight_at_once_from_the_calling_thread(
@@ -1354,6 +1369,7 @@ class TestServerEndpoints:
             ({"completions": [{"text": "x"}]}, "completions[0]"),
             ({"echoes": [{"prompt": 1, "tokens": []}]}, "echoes[0]"),
             ({"delay_ms": "slow"}, "delay_ms"),
+            ({"delay_ms": -1}, "delay_ms"),
             ({"embed_dims": 0}, "embed_dims"),
             # Entries are keyed by digest alone, as ``to_dict`` writes them.
             ({"echoes": [{"prompt": "p", "tokens": []}]}, "prompt_sha256"),

@@ -144,6 +144,13 @@ class TestConfig:
         violations = validate_config(PipelineConfig(verifier_endpoint=url))
         assert violations == [f"endpoint {url!r} {problem}"]
 
+    def test_url_shared_by_two_roles_is_named_once(self):
+        url = "http://127.0.0.1:70000/generate"
+        cfg = PipelineConfig(drafter_endpoints=(url, url), verifier_endpoint=url)
+        assert validate_config(cfg) == [
+            f"endpoint {url!r} must be an http(s) URL with a host"
+        ]
+
     def test_validation_reports_every_violation_without_raising(self):
         cfg = PipelineConfig(
             num_drafts=0,

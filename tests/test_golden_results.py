@@ -64,24 +64,24 @@ GOLDEN = {
     "default/score_wo_draft": "d3228c05261ae446dbe02d5a417534962c1a1f31dafdd0853f8376ca786ed5be",
     "default/score_wo_self_consistency": "59a08d6e2cb31c57415faed1dd5abad9a12bfaef6932a45622f4ff855b418ad9",
     "default/score_wo_self_reflection": "45f1011ffc5925f6c734611a3513df1c1e6e96f1123f5c0db784950d22555dab",
-    "default/script": "69432843f73c59a3b4a3d3f3747e347656d18146a81c40064b0157bf407aabf9",
+    "default/script": "eabca252c7e14c1f059c9b681aba51e9c217607cdc7e7c3cf5c907f3c6d64ade",
     "default/selection_random": "0683e0ba9b8f34295bb0f4f17657f404d53112048befaae1452450b2645317fd",
-    "default/standard": "eeb6ca1640fb8d831e870f622fc22334aa391719e996724173385d0782b2169b",
+    "default/standard": "705016475af46ef7f6eac5e529c066fbb8a55da0d80d8f0bf522836ea7a34713",
     "musique/baseline": "5be251dab6beef835d96c83b6b00847417ee3f469a4659323a877ce56de33b98",
     "musique/sampling_random_no_cluster": "05427b729f55ef42a33c4e81cda0f7938b18a8963d4836e546ddc3b6fc329c02",
     "musique/sampling_same_cluster": "a82a0545c250548e80fc55e88a99a3cf78230e154e81a194aa9e77215d74967b",
-    "musique/script": "09f936305979b5347f75604242c54964831942773d3577fd981a848b3b2efac4",
-    "musique/standard": "394f97c7b9393207cd77401e24cc0776b66259e120dc2edd17965de11ce6dc8b",
+    "musique/script": "8ee8ee194e8de6d6888b66fba61dd52791b0ffe9469806282a2e83db34466171",
+    "musique/standard": "0d4b370893aa8163adbb61bcf3d95f4f7963772575396ba9986b737c7b5d8e7c",
     "short_retrieval/baseline": "645d6152353d38fa4a7f044a57611bedfa10600dfb73074e2631c128818bfbd0",
     "short_retrieval/sampling_random_no_cluster": "b87af2c7aee7444a7f762f69f48a10b3bf52d9e214797a3dfe082ccee4b7dea4",
     "short_retrieval/sampling_same_cluster": "cd91da0ec6f8000e3acb1c2640252b23345a06469a3b3b8f4485f1cfa6c5beda",
-    "short_retrieval/script": "e3f7029b6f99ab4f0cdcc92705f76301d981fc812d78e0e583d57b4e230b6726",
-    "short_retrieval/standard": "3a7156f98dd1c14b7fade3c713dae29ae04513ed3482a80d6c7bbba682e45680",
+    "short_retrieval/script": "89780e0838d5ec4ecf8f4b69459b6de62312706a6b1b0c92aed6fc2cd16d9404",
+    "short_retrieval/standard": "2463889da072a5149d0ed3e6a2636a660f0e72489b4e28749089be4afad8c948",
 }
 
 # The ``default`` script's digest when every token row carried its text.
 DEFAULT_SCRIPT_WITH_TOKEN_TEXT = (
-    "ffb90b88ada1c55143cf65fa1ceed40e5c5078cc96fbe61f460a1df25340e677"
+    "5f252f986192c99412b28f6d76ab2efce6aff493b51da85c1ef3ffa92b753017"
 )
 
 

@@ -22,6 +22,7 @@ from draftrag.core import (
     StageTimings,
     TaskKind,
     derive_rng,
+    validate_config,
 )
 from draftrag import backend, harness
 from draftrag.clustering import (
@@ -844,6 +845,18 @@ class TestExperiments:
         assert len(lines) == len(records)
         assert (tmp_path / "spec.summary.json").exists()
         assert (tmp_path / "spec.config.json").exists()
+
+    def test_bad_endpoint_url_is_refused_before_any_file_is_written(
+        self, rigged_env, tmp_path
+    ):
+        records, cfg, _ = rigged_env
+        bad = replace(cfg, verifier_endpoint="http://127.0.0.1:70000/generate")
+        [violation] = validate_config(bad)
+        with pytest.raises(ValueError, match=re.escape(violation)):
+            make_backends(bad)
+        with pytest.raises(ValueError, match=re.escape(violation)):
+            run_experiment(records, bad, out_dir=tmp_path, name="spec")
+        assert list(tmp_path.iterdir()) == []
 
     def test_results_deterministic_modulo_timings(self, rigged_env, tmp_path):
         records, cfg, _ = rigged_env

@@ -54,8 +54,8 @@ def test_demo_script_runs_both_modes():
         "run_demo.py", "--records", "2", "--delay-ms", "0", "--drafter-endpoints", "2"
     )
     assert done.returncode == 0, done.stderr
-    assert "speculative: accuracy" in done.stdout
-    assert "standard: accuracy" in done.stdout
+    assert "speculative: accuracy 1.00" in done.stdout
+    assert "standard: accuracy 1.00" in done.stdout
 
 
 @pytest.mark.parametrize(
@@ -64,6 +64,7 @@ def test_demo_script_runs_both_modes():
         ("run_demo.py", ["--records", "0"]),
         ("run_demo.py", ["--drafter-endpoints", "0"]),
         ("run_demo.py", ["--seed", "-1"]),
+        ("run_demo.py", ["--delay-ms", "-5"]),
         ("make_rigged_dataset.py", ["--records", "-3"]),
         ("make_rigged_dataset.py", ["--docs-per-record", "0"]),
         # Two clusters need at least two documents.
