@@ -9,17 +9,19 @@ verification then adds the remaining scores to the same candidate, which
 is also the subset's results row.
 
 All offsets in this module are byte offsets into the UTF-8 encoding of the
-surrounding text, matching the token offsets reported by the endpoints. From
-decoding to the score, a token is the plain tuple ``(logprob, start, end)``:
-its wire row's values, in the row's key order.
+surrounding text, matching the token offsets reported by the endpoints. A
+reply sends its tokens as three parallel arrays (``TOKEN_COLUMNS``); from
+decoding to the score, a token is the plain tuple ``(logprob, start, end)``
+of its entries in those arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,6 +48,10 @@ MAX_COMPLETION_TOKENS = 512
 
 # (logprob, start, end) of one token over the bytes [start, end).
 Token = tuple[float, int, int]
+# The parallel arrays a /generate reply sends its tokens in.
+TOKEN_COLUMNS = ("token_logprobs", "token_starts", "token_ends")
+_NUMBER_TYPES = {int, float}
+_INT_TYPES = {int}
 
 
 class Span(NamedTuple):
@@ -213,36 +219,67 @@ def compute_rho_draft(tokens: Sequence[Token], parsed: ParsedDraft) -> float:
     return float(np.logaddexp(l_rationale, l_answer))
 
 
-def parse_token_payload(raw_tokens: object, url: str, text: str) -> tuple[Token, ...]:
-    """Decode an endpoint's token list for the scored ``text`` into
-    ``(logprob, start, end)`` tuples, one per row, in the list's order.
+def parse_token_payload(body: Mapping, url: str, text: str) -> tuple[Token, ...]:
+    """Decode the tokens of a ``/generate`` reply ``body`` for the scored
+    ``text`` into ``(logprob, start, end)`` tuples, in the arrays' order.
 
-    Each token is an object whose ``logprob`` is a JSON number and
-    ``start``/``end`` integers (a bool or a numeric string is the wrong
-    type); other keys, such as the ``text`` of a script written when tokens
-    carried one, are ignored. Every logprob must be finite and at most 0,
-    and every token's byte range must satisfy 0 <= start <= end <= len(text
-    in UTF-8). Anything else is a ``MalformedResponseError``, so no such
-    reply reaches ranking.
+    The reply sends its tokens as three parallel arrays, ``token_logprobs``,
+    ``token_starts`` and ``token_ends``, lists of one length. Each logprob
+    is a JSON number and each offset an integer (a bool or a numeric string
+    is the wrong type). Every logprob must be finite and at most 0, and
+    every token's byte range must satisfy 0 <= start <= end <= len(text in
+    UTF-8). Anything else is a ``MalformedResponseError``, so no such reply
+    reaches ranking; it names the first bad token.
+
+    The checks run over whole arrays, in C: no Python code runs per token
+    unless the reply is refused.
     """
-    if not isinstance(raw_tokens, list):
-        raise MalformedResponseError(url, 'response lacks a "tokens" list')
+    columns = list(map(body.get, TOKEN_COLUMNS))
+    for name, column in zip(TOKEN_COLUMNS, columns):
+        if not isinstance(column, list):
+            raise MalformedResponseError(url, f'response lacks a "{name}" list')
+    logprobs, starts, ends = columns
+    if not len(logprobs) == len(starts) == len(ends):
+        raise MalformedResponseError(
+            url,
+            f"token arrays differ in length: {len(logprobs)} logprobs, "
+            f"{len(starts)} starts and {len(ends)} ends",
+        )
     text_bytes = len(text.encode("utf-8"))
-    out = []
-    for i, t in enumerate(raw_tokens):
-        try:
-            logprob, start, end = t["logprob"], t["start"], t["end"]
-        except (KeyError, TypeError):
-            raise MalformedResponseError(
-                url, f"token {i} is not an object with logprob, start and end"
-            )
-        # Exact types: JSON decodes to exactly str, int or float, and
-        # type(True) is bool, so a bool fails every check.
+    # Exact types: JSON decodes to exactly str, int or float, and
+    # type(True) is bool, so a bool fails every check.
+    logprob_types = set(map(type, logprobs))
+    try:
+        valid = (
+            logprob_types <= _NUMBER_TYPES
+            and set(map(type, starts)) <= _INT_TYPES
+            and set(map(type, ends)) <= _INT_TYPES
+            and all(map(math.isfinite, logprobs))  # NaN fails here, not in max
+            and max(logprobs, default=0.0) <= 0.0
+            and min(starts, default=0) >= 0
+            and max(ends, default=0) <= text_bytes
+            and all(map(operator.le, starts, ends))
+        )
+    except OverflowError:  # an integer logprob beyond the float range
+        valid = False
+    if not valid:
+        _refuse_first_bad_token(url, columns, text_bytes)
+    if int in logprob_types:
+        logprobs = list(map(float, logprobs))
+    return tuple(zip(logprobs, starts, ends))
+
+
+def _refuse_first_bad_token(url: str, columns: list[list], text_bytes: int) -> NoReturn:
+    """Raise the refusal of the first token that fails a check of
+    ``parse_token_payload``; one token's checks run in the docstring's
+    order."""
+    for i, (logprob, start, end) in enumerate(zip(*columns)):
         if not (
-            type(logprob) in (int, float) and type(start) is int and type(end) is int
+            type(logprob) in _NUMBER_TYPES and type(start) is int and type(end) is int
         ):
+            row = {"logprob": logprob, "start": start, "end": end}
             raise MalformedResponseError(
-                url, f"token {i} has a field of the wrong type: {t}"
+                url, f"token {i} has a field of the wrong type: {row}"
             )
         try:
             logprob = float(logprob)
@@ -258,8 +295,7 @@ def parse_token_payload(raw_tokens: object, url: str, text: str) -> tuple[Token,
                 f"token {i} spans bytes [{start}, {end}) "
                 f"outside the {text_bytes}-byte text",
             )
-        out.append((logprob, start, end))
-    return tuple(out)
+    raise AssertionError("token arrays refused with no bad token in them")
 
 
 def draft_candidate(
@@ -288,7 +324,7 @@ def generate(
     ``MAX_COMPLETION_TOKENS``, and score the reply's ``"text"``; with
     ``echo`` no token is generated and the prompt itself is scored. Raises
     ``MalformedResponseError`` for a generation reply without a text or
-    with a bad token list (see ``parse_token_payload``).
+    any reply with bad token arrays (see ``parse_token_payload``).
     """
     body = yield endpoint, {
         "prompt": prompt,
@@ -301,7 +337,7 @@ def generate(
     text = prompt if echo else body.get("text")
     if not isinstance(text, str):
         raise MalformedResponseError(endpoint.url, 'response lacks a "text" field')
-    return text, parse_token_payload(body.get("tokens"), endpoint.url, text)
+    return text, parse_token_payload(body, endpoint.url, text)
 
 
 def draft_subset(

@@ -9,9 +9,13 @@ real model weights. Responses are pure functions of the request content:
   from a scripted per-prompt table or from the byte-sum rule below;
 - embeddings hash (instruction, text) pairs into unit vectors.
 
-A generation reply is {"text", "tokens"} and an echo reply {"tokens"}, each
-token {"logprob", "start", "end"}: the client holds the prompt it scores,
-and a token's byte range locates its text.
+Scripts and ``MockScript`` replies hold tokens as rows {"logprob", "start",
+"end"}. On the wire every ``/generate`` reply sends them as three parallel
+arrays instead, ``token_logprobs``, ``token_starts`` and ``token_ends``
+(``token_columns``): a generation reply is {"text", "token_logprobs",
+"token_starts", "token_ends"} and an echo reply the three arrays alone. The
+client holds the prompt it scores, and a token's byte range locates its
+text.
 
 Tokenization rule: the prompt's UTF-8 bytes are split at runs of
 non-whitespace; each token's span stretches to the start of the next token
@@ -42,6 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from http import HTTPStatus
+from operator import itemgetter
 from pathlib import Path
 
 from .core import (
@@ -63,6 +68,9 @@ REQUEST_LOG_LIMIT = 1024
 MAX_REQUEST_BODY_BYTES = 16 * 2**20
 
 _NONSPACE = re.compile(rb"\S+")
+# The fields of a token row that ``token_columns`` sends.
+_TOKEN_ROW_KEYS = ("logprob", "start", "end")
+_LOGPROB, _START, _END = (itemgetter(key) for key in _TOKEN_ROW_KEYS)
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -96,6 +104,20 @@ def uniform_tokens(text: str, logprob: float) -> list[dict]:
         {"logprob": logprob, "start": start, "end": end}
         for start, end in whitespace_token_spans(text)
     ]
+
+
+def token_columns(reply: dict) -> dict:
+    """``reply`` as it goes on the wire: its row-shaped ``tokens`` become the
+    parallel arrays ``token_logprobs``, ``token_starts`` and ``token_ends``,
+    and every other field stays. A reply without ``tokens`` is sent as is."""
+    if "tokens" not in reply:
+        return reply
+    wire = {key: value for key, value in reply.items() if key != "tokens"}
+    tokens = reply["tokens"]
+    wire["token_logprobs"] = list(map(_LOGPROB, tokens))
+    wire["token_starts"] = list(map(_START, tokens))
+    wire["token_ends"] = list(map(_END, tokens))
+    return wire
 
 
 def fallback_completion(prompt: str) -> dict:
@@ -142,7 +164,10 @@ def _text(value: object, name: str) -> str:
 
 def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict]]:
     """(prompt sha256, entry) pairs of one ``to_dict`` table; each entry must
-    hold a non-empty ``prompt_sha256`` string and a field of each given type."""
+    hold a non-empty ``prompt_sha256`` string and a field of each given type,
+    and each row of its ``tokens`` list must be an object with the keys
+    ``token_columns`` reads. The values of a row
+    are not checked, so a script can send the client any token."""
     entries = raw.get(name, [])
     if not isinstance(entries, list):
         raise ValueError(f'"{name}" must be a list')
@@ -155,6 +180,14 @@ def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict
         sha = entry.get("prompt_sha256")
         if not (isinstance(sha, str) and sha):
             raise ValueError(f"{name}[{i}] needs a prompt_sha256 string")
+        for j, row in enumerate(entry["tokens"]):
+            if not (
+                isinstance(row, dict) and all(key in row for key in _TOKEN_ROW_KEYS)
+            ):
+                raise ValueError(
+                    f"{name}[{i}].tokens[{j}] must be an object with "
+                    "logprob, start and end"
+                )
         pairs.append((sha, entry))
     return pairs
 
@@ -166,6 +199,8 @@ class MockScript:
     ``completions`` and ``echoes`` are keyed by the sha256 hex of the exact
     prompt. Completion values are {"text", "tokens"}; echo values are token
     lists for the prompt itself, and ``echo`` replies with the list alone.
+    Tokens are rows here, as in script files; ``MockLMServer`` sends each
+    reply's rows as parallel arrays (``token_columns``).
     ``delay_ms`` is applied to every LM/embed request to simulate inference
     latency.
     """
@@ -221,8 +256,8 @@ class MockScript:
     @classmethod
     def from_dict(cls, raw: dict) -> "MockScript":
         """Inverse of ``to_dict``; a value that is not an object, a field of
-        the wrong type, a ``delay_ms`` below 0 or an ``embed_dims`` below 1
-        raises ValueError."""
+        the wrong type, a token row without logprob, start and end, a
+        ``delay_ms`` below 0 or an ``embed_dims`` below 1 raises ValueError."""
         if not isinstance(raw, dict):
             raise ValueError("a mock script must be a JSON object")
         script = cls(
@@ -508,7 +543,8 @@ class MockLMServer:
             self.log_request_entry(kind, prompt)
             self.apply_delay()
             script = self.script
-            return 200, script.echo(prompt) if kind == "echo" else script.generate(prompt)
+            reply = script.echo(prompt) if kind == "echo" else script.generate(prompt)
+            return 200, token_columns(reply)
         if route == "/embed":
             instruction = _text(fields.get("instruction", ""), "instruction")
             inputs = fields.get("inputs", [])

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import socket
@@ -38,6 +39,7 @@ from draftrag.core import (
     parse_endpoint_url,
     validate_config,
 )
+from draftrag.drafting import TOKEN_COLUMNS
 from draftrag.mock_server import (
     MAX_REQUEST_BODY_BYTES,
     REQUEST_LOG_LIMIT,
@@ -45,6 +47,8 @@ from draftrag.mock_server import (
     MockScript,
     echo_rule,
     fallback_completion,
+    prompt_sha256,
+    token_columns,
     whitespace_token_spans,
 )
 from json_strategies import DEEPEST, JSON_VALUES, NESTED_ARRAYS, nested_arrays
@@ -166,7 +170,7 @@ class TestDispatch:
     def test_success_records_latency(self, mock_server):
         ep = drafter(mock_server.generate_url)
         body = dispatch(ep, {"prompt": "hi", "max_tokens": 8}, 5000)
-        assert "text" in body and "tokens" in body
+        assert set(body) == {"text", *TOKEN_COLUMNS}
         assert ep.consecutive_failures == 0
 
     def test_timeout_is_distinct_error(self, server_factory):
@@ -1140,6 +1144,15 @@ class TestWhitespaceTokenization:
         assert data[start:end] == b"Yes"
 
 
+# A script's token row, as ``MockScript.from_dict`` loads it.
+TOKEN_ROW = {"logprob": -0.5, "start": 0, "end": 1}
+
+
+def echo_entry(tokens: list) -> dict:
+    """A script file's echo entry for the prompt "p"."""
+    return {"prompt_sha256": prompt_sha256("p"), "tokens": tokens}
+
+
 class TestServerEndpoints:
     def test_requests_endpoint_returns_log(self, mock_server):
         dispatch(drafter(mock_server.generate_url), {"prompt": "x"}, 5000)
@@ -1162,7 +1175,8 @@ class TestServerEndpoints:
             {"prompt": "alpha beta", "echo": True, "max_tokens": 0},
             5000,
         )
-        assert body == MockScript().echo("alpha beta")
+        assert body == token_columns(MockScript().echo("alpha beta"))
+        assert set(body) == set(TOKEN_COLUMNS)
         assert mock_server.request_counts() == {"echo": 1}
 
     @pytest.mark.parametrize("path", ["/generate", "/embed"])
@@ -1373,11 +1387,29 @@ class TestServerEndpoints:
             ({"embed_dims": 0}, "embed_dims"),
             # Entries are keyed by digest alone, as ``to_dict`` writes them.
             ({"echoes": [{"prompt": "p", "tokens": []}]}, "prompt_sha256"),
+            # Rows ``token_columns`` could not send; their values go unchecked.
+            (
+                {"echoes": [echo_entry([]), echo_entry([TOKEN_ROW, {"start": 0}])]},
+                "echoes[1].tokens[1]",
+            ),
+            ({"echoes": [echo_entry([[-0.5, 0, 1]])]}, "echoes[0].tokens[0]"),
+            (
+                {"completions": [{**echo_entry([TOKEN_ROW, None]), "text": "t"}]},
+                "completions[0].tokens[1]",
+            ),
         ],
     )
     def test_script_with_a_bad_field_is_rejected(self, raw, field):
         with pytest.raises(ValueError, match=re.escape(field)):
             MockScript.from_dict(raw)
+
+    def test_script_rows_with_bad_values_load_and_are_sent(self, server_factory):
+        rows = [{"logprob": math.nan, "start": 9, "end": -1}, {**TOKEN_ROW, "logprob": 0.5}]
+        server = server_factory(script=MockScript.from_dict({"echoes": [echo_entry(rows)]}))
+        status, body = http("POST", server.generate_url, b'{"prompt": "p", "echo": true}')
+        assert status == 200
+        assert body["token_starts"] == [9, 0] and body["token_ends"] == [-1, 1]
+        assert math.isnan(body["token_logprobs"][0]) and body["token_logprobs"][1] == 0.5
 
 
 REQUEST_FIELDS = st.sampled_from(

@@ -522,6 +522,7 @@ def test_timeout_beyond_what_a_socket_holds_exits_two_before_any_request(
         "not json",
         "[1]",
         '{"delay_ms": "x"}',
+        '{"echoes": [{"prompt_sha256": "a", "tokens": [{"logprob": -1}]}]}',
         pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
     ],
 )
@@ -553,7 +554,10 @@ def test_mock_serve_answers_then_exits_zero_on_sigint():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     env.pop("PYTHONUNBUFFERED", None)  # the banner must be flushed by itself
     proc = subprocess.Popen(
-        [sys.executable, "-m", "draftrag.cli", "mock-serve", "--port", "0"],
+        # faulthandler dumps every thread's traceback on SIGABRT, should the
+        # server hang after SIGINT.
+        [sys.executable, "-X", "faulthandler"]
+        + ["-m", "draftrag.cli", "mock-serve", "--port", "0"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -572,7 +576,12 @@ def test_mock_serve_answers_then_exits_zero_on_sigint():
         finally:
             conn.close()
         proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=30)
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGABRT)
+            _, err = proc.communicate(timeout=10)
+            pytest.fail(f"mock-serve still running 30 s after SIGINT; SIGABRT:\n{err}")
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -12,6 +12,7 @@ from draftrag.clustering import DocumentSubset
 from draftrag.core import DataError, Document, Query, TaskKind
 from draftrag.backend import MalformedResponseError
 from draftrag.drafting import (
+    TOKEN_COLUMNS,
     DraftParseError,
     ParsedDraft,
     Span,
@@ -23,8 +24,8 @@ from draftrag.drafting import (
     parse_token_payload,
     sequence_logprob,
 )
-from draftrag.mock_server import MockScript, uniform_tokens
-from json_strategies import ANY_TEXT, JSON_VALUES, READABLE_TEXT
+from draftrag.mock_server import MockScript, token_columns, uniform_tokens
+from json_strategies import JSON_VALUES, READABLE_TEXT
 from reference_texts import (
     NIRVANA_ANSWER,
     NIRVANA_COMPLETION,
@@ -159,6 +160,49 @@ class TestParseDraft:
         assert parsed.rationale_span.end <= span.start
 
 
+def reference_decode(raw_tokens, url, text):
+    """The per-row decode of the row-shaped replies sent before tokens went
+    on the wire as parallel arrays: the oracle for ``parse_token_payload``."""
+    if not isinstance(raw_tokens, list):
+        raise MalformedResponseError(url, 'response lacks a "tokens" list')
+    text_bytes = len(text.encode("utf-8"))
+    out = []
+    for i, t in enumerate(raw_tokens):
+        try:
+            logprob, start, end = t["logprob"], t["start"], t["end"]
+        except (KeyError, TypeError):
+            raise MalformedResponseError(
+                url, f"token {i} is not an object with logprob, start and end"
+            )
+        if not (
+            type(logprob) in (int, float) and type(start) is int and type(end) is int
+        ):
+            raise MalformedResponseError(
+                url, f"token {i} has a field of the wrong type: {t}"
+            )
+        try:
+            logprob = float(logprob)
+        except OverflowError:
+            logprob = math.inf
+        if not (math.isfinite(logprob) and logprob <= 0.0):
+            raise MalformedResponseError(
+                url, f"token {i} has logprob {logprob}, not a finite value <= 0"
+            )
+        if not 0 <= start <= end <= text_bytes:
+            raise MalformedResponseError(
+                url,
+                f"token {i} spans bytes [{start}, {end}) "
+                f"outside the {text_bytes}-byte text",
+            )
+        out.append((logprob, start, end))
+    return tuple(out)
+
+
+def decode_rows(rows, text):
+    """``parse_token_payload`` of the reply the mock sends for ``rows``."""
+    return parse_token_payload(token_columns({"tokens": rows}), "u", text)
+
+
 class TestParseTokenPayload:
     TEXT = "ab é"  # 5 bytes in UTF-8
 
@@ -169,18 +213,34 @@ class TestParseTokenPayload:
         ]
 
     def test_valid_tokens_decode(self):
-        tokens = parse_token_payload(self.payload(logprob=0.0), "u", self.TEXT)
+        tokens = decode_rows(self.payload(logprob=0.0), self.TEXT)
         assert tokens == ((-1.0, 0, 3), (0.0, 3, 5))
+
+    def test_reply_sends_three_parallel_arrays(self):
+        assert token_columns({"text": "t", "tokens": self.payload()}) == {
+            "text": "t",
+            "token_logprobs": [-1.0, -0.5],
+            "token_starts": [0, 3],
+            "token_ends": [3, 5],
+        }
+
+    def test_integer_logprob_decodes_as_a_float(self):
+        [(logprob, _, _)] = parse_token_payload(
+            {"token_logprobs": [-1], "token_starts": [0], "token_ends": [5]},
+            "u",
+            self.TEXT,
+        )
+        assert type(logprob) is float and logprob == -1.0
 
     @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf, 0.25])
     def test_logprob_that_is_not_finite_and_at_most_zero_is_rejected(self, logprob):
         with pytest.raises(MalformedResponseError, match="token 1 has logprob"):
-            parse_token_payload(self.payload(logprob=logprob), "u", self.TEXT)
+            decode_rows(self.payload(logprob=logprob), self.TEXT)
 
     @pytest.mark.parametrize("start,end", [(-1, 2), (4, 3), (3, 6)])
     def test_offsets_outside_the_text_are_rejected(self, start, end):
         with pytest.raises(MalformedResponseError, match="outside the 5-byte text"):
-            parse_token_payload(self.payload(start=start, end=end), "u", self.TEXT)
+            decode_rows(self.payload(start=start, end=end), self.TEXT)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -196,59 +256,107 @@ class TestParseTokenPayload:
         payload = self.payload()
         payload[1][key] = value
         with pytest.raises(MalformedResponseError, match="token 1 has a field of the"):
-            parse_token_payload(payload, "u", self.TEXT)
+            decode_rows(payload, self.TEXT)
+
+    def test_first_bad_token_is_named(self):
+        payload = [*self.payload(start=9), *self.payload(logprob=0.5)]
+        with pytest.raises(MalformedResponseError, match="token 1 spans bytes"):
+            decode_rows(payload, self.TEXT)
 
     @given(value=JSON_VALUES)
     @settings(max_examples=50, deadline=None)
-    def test_extra_text_of_any_type_is_ignored(self, value):
-        # Rows as scripts written before tokens lost their text hold them.
-        payload = self.payload()
-        for row in payload:
+    def test_other_reply_fields_of_any_type_are_ignored(self, value):
+        # A script row's text too: the mock does not send it.
+        rows = self.payload()
+        for row in rows:
             row["text"] = value
-        assert parse_token_payload(payload, "u", self.TEXT) == parse_token_payload(
-            self.payload(), "u", self.TEXT
+        body = {"tokens": value, "text": value, **token_columns({"tokens": rows})}
+        assert parse_token_payload(body, "u", self.TEXT) == decode_rows(
+            self.payload(), self.TEXT
         )
 
-    def test_missing_field_and_non_object_entry_are_rejected(self):
-        payload = self.payload()
-        del payload[1]["end"]
-        for bad in (payload, [["ab ", -1.0, 0, 3]]):
-            with pytest.raises(MalformedResponseError, match="is not an object with"):
-                parse_token_payload(bad, "u", self.TEXT)
+    @pytest.mark.parametrize("name", TOKEN_COLUMNS)
+    @pytest.mark.parametrize("value", ["missing", None, {"0": -0.5}, "[-0.5]", 1])
+    def test_missing_array_or_one_that_is_not_a_list_is_rejected(self, name, value):
+        body = token_columns({"tokens": self.payload()})
+        if value == "missing":
+            del body[name]
+        else:
+            body[name] = value
+        with pytest.raises(MalformedResponseError, match=f'lacks a "{name}" list'):
+            parse_token_payload(body, "u", self.TEXT)
+
+    def test_row_reply_is_rejected(self):
+        with pytest.raises(MalformedResponseError, match='lacks a "token_logprobs"'):
+            parse_token_payload({"tokens": self.payload()}, "u", self.TEXT)
+
+    @pytest.mark.parametrize("name", TOKEN_COLUMNS)
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_arrays_of_unequal_length_are_rejected(self, name, change):
+        body = token_columns({"tokens": self.payload()})
+        body[name] = body[name][:1] if change < 0 else [*body[name], 0]
+        with pytest.raises(MalformedResponseError, match="arrays differ in length"):
+            parse_token_payload(body, "u", self.TEXT)
 
     def test_integer_logprob_beyond_the_float_range_is_rejected(self):
-        with pytest.raises(MalformedResponseError, match="token 1 has logprob"):
-            parse_token_payload(self.payload(logprob=-(10**400)), "u", self.TEXT)
+        with pytest.raises(MalformedResponseError, match="token 1 has logprob inf"):
+            decode_rows(self.payload(logprob=-(10**400)), self.TEXT)
 
     token_like = st.fixed_dictionaries(
         {
             "logprob": st.floats(max_value=0.0) | JSON_VALUES,
             "start": st.integers(-1, 6) | JSON_VALUES,
             "end": st.integers(-1, 6) | JSON_VALUES,
-        },
-        optional={"text": ANY_TEXT | JSON_VALUES},
+        }
     )
 
+    @given(rows=st.lists(token_like, max_size=4), text=st.sampled_from([TEXT, ""]))
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_decode_matches_the_per_row_decode(self, rows, text):
+        # Keys in wire order, as a refusal names a bad token's fields.
+        rows = [{key: row[key] for key in ("logprob", "start", "end")} for row in rows]
+        try:
+            expected = reference_decode(rows, "u", text)
+        except MalformedResponseError as exc:
+            with pytest.raises(MalformedResponseError) as refused:
+                decode_rows(rows, text)
+            assert str(refused.value) == str(exc)
+        else:
+            assert decode_rows(rows, text) == expected
+
     @given(
-        raw=JSON_VALUES | st.lists(token_like | JSON_VALUES, max_size=4),
+        body=st.fixed_dictionaries(
+            {},
+            optional={
+                name: JSON_VALUES | st.lists(column | JSON_VALUES, max_size=4)
+                for name, column in zip(
+                    TOKEN_COLUMNS,
+                    [st.floats(max_value=0.0), st.integers(-1, 6), st.integers(-1, 6)],
+                )
+            },
+        ),
         text=st.sampled_from([TEXT, ""]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_any_json_value_decodes_or_is_malformed(self, raw, text):
+    def test_any_json_value_decodes_or_is_malformed(self, body, text):
         try:
-            tokens = parse_token_payload(raw, "u", text)
+            tokens = parse_token_payload(body, "u", text)
         except MalformedResponseError:
             return
-        # Each row's logprob and byte range, whatever else it holds.
-        assert tokens == tuple((float(t["logprob"]), t["start"], t["end"]) for t in raw)
+        columns = [body[name] for name in TOKEN_COLUMNS]
+        assert tokens == tuple(
+            (float(logprob), start, end) for logprob, start, end in zip(*columns)
+        )
+        assert len(tokens) == len(columns[0]) == len(columns[1]) == len(columns[2])
         for logprob, start, end in tokens:
+            assert type(logprob) is float and type(start) is int and type(end) is int
             assert math.isfinite(logprob) and logprob <= 0.0
             assert 0 <= start <= end <= len(text.encode("utf-8"))
 
 
 class TestGenerate:
     ENDPOINT = EndpointDescriptor("http://127.0.0.1:9/generate")
-    TOKENS = [{"text": "ab", "logprob": -0.5, "start": 0, "end": 2}]
+    TOKENS = {"token_logprobs": [-0.5], "token_starts": [0], "token_ends": [2]}
 
     @pytest.mark.parametrize(
         "echo, wire",
@@ -273,14 +381,14 @@ class TestGenerate:
         task = generate(self.ENDPOINT, "ab", echo=True)
         next(task)
         with pytest.raises(StopIteration) as done:
-            task.send({"tokens": self.TOKENS})
+            task.send(self.TOKENS)
         assert done.value.value == ("ab", ((-0.5, 0, 2),))
 
     def test_generation_reply_without_text_is_malformed(self):
         task = generate(self.ENDPOINT, "ab")
         next(task)
         with pytest.raises(MalformedResponseError, match='lacks a "text" field'):
-            task.send({"tokens": self.TOKENS})
+            task.send(self.TOKENS)
 
 
 class TestSequenceLogprob:
@@ -481,7 +589,7 @@ class TestGenerateDrafts:
         mock_server.script.script_completion(prompt, completion, wire_tokens)
         batch = generate_drafts(query, [subset], docs, _drafters(mock_server), 5000)
         candidate = batch.candidates[0]
-        tokens = parse_token_payload(wire_tokens, "u", completion)
+        tokens = decode_rows(wire_tokens, completion)
         parsed = parse_draft(completion)
         expected = np.logaddexp(
             sequence_logprob(tokens, parsed.rationale_span),

@@ -365,7 +365,8 @@ class EchoRefusesAll(MockScript):
 
 
 class TokenlessGeneration(MockScript):
-    """Replies to every generation request without a token list."""
+    """Replies to every generation request without tokens, so the mock
+    sends no token arrays."""
 
     def generate(self, prompt):
         return {"text": super().generate(prompt)["text"]}
@@ -613,7 +614,7 @@ class TestPipelines:
             verifier_endpoint=server.generate_url,
             embedding_endpoint=server.embed_url,
         )
-        with pytest.raises(PipelineError, match='lacks a "tokens" list') as info:
+        with pytest.raises(PipelineError, match='lacks a "token_logprobs" list') as info:
             run_standard_baseline(rigged.records[0], cfg, make_backends(cfg))
         assert isinstance(info.value.__cause__, MalformedResponseError)
 
