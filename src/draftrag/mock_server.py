@@ -17,6 +17,12 @@ arrays instead, ``token_logprobs``, ``token_starts`` and ``token_ends``
 client holds the prompt it scores, and a token's byte range locates its
 text.
 
+A scripted completion or echo (a ``ScriptedReply``) never changes, so the
+server encodes it once: the first serve stores its keep-alive response on
+the entry, and every later serve sends those bytes. Replies computed from
+the request (the fallback completion, the echo rule, embeddings) are
+encoded per request.
+
 Tokenization rule: the prompt's UTF-8 bytes are split at runs of
 non-whitespace; each token's span stretches to the start of the next token
 (trailing whitespace attaches to the preceding token, leading whitespace to
@@ -129,16 +135,21 @@ def fallback_completion(prompt: str) -> dict:
 
 
 def embed_vector(instruction: str, text: str, dims: int = DEFAULT_EMBED_DIMS) -> list[float]:
-    """Hash-to-vector rule: component i comes from sha256(instruction, text, i).
+    """Hash-to-vector rule: component i comes from the sha256 of
+    ``f"{instruction}\x1f{text}\x1f{i}"``; the shared prefix is hashed once
+    and its digest state copied for each i.
 
     Each component is uniform in [-1, 1); the vector is L2-normalized. The
     squares are added left to right, so the bits do not depend on the
     Python version: ``sum`` of floats compensates for rounding since 3.12.
     """
+    prefix = hashlib.sha256(f"{instruction}\x1f{text}\x1f".encode())
     raw = []
     norm = 0.0
     for i in range(dims):
-        digest = hashlib.sha256(f"{instruction}\x1f{text}\x1f{i}".encode()).digest()
+        component = prefix.copy()
+        component.update(b"%d" % i)
+        digest = component.digest()
         raw.append(int.from_bytes(digest[:8], "big") / 2**64 * 2 - 1)
         norm += raw[-1] * raw[-1]
     norm **= 0.5
@@ -192,21 +203,35 @@ def _script_entries(raw: dict, name: str, **types: type) -> list[tuple[str, dict
     return pairs
 
 
+class ScriptedReply(dict):
+    """A reply a script holds rather than computes: {"text", "tokens"} for a
+    completion, {"tokens"} for an echo. ``response`` is None until
+    ``MockLMServer`` first serves it, and from then on its keep-alive HTTP
+    response, which every later serve sends as is. So change no entry in
+    place: replace it, as ``MockScript.script_completion`` and
+    ``script_echo`` do."""
+
+    response: bytes | None = None
+
+
 @dataclass
 class MockScript:
     """Scripted behaviour table for the mock server.
 
-    ``completions`` and ``echoes`` are keyed by the sha256 hex of the exact
-    prompt. Completion values are {"text", "tokens"}; echo values are token
-    lists for the prompt itself, and ``echo`` replies with the list alone.
-    Tokens are rows here, as in script files; ``MockLMServer`` sends each
-    reply's rows as parallel arrays (``token_columns``).
+    ``completions`` and ``echoes`` map the sha256 hex of the exact prompt to
+    a ``ScriptedReply``, which ``generate`` and ``echo`` return as is:
+    {"text", "tokens"} for a completion, {"tokens"} (the prompt's own
+    tokens) for an echo. Tokens are rows here, as in script files;
+    ``MockLMServer`` sends each reply's rows as parallel arrays
+    (``token_columns``), and stores a scripted reply's response on it the
+    first time it serves it. Scripts that share these tables, such as one
+    per port, share the stored responses too.
     ``delay_ms`` is applied to every LM/embed request to simulate inference
     latency.
     """
 
-    completions: dict[str, dict] = field(default_factory=dict)
-    echoes: dict[str, list[dict]] = field(default_factory=dict)
+    completions: dict[str, ScriptedReply] = field(default_factory=dict)
+    echoes: dict[str, ScriptedReply] = field(default_factory=dict)
     delay_ms: int = 0
     embed_dims: int = DEFAULT_EMBED_DIMS
 
@@ -215,22 +240,18 @@ class MockScript:
     ) -> None:
         if tokens is None:
             tokens = uniform_tokens(text, FALLBACK_LOGPROB)
-        self.completions[prompt_sha256(prompt)] = {"text": text, "tokens": tokens}
+        self.completions[prompt_sha256(prompt)] = ScriptedReply(text=text, tokens=tokens)
 
     def script_echo(self, prompt: str, tokens: list[dict]) -> None:
-        self.echoes[prompt_sha256(prompt)] = tokens
+        self.echoes[prompt_sha256(prompt)] = ScriptedReply(tokens=tokens)
 
     def generate(self, prompt: str) -> dict:
         entry = self.completions.get(prompt_sha256(prompt))
-        if entry is None:
-            return fallback_completion(prompt)
-        return {"text": entry["text"], "tokens": entry["tokens"]}
+        return fallback_completion(prompt) if entry is None else entry
 
     def echo(self, prompt: str) -> dict:
-        tokens = self.echoes.get(prompt_sha256(prompt))
-        if tokens is None:
-            tokens = tokens_from_rule(prompt)
-        return {"tokens": tokens}
+        entry = self.echoes.get(prompt_sha256(prompt))
+        return {"tokens": tokens_from_rule(prompt)} if entry is None else entry
 
     def embed(self, instruction: str, inputs: list[str]) -> dict:
         return {
@@ -248,8 +269,8 @@ class MockScript:
                 for key, entry in sorted(self.completions.items())
             ],
             "echoes": [
-                {"prompt_sha256": key, "tokens": tokens}
-                for key, tokens in sorted(self.echoes.items())
+                {"prompt_sha256": key, "tokens": entry["tokens"]}
+                for key, entry in sorted(self.echoes.items())
             ],
         }
 
@@ -269,9 +290,9 @@ class MockScript:
         if script.embed_dims < 1:
             raise ValueError('"embed_dims" must be at least 1')
         for key, entry in _script_entries(raw, "completions", text=str, tokens=list):
-            script.completions[key] = {"text": entry["text"], "tokens": entry["tokens"]}
+            script.completions[key] = ScriptedReply(text=entry["text"], tokens=entry["tokens"])
         for key, entry in _script_entries(raw, "echoes", tokens=list):
-            script.echoes[key] = entry["tokens"]
+            script.echoes[key] = ScriptedReply(tokens=entry["tokens"])
         return script
 
     @classmethod
@@ -346,11 +367,12 @@ def _read_request(
     request that expects ``100 Continue`` gets it once its head is
     accepted, if its body has not arrived with it."""
     while True:
-        try:
-            method, target, version, headers, pos = _parse_head(buf)
-            break
-        except Incomplete:
-            pass
+        if buf:  # an empty buffer is known to hold no head yet
+            try:
+                method, target, version, headers, pos = _parse_head(buf)
+                break
+            except Incomplete:
+                pass
         piece = sock.recv(_RECV_BYTES)
         if not piece:
             return None
@@ -384,15 +406,36 @@ def _json_body(data: bytes) -> dict:
         raise ValueError("request body is not a JSON object") from None
 
 
-def _reply(status: int, payload: object, keep_alive: bool) -> bytes:
-    """A whole reply: status line, headers and JSON body."""
-    body = json.dumps(payload).encode("utf-8")
+def _response(status: int, body: bytes, keep_alive: bool) -> bytes:
+    """A whole reply: status line, headers and the JSON ``body``."""
     close = "" if keep_alive else "Connection: close\r\n"
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n"
     )
     return head.encode("ascii") + body
+
+
+def _reply(status: int, payload: object, keep_alive: bool) -> bytes:
+    """A whole reply with ``payload`` as its JSON body."""
+    return _response(status, json.dumps(payload).encode("utf-8"), keep_alive)
+
+
+def _generate_reply(reply: dict, keep_alive: bool) -> bytes:
+    """The whole reply to a ``/generate`` request the script answered with
+    ``reply``. A ``ScriptedReply`` is encoded the first time it is served,
+    and its keep-alive reply stored on it; later serves send those bytes,
+    under the closing head if the connection closes after them."""
+    if not isinstance(reply, ScriptedReply):
+        return _reply(200, token_columns(reply), keep_alive)
+    stored = reply.response
+    if stored is None:
+        # Every port's connection threads share the entries, so two may
+        # store one at once: they store equal bytes, and either may stand.
+        stored = reply.response = _reply(200, token_columns(reply), True)
+    if keep_alive:
+        return stored
+    return _response(200, stored[stored.index(b"\r\n\r\n") + 4 :], False)
 
 
 class MockLMServer:
@@ -419,6 +462,7 @@ class MockLMServer:
         self.script = script or MockScript()
         self._log: deque[dict] = deque(maxlen=REQUEST_LOG_LIMIT)
         self._counts: dict[str, int] = {}
+        self._total = 0  # the sum of ``_counts``
         self._lock = threading.Lock()
         self._open: set[socket.socket] = set()  # accepted and not yet closed
         self._listener = socket.socket()
@@ -510,13 +554,14 @@ class MockLMServer:
                     if request is None:
                         return
                     method, target, keep_alive, body, buf = request
-                    status, payload = self._answer(method, target, body)
+                    response = self._answer(method, target, body, keep_alive)
                 except ValueError as exc:
                     # The request may be partly unread, so where the next
                     # one starts is unknown: close.
                     status = exc.status if isinstance(exc, _Refusal) else 400
-                    payload, keep_alive = {"error": str(exc)}, False
-                sock.sendall(_reply(status, payload, keep_alive))
+                    response = _reply(status, {"error": str(exc)}, False)
+                    keep_alive = False
+                sock.sendall(response)
                 if not keep_alive:
                     return
         except (BrokenPipeError, ConnectionResetError):
@@ -528,14 +573,14 @@ class MockLMServer:
                 self._open.discard(sock)
             sock.close()
 
-    def _answer(self, method: bytes, target: str, body: bytes) -> tuple[int, object]:
-        """The status and JSON payload of a request's reply; a ValueError
-        refuses the request, which is then neither logged nor counted."""
+    def _answer(self, method: bytes, target: str, body: bytes, keep_alive: bool) -> bytes:
+        """The whole reply to a request; a ValueError refuses the request,
+        which is then neither logged nor counted."""
         route = target.partition("?")[0]
         if method == b"GET":
             if route == "/requests":
-                return 200, self.request_log_snapshot()
-            return 404, {"error": f"unknown path {target}"}
+                return _reply(200, self.request_log_snapshot(), keep_alive)
+            return _reply(404, {"error": f"unknown path {target}"}, keep_alive)
         fields = _json_body(body)
         if route == "/generate":
             prompt = _text(fields.get("prompt", ""), "prompt")
@@ -544,7 +589,7 @@ class MockLMServer:
             self.apply_delay()
             script = self.script
             reply = script.echo(prompt) if kind == "echo" else script.generate(prompt)
-            return 200, token_columns(reply)
+            return _generate_reply(reply, keep_alive)
         if route == "/embed":
             instruction = _text(fields.get("instruction", ""), "instruction")
             inputs = fields.get("inputs", [])
@@ -553,8 +598,8 @@ class MockLMServer:
             inputs = [_text(text, "inputs") for text in inputs]
             self.log_request_entry("embed", "\x1f".join([instruction, *inputs]))
             self.apply_delay()
-            return 200, self.script.embed(instruction, inputs)
-        return 404, {"error": f"unknown path {target}"}
+            return _reply(200, self.script.embed(instruction, inputs), keep_alive)
+        return _reply(404, {"error": f"unknown path {target}"}, keep_alive)
 
     def apply_delay(self) -> None:
         if self.script.delay_ms > 0:
@@ -562,9 +607,8 @@ class MockLMServer:
 
     def log_request_entry(self, kind: str, prompt: str) -> None:
         with self._lock:
-            self._log.append(
-                {"index": sum(self._counts.values()), "kind": kind, "prompt": prompt}
-            )
+            self._log.append({"index": self._total, "kind": kind, "prompt": prompt})
+            self._total += 1
             self._counts[kind] = self._counts.get(kind, 0) + 1
 
     def request_log_snapshot(self) -> list[dict]:
@@ -576,6 +620,7 @@ class MockLMServer:
         with self._lock:
             self._log.clear()
             self._counts.clear()
+            self._total = 0
 
     def request_counts(self) -> dict[str, int]:
         """Requests of each kind since the last reset, evicted entries included."""

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -46,12 +47,22 @@ from draftrag.mock_server import (
     MockLMServer,
     MockScript,
     echo_rule,
+    embed_vector,
     fallback_completion,
     prompt_sha256,
     token_columns,
+    uniform_tokens,
     whitespace_token_spans,
 )
-from json_strategies import DEEPEST, JSON_VALUES, NESTED_ARRAYS, nested_arrays
+from json_strategies import (
+    ANY_TEXT,
+    DEEPEST,
+    JSON_VALUES,
+    NESTED_ARRAYS,
+    NUMBERS,
+    READABLE_TEXT,
+    nested_arrays,
+)
 from reference_texts import NIRVANA_COMPLETION, NIRVANA_PROMPT
 
 
@@ -124,20 +135,28 @@ class RawConnection:
         self.buf += piece
         return bool(piece)
 
+    def raw_reply(self) -> bytes:
+        """The next reply as sent: its head and the body its Content-Length
+        frames."""
+        while b"\r\n\r\n" not in self.buf:
+            assert self.fill(), f"connection closed inside a reply head: {self.buf!r}"
+        body_at = self.buf.index(b"\r\n\r\n") + 4
+        length = re.search(rb"\r\nContent-Length: (\d+)\r\n", self.buf[:body_at])
+        assert length, f"reply without a Content-Length: {self.buf[:body_at]!r}"
+        end = body_at + int(length[1])
+        while len(self.buf) < end:
+            assert self.fill(), "connection closed inside a reply body"
+        reply, self.buf = self.buf[:end], self.buf[end:]
+        return reply
+
     def reply(self) -> tuple[int, dict[str, str], object]:
         """Status, headers and JSON body of the next reply; it must be a
         whole HTTP/1.1 reply framed by its Content-Length."""
-        while b"\r\n\r\n" not in self.buf:
-            assert self.fill(), f"connection closed inside a reply head: {self.buf!r}"
-        head, self.buf = self.buf.split(b"\r\n\r\n", 1)
+        head, body = self.raw_reply().split(b"\r\n\r\n", 1)
         status_line, *lines = head.decode("ascii").split("\r\n")
         version, status, _reason = status_line.split(" ", 2)
         assert version == "HTTP/1.1" and status.isdigit(), status_line
         headers = dict(line.split(": ", 1) for line in lines)
-        length = int(headers["Content-Length"])
-        while len(self.buf) < length:
-            assert self.fill(), "connection closed inside a reply body"
-        body, self.buf = self.buf[:length], self.buf[length:]
         assert headers["Content-Type"] == "application/json"
         return int(status), headers, json.loads(body)
 
@@ -146,9 +165,14 @@ class RawConnection:
         return not self.buf and not self.fill()
 
 
-def post(prompt: str) -> bytes:
-    body = json.dumps({"prompt": prompt}).encode()
-    return b"POST /generate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+def post(prompt: str, echo: bool = False, close: bool = False) -> bytes:
+    """A ``/generate`` request for ``prompt``, as an echo with ``echo``, and
+    asking the server to close after its reply with ``close``."""
+    fields = {"prompt": prompt, "echo": True} if echo else {"prompt": prompt}
+    body = json.dumps(fields).encode()
+    connection = b"Connection: close\r\n" if close else b""
+    head = b"POST /generate HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n" % (connection, len(body))
+    return head + body
 
 
 def free_port_url(path="/generate") -> str:
@@ -1410,6 +1434,167 @@ class TestServerEndpoints:
         assert status == 200
         assert body["token_starts"] == [9, 0] and body["token_ends"] == [-1, 1]
         assert math.isnan(body["token_logprobs"][0]) and body["token_logprobs"][1] == 0.5
+
+
+def reference_reply(reply: dict, keep_alive: bool = True) -> bytes:
+    """The mock's reply to a request the script answers with ``reply``,
+    encoded per request: the reference for a stored scripted reply."""
+    body = json.dumps(token_columns(reply)).encode()
+    close = "" if keep_alive else "Connection: close\r\n"
+    head = (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n{close}\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+# Any JSON number a script file can hold, and the values Python can script.
+ROW_VALUES = NUMBERS | st.booleans()
+SCRIPTED_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {"logprob": ROW_VALUES, "start": ROW_VALUES, "end": ROW_VALUES},
+        optional={"text": ANY_TEXT},
+    ),
+    max_size=4,
+)
+
+
+def serve_twice(server: MockLMServer, prompt: str, echo: bool) -> list[bytes]:
+    """The bytes of two replies to one request, on one connection."""
+    with RawConnection(server.port) as conn:
+        conn.send(post(prompt, echo) * 2)
+        return [conn.raw_reply(), conn.raw_reply()]
+
+
+class TestStoredReplies:
+    """A scripted reply is encoded when first served and sent as stored
+    bytes after that; every serve equals the per-request encoding."""
+
+    @given(
+        st.dictionaries(READABLE_TEXT, st.tuples(ANY_TEXT, SCRIPTED_ROWS), max_size=3),
+        st.dictionaries(READABLE_TEXT, SCRIPTED_ROWS, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_and_later_serves_equal_the_per_request_encoding(
+        self, completions, echoes
+    ):
+        script = MockScript()
+        for prompt, (text, rows) in completions.items():
+            script.script_completion(prompt, text, rows)
+        for prompt, rows in echoes.items():
+            script.script_echo(prompt, rows)
+        served = [
+            (prompt, False, {"text": text, "tokens": rows}, script.completions)
+            for prompt, (text, rows) in completions.items()
+        ] + [(prompt, True, {"tokens": rows}, script.echoes) for prompt, rows in echoes.items()]
+        with MockLMServer(script) as server:
+            for prompt, echo, reply, table in served:
+                expected = reference_reply(reply)
+                assert serve_twice(server, prompt, echo) == [expected, expected]
+                assert table[prompt_sha256(prompt)].response == expected  # stored
+
+    def test_a_prompt_scripted_again_on_a_live_server_gets_its_new_bytes(
+        self, server_factory
+    ):
+        script = MockScript()
+        script.script_completion("p", "old text")
+        script.script_echo("p", [TOKEN_ROW])
+        server = server_factory(script=script)
+        assert serve_twice(server, "p", False)[1] == reference_reply(script.generate("p"))
+        assert serve_twice(server, "p", True)[1] == reference_reply({"tokens": [TOKEN_ROW]})
+        script.script_completion("p", "new text")
+        new_rows = [{**TOKEN_ROW, "logprob": -0.25}]
+        script.script_echo("p", new_rows)
+        new_tokens = uniform_tokens("new text", -1.0)
+        expected = reference_reply({"text": "new text", "tokens": new_tokens})
+        assert serve_twice(server, "p", False) == [expected, expected]
+        expected = reference_reply({"tokens": new_rows})
+        assert serve_twice(server, "p", True) == [expected, expected]
+
+    @pytest.mark.parametrize("served_before", [False, True])
+    def test_a_closing_request_gets_the_closing_head(self, server_factory, served_before):
+        script = MockScript()
+        script.script_completion("p", "a scripted text")
+        server = server_factory(script=script)
+        if served_before:
+            serve_twice(server, "p", False)
+        with RawConnection(server.port) as conn:
+            conn.send(post("p", close=True))
+            assert conn.raw_reply() == reference_reply(script.generate("p"), keep_alive=False)
+            assert conn.closed_by_server()
+        assert serve_twice(server, "p", False)[1] == reference_reply(script.generate("p"))
+
+    def test_a_reply_that_is_not_the_scripts_entry_is_encoded_per_request(
+        self, server_factory
+    ):
+        class Numbered(MockScript):
+            """Answers with a copy of the scripted reply, numbered."""
+
+            served = 0
+
+            def generate(self, prompt):
+                self.served += 1
+                return {**super().generate(prompt), "text": f"reply {self.served}"}
+
+        script = Numbered()
+        script.script_completion("p", "a scripted text")
+        server = server_factory(script=script)
+        rows = script.completions[prompt_sha256("p")]["tokens"]
+        assert serve_twice(server, "p", False) == [
+            reference_reply({"text": "reply 1", "tokens": rows}),
+            reference_reply({"text": "reply 2", "tokens": rows}),
+        ]
+        assert script.completions[prompt_sha256("p")].response is None
+
+    def test_scripts_sharing_the_tables_serve_the_same_bytes(self, server_factory):
+        # As perfbench/mock_proc.py builds one script per port.
+        script = MockScript.from_dict(
+            {
+                "completions": [{**echo_entry([TOKEN_ROW]), "text": "t"}],
+                "echoes": [echo_entry([TOKEN_ROW, {**TOKEN_ROW, "logprob": -2.5}])],
+            }
+        )
+        port_script = MockScript(completions=script.completions, echoes=script.echoes)
+        first, second = server_factory(script=script), server_factory(script=port_script)
+        for echo in (False, True):
+            expected = reference_reply(script.echo("p") if echo else script.generate("p"))
+            assert serve_twice(first, "p", echo) == [expected, expected]
+            assert serve_twice(second, "p", echo) == [expected, expected]
+        assert second.request_counts() == {"generate": 2, "echo": 2}
+
+
+def reference_embed_vector(instruction: str, text: str, dims: int) -> list[float]:
+    """``embed_vector`` with one whole sha256 per component, as its
+    docstring states it."""
+    raw = []
+    norm = 0.0
+    for i in range(dims):
+        digest = hashlib.sha256(f"{instruction}\x1f{text}\x1f{i}".encode()).digest()
+        raw.append(int.from_bytes(digest[:8], "big") / 2**64 * 2 - 1)
+        norm += raw[-1] * raw[-1]
+    norm **= 0.5
+    if norm == 0.0:
+        raw[0] = 1.0
+        norm = 1.0
+    return [v / norm for v in raw]
+
+
+# Text without lone surrogates, with U+001F and digits often, so a field can
+# end in digits or hold the separator.
+EMBED_TEXT = st.text(
+    st.characters(exclude_categories=["Cs"]) | st.sampled_from("\x1f0123456789"),
+    max_size=12,
+)
+
+
+class TestEmbedVector:
+    @given(EMBED_TEXT, EMBED_TEXT, st.integers(1, 64))
+    @settings(max_examples=300)
+    def test_every_component_has_the_reference_bits(self, instruction, text, dims):
+        expected = reference_embed_vector(instruction, text, dims)
+        assert list(map(float.hex, embed_vector(instruction, text, dims))) == list(
+            map(float.hex, expected)
+        )
 
 
 REQUEST_FIELDS = st.sampled_from(

@@ -526,12 +526,21 @@ def test_timeout_beyond_what_a_socket_holds_exits_two_before_any_request(
         pytest.param(nested_arrays(DEEPEST).decode(), id="nested"),
     ],
 )
-def test_mock_serve_bad_script_exits_two(tmp_path, capsys, content):
+def test_mock_serve_bad_script_exits_two(tmp_path, content):
+    # In a child process with a timeout: a script that loads when it should
+    # not then fails the test instead of serving forever.
     script = tmp_path / "script.json"
     script.write_text(content, encoding="utf-8")
-    code = main(["mock-serve", "--script", str(script), "--port", "0"])
-    assert code == 2
-    assert "cannot load mock script" in capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "draftrag.cli", "mock-serve", "--script", str(script)]
+        + ["--port", "0"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot load mock script" in proc.stderr
 
 
 def test_mock_serve_port_out_of_range_exits_two(capsys):
