@@ -2,24 +2,18 @@
 """End-to-end demo on in-process mock servers.
 
 Runs the draft-then-verify pipeline and the single-call baseline over a
-rigged synthetic dataset, then prints accuracy for both modes and the
-per-stage latency table. Every request waits a configurable artificial
-delay, so the parallel-drafting effect is visible in the numbers: all the
-servers share one mock script, so the verifier and the embedder on the
-first server wait as long as each drafter.
+rigged synthetic dataset, one ``run_experiment`` per mode, and prints
+accuracy for both modes and the per-stage latency table. Every request
+waits a configurable artificial delay, so the parallel-drafting effect
+is visible: all the servers share one mock script, so the verifier and
+the embedder on the first server wait as long as each drafter.
 """
 
 import argparse
 from dataclasses import replace
 
 from draftrag.core import PipelineConfig, validate_config
-from draftrag.harness import (
-    make_backends,
-    report_latency,
-    run_speculative,
-    run_standard_baseline,
-    evaluate_answer,
-)
+from draftrag.harness import report_latency, run_experiment
 from draftrag.mock_server import MockLMServer
 from draftrag.synthetic import make_rigged_fixture
 
@@ -53,25 +47,16 @@ def main() -> None:
             verifier_endpoint=servers[0].generate_url,
             embedding_endpoint=servers[0].embed_url,
         )
-        backends = make_backends(cfg)
-
-        timings = {"speculative": [], "standard": []}
-        correct = {"speculative": 0, "standard": 0}
-        for record in fixture.records:
-            spec = run_speculative(record, cfg, backends)
-            std = run_standard_baseline(record, cfg, backends)
-            timings["speculative"].append(spec.timings)
-            timings["standard"].append(std.timings)
-            correct["speculative"] += evaluate_answer(spec.final_answer, record.query)
-            correct["standard"] += evaluate_answer(std.final_answer, record.query)
-
-        n = len(fixture.records)
-        print(f"records: {n}, drafter endpoints: {args.drafter_endpoints}, "
-              f"mock delay: {args.delay_ms} ms")
-        for mode in ("speculative", "standard"):
-            print(f"{mode}: accuracy {correct[mode] / n:.2f}")
+        summaries = {
+            mode: run_experiment(fixture.records, cfg, mode=mode)
+            for mode in ("speculative", "standard")
+        }
+        print(f"records: {len(fixture.records)}, drafter endpoints: "
+              f"{args.drafter_endpoints}, mock delay: {args.delay_ms} ms")
+        for mode, summary in summaries.items():
+            print(f"{mode}: accuracy {summary.accuracy:.2f}")
         print()
-        print(report_latency(timings))
+        print(report_latency({mode: s.latency for mode, s in summaries.items()}))
     finally:
         for server in servers:
             server.stop()

@@ -311,6 +311,10 @@ class _Request:
             self._send_on_new_socket()
         except OSError as exc:
             raise self.failed(exc)
+        except BaseException:  # an interrupt, say: no socket outlives it
+            if self.sock is not None:
+                self.sock.close()
+            raise
 
     def remaining_s(self) -> float:
         # A socket timeout of 0 would make the socket non-blocking, so a
@@ -368,6 +372,9 @@ class _Request:
                 return None
         except (OSError, FramingError) as exc:
             raise self.failed(exc)
+        except BaseException:  # an interrupt: ``fan_out`` holds no request it polls
+            self.sock.close()
+            raise
         if reply is None:
             return None
         status, data, keep = reply

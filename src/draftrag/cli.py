@@ -25,6 +25,7 @@ from pathlib import Path
 from .backend import TransportError
 from .core import (
     MAX_NUM_DRAFTS,
+    NUMBER_TYPES,
     STAGES,
     ConfigError,
     DataError,
@@ -182,7 +183,7 @@ def _results_timings(path: str, lineno: int, line: bytes) -> tuple[str, StageTim
         and isinstance(timings, dict)
         and all(stage in STAGES for stage in timings)
         and all(
-            type(v) in (int, float) and 0 <= v <= sys.float_info.max
+            type(v) in NUMBER_TYPES and 0 <= v <= sys.float_info.max
             for v in timings.values()
         )
     ):
@@ -194,7 +195,7 @@ def _results_timings(path: str, lineno: int, line: bytes) -> tuple[str, StageTim
 
 
 def _cmd_report(args) -> int:
-    from .harness import report_latency
+    from .harness import latency_stats, report_latency
 
     by_mode: dict[str, list[StageTimings]] = {}
     for path in args.inputs:
@@ -203,7 +204,7 @@ def _cmd_report(args) -> int:
                 by_mode.setdefault(row[0], []).append(row[1])
     if not by_mode:
         raise ConfigError("no timings found in the given results files")
-    print(report_latency(by_mode))
+    print(report_latency({mode: latency_stats(t) for mode, t in by_mode.items()}))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .backend import EndpointDescriptor, MalformedResponseError, dispatch
-from .core import DataError, Document, Query, SamplingMode
+from .core import NUMBER_TYPES, DataError, Document, Query, SamplingMode
 
 KMEANS_MAX_ITERS = 100
 KMEANS_RESTARTS = 10
@@ -126,9 +126,7 @@ def unit_rows(rows: list[list[float]]) -> np.ndarray:
     numbers (bools excluded), or holds an integer beyond the float range,
     or whose norm is non-finite or below ``_MIN_NORM``, raises DataError."""
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-        ):
+        if not isinstance(row, list) or not set(map(type, row)) <= NUMBER_TYPES:
             raise DataError(f"embedding row {i} is not a list of numbers")
         if len(row) != len(rows[0]):
             raise DataError(

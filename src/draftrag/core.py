@@ -1,6 +1,8 @@
 """Shared domain types, pipeline configuration, seeded randomness, the one
-reader of JSON and JSON Lines from outside the program, and the one reader
-of an HTTP/1.1 header block, which the client and the mock server share."""
+reader of JSON and JSON Lines from outside the program, the one reader of
+an HTTP/1.1 header block, and the reply contract: the draft markers and
+token columns of a ``/generate`` reply. The client and the mock server
+share all of these; the mock loads no other module of the package."""
 
 from __future__ import annotations
 
@@ -35,6 +37,14 @@ _SURROGATE_ESCAPE = re.compile(rb"\\u[dD]")
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 _BLANK_LINES = (b"\r\n", b"\n")
+# The reply contract. A draft's completion reads "## Rationale: ...
+# ## Response: ...", and a /generate reply sends its tokens as the parallel
+# arrays TOKEN_COLUMNS: each token's logprob, start byte and end byte.
+RATIONALE_MARKER = "## Rationale:"
+RESPONSE_MARKER = "## Response:"
+TOKEN_COLUMNS = ("token_logprobs", "token_starts", "token_ends")
+# The exact types JSON decodes a number to; type(True) is bool, in neither.
+NUMBER_TYPES = frozenset({int, float})
 
 
 class TaskKind(str, Enum):
@@ -143,7 +153,7 @@ class PipelineConfig:
         defaults = cls()
         return cls(
             **{
-                key: _field_value(key, value, getattr(defaults, key))
+                key: field_value(key, value, getattr(defaults, key))
                 for key, value in raw.items()
             }
         )
@@ -167,9 +177,9 @@ def _json_value(value: object) -> object:
     return value
 
 
-def _field_value(key: str, value: object, default: object) -> object:
-    """A config file's ``value`` for field ``key``, as the type of the
-    field's ``default``; any other type raises ``ConfigError``."""
+def field_value(key: str, value: object, default: object) -> object:
+    """A config or mock script file's ``value`` for field ``key``, as the
+    type of the field's ``default``; any other type raises ``ConfigError``."""
 
     def fail(expected: str, got: object = value) -> ConfigError:
         return ConfigError(f"{key} must be {expected}, got {got!r}")

@@ -12,7 +12,8 @@ All offsets in this module are byte offsets into the UTF-8 encoding of the
 surrounding text, matching the token offsets reported by the endpoints. A
 reply sends its tokens as three parallel arrays (``TOKEN_COLUMNS``); from
 decoding to the score, a token is the plain tuple ``(logprob, start, end)``
-of its entries in those arrays.
+of its entries in those arrays. The markers and the columns are the reply
+contract ``core`` defines for the client and the mock server alike.
 """
 
 from __future__ import annotations
@@ -35,22 +36,27 @@ from .backend import (
     round_robin_assign,
 )
 from .clustering import DocumentSubset
-from .core import DataError, Document, PipelineError, Query, TaskKind
+from .core import (
+    NUMBER_TYPES,
+    RATIONALE_MARKER,
+    RESPONSE_MARKER,
+    TOKEN_COLUMNS,
+    DataError,
+    Document,
+    PipelineError,
+    Query,
+    TaskKind,
+)
 
 logger = logging.getLogger(__name__)
 
 DRAFT_PROMPT_HEADER = (
     "Response to the instruction. Also provide rationale for your response."
 )
-RATIONALE_MARKER = "## Rationale:"
-RESPONSE_MARKER = "## Response:"
 MAX_COMPLETION_TOKENS = 512
 
 # (logprob, start, end) of one token over the bytes [start, end).
 Token = tuple[float, int, int]
-# The parallel arrays a /generate reply sends its tokens in.
-TOKEN_COLUMNS = ("token_logprobs", "token_starts", "token_ends")
-_NUMBER_TYPES = {int, float}
 _INT_TYPES = {int}
 
 
@@ -67,10 +73,6 @@ class Span(NamedTuple):
 
 class DraftParseError(Exception):
     """Completion lacks a required marker; names the missing one."""
-
-
-class NoValidDraftsError(PipelineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def parse_token_payload(body: Mapping, url: str, text: str) -> tuple[Token, ...]
     logprob_types = set(map(type, logprobs))
     try:
         valid = (
-            logprob_types <= _NUMBER_TYPES
+            logprob_types <= NUMBER_TYPES
             and set(map(type, starts)) <= _INT_TYPES
             and set(map(type, ends)) <= _INT_TYPES
             and all(map(math.isfinite, logprobs))  # NaN fails here, not in max
@@ -275,7 +277,7 @@ def _refuse_first_bad_token(url: str, columns: list[list], text_bytes: int) -> N
     order."""
     for i, (logprob, start, end) in enumerate(zip(*columns)):
         if not (
-            type(logprob) in _NUMBER_TYPES and type(start) is int and type(end) is int
+            type(logprob) in NUMBER_TYPES and type(start) is int and type(end) is int
         ):
             row = {"logprob": logprob, "start": start, "end": end}
             raise MalformedResponseError(
@@ -378,7 +380,7 @@ def generate_drafts(
     Candidates and dropped drafts each come back in the order of
     ``subsets``, whatever the completion order; failed or unparseable
     completions are recorded as dropped rather than crashing the batch.
-    Raises ``NoValidDraftsError``, naming each drop reason, when nothing
+    Raises ``PipelineError``, naming each drop reason, when nothing
     survives.
     """
     if not subsets:
@@ -393,6 +395,6 @@ def generate_drafts(
     )
     candidates = [o for o in outcomes if not o.dropped]
     if not candidates:
-        raise NoValidDraftsError(f"no valid drafts: {drop_summary(outcomes)}")
+        raise PipelineError(f"no valid drafts: {drop_summary(outcomes)}")
     dropped = [o for o in outcomes if o.dropped]
     return DraftBatch(candidates=candidates, dropped=dropped)

@@ -61,7 +61,6 @@ from .core import (
 )
 from .drafting import (
     Candidate,
-    NoValidDraftsError,
     draft_subset,
     drop_summary,
     generate,
@@ -446,7 +445,7 @@ def run_speculative(
     # and its notice comes before those of dropped verifications.
     candidates = [candidate for candidate, _, _ in outcomes]
     if all(c.answer is None for c in candidates):
-        raise NoValidDraftsError(f"no valid drafts: {drop_summary(candidates)}")
+        raise PipelineError(f"no valid drafts: {drop_summary(candidates)}")
     survivors = [c for c in candidates if not c.dropped]
     if not survivors:
         raise PipelineError(
@@ -743,16 +742,16 @@ def sweep_grid(
     ]
 
 
-def report_latency(by_mode: Mapping[str, Sequence[StageTimings]]) -> str:
-    """Human-readable latency table: mean/p50/p95 per stage for each mode.
+def report_latency(stats: Mapping[str, dict]) -> str:
+    """Human-readable latency table: mean/p50/p95 per stage for each mode,
+    from each mode's ``latency_stats`` (an ``EvalSummary.latency``).
 
     With both a speculative and a standard column present, the last line
     reports the speculative total as a signed percentage of the standard
     total.
     """
-    if not by_mode or all(len(v) == 0 for v in by_mode.values()):
-        raise ValueError("report_latency requires at least one result")
-    stats = {mode: latency_stats(t) for mode, t in by_mode.items() if len(t) > 0}
+    if not stats:
+        raise ValueError("report_latency requires at least one mode")
     modes = list(stats)
 
     header = f"{'stage':<12}" + "".join(

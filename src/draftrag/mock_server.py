@@ -10,12 +10,12 @@ real model weights. Responses are pure functions of the request content:
 - embeddings hash (instruction, text) pairs into unit vectors.
 
 Scripts and ``MockScript`` replies hold tokens as rows {"logprob", "start",
-"end"}. On the wire every ``/generate`` reply sends them as three parallel
-arrays instead, ``token_logprobs``, ``token_starts`` and ``token_ends``
-(``token_columns``): a generation reply is {"text", "token_logprobs",
-"token_starts", "token_ends"} and an echo reply the three arrays alone. The
-client holds the prompt it scores, and a token's byte range locates its
-text.
+"end"}. On the wire every ``/generate`` reply sends them as the three
+parallel arrays of ``core.TOKEN_COLUMNS`` instead (``token_columns``): a
+generation reply is its "text" and the three arrays, and an echo reply the
+three arrays alone. The client holds the prompt it scores, and a token's
+byte range locates its text. The fallback completion is written with the
+draft markers of ``core``, the ones the client parses.
 
 A scripted completion or echo (a ``ScriptedReply``) never changes, so the
 server encodes it once: the first serve stores its keep-alive response on
@@ -52,12 +52,15 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from operator import itemgetter
 from pathlib import Path
 
 from .core import (
+    RATIONALE_MARKER,
+    RESPONSE_MARKER,
+    TOKEN_COLUMNS,
     Incomplete,
     LoneSurrogateError,
+    field_value,
     read_http_headers,
     read_http_line,
     read_json_object,
@@ -74,9 +77,9 @@ REQUEST_LOG_LIMIT = 1024
 MAX_REQUEST_BODY_BYTES = 16 * 2**20
 
 _NONSPACE = re.compile(rb"\S+")
-# The fields of a token row that ``token_columns`` sends.
+# The fields of a token row that ``token_columns`` sends, in the order of
+# ``TOKEN_COLUMNS``.
 _TOKEN_ROW_KEYS = ("logprob", "start", "end")
-_LOGPROB, _START, _END = (itemgetter(key) for key in _TOKEN_ROW_KEYS)
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -114,15 +117,14 @@ def uniform_tokens(text: str, logprob: float) -> list[dict]:
 
 def token_columns(reply: dict) -> dict:
     """``reply`` as it goes on the wire: its row-shaped ``tokens`` become the
-    parallel arrays ``token_logprobs``, ``token_starts`` and ``token_ends``,
-    and every other field stays. A reply without ``tokens`` is sent as is."""
+    parallel arrays ``TOKEN_COLUMNS``, and every other field stays. A reply
+    without ``tokens`` is sent as is."""
     if "tokens" not in reply:
         return reply
     wire = {key: value for key, value in reply.items() if key != "tokens"}
     tokens = reply["tokens"]
-    wire["token_logprobs"] = list(map(_LOGPROB, tokens))
-    wire["token_starts"] = list(map(_START, tokens))
-    wire["token_ends"] = list(map(_END, tokens))
+    for column, key in zip(TOKEN_COLUMNS, _TOKEN_ROW_KEYS):
+        wire[column] = [row[key] for row in tokens]
     return wire
 
 
@@ -130,7 +132,7 @@ def fallback_completion(prompt: str) -> dict:
     """Unscripted prompts echo their last line, all logprobs -1.0."""
     lines = prompt.rstrip("\n").splitlines()
     last = lines[-1] if lines else ""
-    text = f"## Rationale: {last}. ## Response: {last}."
+    text = f"{RATIONALE_MARKER} {last}. {RESPONSE_MARKER} {last}."
     return {"text": text, "tokens": uniform_tokens(text, FALLBACK_LOGPROB)}
 
 
@@ -157,13 +159,6 @@ def embed_vector(instruction: str, text: str, dims: int = DEFAULT_EMBED_DIMS) ->
         raw[0] = 1.0
         norm = 1.0
     return [v / norm for v in raw]
-
-
-def _int_field(raw: dict, name: str, default: int) -> int:
-    value = raw.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f'"{name}" must be an integer')
-    return value
 
 
 def _text(value: object, name: str) -> str:
@@ -281,10 +276,8 @@ class MockScript:
         ``delay_ms`` below 0 or an ``embed_dims`` below 1 raises ValueError."""
         if not isinstance(raw, dict):
             raise ValueError("a mock script must be a JSON object")
-        script = cls(
-            delay_ms=_int_field(raw, "delay_ms", 0),
-            embed_dims=_int_field(raw, "embed_dims", DEFAULT_EMBED_DIMS),
-        )
+        defaults = {"delay_ms": 0, "embed_dims": DEFAULT_EMBED_DIMS}
+        script = cls(**{k: field_value(k, raw.get(k, d), d) for k, d in defaults.items()})
         if script.delay_ms < 0:
             raise ValueError('"delay_ms" must be at least 0')
         if script.embed_dims < 1:

@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clustering import SubsetPlan, embedding_input, unit_rows
-from .core import Document, PipelineConfig, Query, StageTimings
+from .core import (
+    RATIONALE_MARKER,
+    RESPONSE_MARKER,
+    Document,
+    PipelineConfig,
+    Query,
+    StageTimings,
+)
 from .drafting import build_draft_prompt, draft_candidate
 from .harness import DatasetRecord, build_standard_prompt, plan_subsets, prepare_record
 from .mock_server import MockScript, uniform_tokens
@@ -52,8 +59,8 @@ def _completion(i: int, has_gold: bool) -> str:
     answer_name = _gold_answer(i) if has_gold else _wrong_answer(i)
     source = "register" if has_gold else "atlas"
     return (
-        f"## Rationale: The {source} states that the charted location is "
-        f"{answer_name}.\n## Response: The charted location is {answer_name}."
+        f"{RATIONALE_MARKER} The {source} states that the charted location is "
+        f"{answer_name}.\n{RESPONSE_MARKER} The charted location is {answer_name}."
     )
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import socket
+import ssl
 import struct
 import subprocess
 import sys
@@ -681,6 +682,134 @@ class TestFraming:
         assert opened == []
 
 
+TLS_DIR = Path(__file__).resolve().parent / "tls"
+
+
+def trusting_tls_context() -> ssl.SSLContext:
+    """A client context that trusts the self-signed certificate in
+    ``tests/tls``, made for 127.0.0.1 and valid until 2125."""
+    return ssl.create_default_context(cafile=TLS_DIR / "cert.pem")
+
+
+class TLSServer:
+    """An HTTPS server on 127.0.0.1 with the certificate in ``tests/tls``.
+
+    Each connection gets a thread, which answers every request on it with
+    ``reply`` and keeps it open until the client closes it; with ``cut``
+    set, it sends only the first ``cut`` bytes of ``reply`` and closes.
+    """
+
+    def __init__(self, reply: bytes, cut: int | None = None):
+        self.reply, self.cut = reply, cut
+        self.requests: list[bytes] = []
+        self._context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        self._context.load_cert_chain(TLS_DIR / "cert.pem", TLS_DIR / "key.pem")
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"https://127.0.0.1:{self._listener.getsockname()[1]}/generate"
+        self._threads: list[threading.Thread] = []
+        self._accepting = threading.Thread(target=self._accept, daemon=True)
+        self._accepting.start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # ``stop`` shut the listener down
+                return
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket):
+        conn.settimeout(5)
+        try:
+            with self._context.wrap_socket(conn, server_side=True) as tls:
+                while request := read_request(tls):
+                    self.requests.append(request)
+                    if self.cut is not None:
+                        tls.sendall(self.reply[: self.cut])
+                        return
+                    tls.sendall(self.reply)
+        except OSError:  # a handshake the client refused, or a closed socket
+            conn.close()
+
+    def stop(self):
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._accepting.join(timeout=5)
+        self._listener.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+@pytest.fixture
+def tls_server_factory():
+    """Start any number of ``TLSServer``s; all are stopped on teardown."""
+    servers = []
+
+    def make(reply: bytes, cut: int | None = None) -> TLSServer:
+        servers.append(TLSServer(reply, cut))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.stop()
+
+
+def large_reply() -> tuple[bytes, dict]:
+    """A keep-alive reply whose body, over 16 KiB, takes several TLS
+    records, and the body decoded."""
+    body = {"text": "x" * 40_000, **dict.fromkeys(TOKEN_COLUMNS, [])}
+    data = json.dumps(body).encode()
+    return reply_with(data, b"Content-Length: %d" % len(data)), body
+
+
+class TestTLS:
+    def test_a_reply_of_several_records_decodes(self, tls_server_factory, monkeypatch):
+        monkeypatch.setattr(backend, "_tls_context", trusting_tls_context)
+        reply, body = large_reply()
+        ep = drafter(tls_server_factory(reply).url)
+        assert dispatch(ep, {"prompt": "a"}, 5000) == body
+        assert ep.consecutive_failures == 0
+        [conn] = ep._idle
+        assert isinstance(conn, ssl.SSLSocket)
+        conn.close()
+
+    def test_a_second_request_reuses_the_pooled_connection(
+        self, tls_server_factory, monkeypatch
+    ):
+        monkeypatch.setattr(backend, "_tls_context", trusting_tls_context)
+        opened = record_connects(monkeypatch)
+        reply, body = large_reply()
+        server = tls_server_factory(reply)
+        ep = drafter(server.url)
+        for prompt in ("a", "b"):
+            assert dispatch(ep, {"prompt": prompt}, 5000) == body
+        assert opened == [parse_endpoint_url(server.url)]
+        assert len(server.requests) == 2
+        for conn in ep._idle:
+            conn.close()
+
+    def test_a_server_that_closes_mid_body_cuts_the_reply_short(
+        self, tls_server_factory, monkeypatch
+    ):
+        monkeypatch.setattr(backend, "_tls_context", trusting_tls_context)
+        reply, _ = large_reply()
+        ep = drafter(tls_server_factory(reply, cut=len(reply) - 100).url)
+        with pytest.raises(EndpointConnectionError, match="reply cut short"):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert (ep.consecutive_failures, ep._idle) == (1, [])
+
+    def test_the_default_context_refuses_a_self_signed_certificate(
+        self, tls_server_factory
+    ):
+        server = tls_server_factory(large_reply()[0])
+        ep = drafter(server.url)
+        with pytest.raises(EndpointConnectionError, match="CERTIFICATE_VERIFY_FAILED"):
+            dispatch(ep, {"prompt": "a"}, 5000)
+        assert (ep.consecutive_failures, ep._idle, server.requests) == (1, [], [])
+
+
 URL_PIECES = st.tuples(
     st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "http:/", ""]),
     st.sampled_from(
@@ -976,6 +1105,27 @@ class TestFanOut:
                 fan_out([task(i) for i in range(4)], 5000)
             assert time.monotonic() - start < 1.0
             assert sorted(closed) == [0, 1, 2, 3]
+            assert ep._idle == []
+
+        assert resource_warnings(run) == []
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(backend, "_parse_reply"), (backend._Request, "_send")],
+        ids=["reply parse", "send"],
+    )
+    def test_an_interrupt_in_a_send_or_a_reply_parse_closes_its_socket(
+        self, mock_server, monkeypatch, owner, name
+    ):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(owner, name, interrupt)
+        ep = drafter(mock_server.generate_url)
+
+        def run():
+            with pytest.raises(KeyboardInterrupt):
+                fan_out([request(ep, "a")], 5000)
             assert ep._idle == []
 
         assert resource_warnings(run) == []

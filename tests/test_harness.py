@@ -38,6 +38,7 @@ from draftrag.harness import (
     ablation_grid,
     build_standard_prompt,
     evaluate_answer,
+    latency_stats,
     load_dataset,
     make_backends,
     report_latency,
@@ -1088,19 +1089,19 @@ class TestReportLatency:
     def test_two_modes_signed_percent_difference(self):
         table = report_latency(
             {
-                "speculative": [self.timing(100.0)] * 4,
-                "standard": [self.timing(500.0)] * 4,
+                "speculative": latency_stats([self.timing(100.0)] * 4),
+                "standard": latency_stats([self.timing(500.0)] * 4),
             }
         )
         assert "-80.0%" in table
 
     def test_single_mode_has_no_difference_line(self):
-        table = report_latency({"speculative": [self.timing(100.0)]})
+        table = report_latency({"speculative": latency_stats([self.timing(100.0)])})
         assert "%" not in table
         assert "total_ms" in table
 
     def test_zero_duration_stages_are_safe(self):
-        table = report_latency({"standard": [StageTimings()]})
+        table = report_latency({"standard": latency_stats([StageTimings()])})
         assert "draft_ms" in table
 
     def test_empty_input_rejected(self):
