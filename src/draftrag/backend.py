@@ -15,12 +15,13 @@ body may be framed by ``Content-Length``, by chunked transfer coding, or by
 the server closing the connection. Its header block is read by
 ``core.read_http_headers``, as the mock server reads a request's, with the
 limits ``http.client`` applies: a line is at most 65 536 bytes and a block
-has at most 100 header lines. Any other reply is a framing error. Idle
-keep-alive sockets wait in their endpoint's pool; the reply bytes go with
-the request. An endpoint's URL is read once, by ``core.parse_endpoint_url``
-when its ``EndpointDescriptor`` is made, which refuses a URL no request
-can go to; the descriptor also keeps the head bytes every request to it
-starts with.
+has at most 100 header lines. A body, however framed, is refused once it
+is known to be above ``core.MAX_BODY_BYTES``, the mock's cap on a request
+body. Any other reply is a framing error. Idle keep-alive sockets wait in
+their endpoint's pool; the reply bytes go with the request. An endpoint's
+URL is read once, by ``core.parse_endpoint_url`` when its
+``EndpointDescriptor`` is made, which refuses a URL no request can go to;
+the descriptor also keeps the head bytes every request to it starts with.
 
 ``fan_out`` drives many requests from the calling thread, with no worker
 thread: each task is a generator that yields its requests, one selector
@@ -35,6 +36,7 @@ query has at most ``core.MAX_NUM_DRAFTS`` drafts). ``dispatch`` is
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 import selectors
@@ -46,9 +48,12 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, TypeVar
 from .core import (
+    MAX_BODY_BYTES,
+    RECV_BYTES,
     EndpointURL,
     FramingError,
     Incomplete,
+    content_length,
     parse_endpoint_url,
     read_http_headers,
     read_http_line,
@@ -62,8 +67,6 @@ UNHEALTHY_AFTER_FAILURES = 3
 # never replies or its connect hangs, so waiting on probes of a dead
 # endpoint takes at most 1 / (1 + this), a quarter, of a run's time.
 UNHEALTHY_COOLDOWN_TIMEOUTS = 3
-# The most a reply read takes from a socket at once.
-_RECV_BYTES = 1 << 16
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 
 T = TypeVar("T")
@@ -189,20 +192,24 @@ def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
     closed the connection, so no more bytes will come.
 
     Raises ``Incomplete`` when the bytes end before the reply does, and
-    ``FramingError`` when no bytes can complete it. The body of a reply
+    ``FramingError`` when no bytes can complete it, as for a body declared
+    or found to be above ``core.MAX_BODY_BYTES``. The body of a reply
     other than 200 is not read, and its connection is not reusable. Nor is
     one whose reply is HTTP/1.0, says ``Connection: close``, ends where the
     server closes or is followed by more bytes.
     """
 
     def chunked(pos: int) -> tuple[bytes, int]:
-        pieces = []
+        pieces, total = [], 0
         while True:
             size_line, pos = read_http_line(buf, pos)
             size = size_line.split(b";", 1)[0].strip()
             if not _CHUNK_SIZE.fullmatch(size):
                 raise FramingError(f"bad chunk size {size[:80]!r}")
             end = pos + int(size, 16)
+            total += end - pos
+            if total > MAX_BODY_BYTES:
+                raise FramingError(f"chunked body above {MAX_BODY_BYTES} bytes")
             if end == pos:
                 break
             if len(buf) < end + 2:
@@ -233,22 +240,21 @@ def _parse_reply(buf: bytes, eof: bool) -> tuple[int, bytes, bool]:
 
     headers, pos = read_http_headers(buf, pos)
     coding = headers.get(b"transfer-encoding")
-    length = headers.get(b"content-length")
     if coding is not None:
         if coding.lower() != b"chunked":
             raise FramingError(f"unsupported transfer-encoding {coding[:80]!r}")
         body, pos = chunked(pos)
-    elif length is not None:
-        if not (length.isdigit() and len(length) <= 18):
-            raise FramingError(f"bad content-length {length[:80]!r}")
-        end = pos + int(length)
+    elif (length := content_length(headers)) is not None:
+        end = pos + length
         if len(buf) < end:
             raise Incomplete(end)
         body, pos = buf[pos:end], end
+    elif len(buf) - pos > MAX_BODY_BYTES:  # the body ends where the server closes
+        raise FramingError(f"reply body above {MAX_BODY_BYTES} bytes")
     elif eof:
         return 200, buf[pos:], False
     else:
-        raise Incomplete(float("inf"))  # the body ends where the server closes
+        raise Incomplete(pos + MAX_BODY_BYTES + 1)
     reusable = (
         version == b"HTTP/1.1"
         and b"close" not in headers.get(b"connection", b"").lower()
@@ -400,7 +406,7 @@ class _Request:
         tls = isinstance(self.sock, ssl.SSLSocket)
         while True:
             try:
-                piece = self.sock.recv(_RECV_BYTES)
+                piece = self.sock.recv(RECV_BYTES)
             except (BlockingIOError, ssl.SSLWantReadError):
                 break
             if not piece:
@@ -410,7 +416,7 @@ class _Request:
             self._size += len(piece)
             # A short read took in all a plain socket had; a TLS socket
             # returns one record at a time.
-            if len(piece) < _RECV_BYTES and not tls:
+            if len(piece) < RECV_BYTES and not tls:
                 break
         if self._size < self._need and not self._eof:
             return None
@@ -443,13 +449,26 @@ def round_robin_assign(
     count: int, endpoints: list[EndpointDescriptor], start: int = 0
 ) -> list[EndpointDescriptor]:
     """Assign request i to healthy endpoint ((start + i) mod p); fails if
-    none are healthy."""
+    none are healthy. An endpoint due a probe admits one request (see
+    ``EndpointDescriptor.checkout``), so it keeps only its first turn, and
+    its later turns go round robin to the endpoints in steady health."""
     healthy = [e for e in endpoints if e.healthy]
     if not healthy:
         raise EndpointUnavailableError(
             endpoints[0].url if endpoints else "<none>", "no healthy endpoints in pool"
         )
-    return [healthy[(start + i) % len(healthy)] for i in range(count)]
+    assigned = [healthy[(start + i) % len(healthy)] for i in range(count)]
+    steady = [e for e in healthy if e.consecutive_failures < UNHEALTHY_AFTER_FAILURES]
+    if steady and len(steady) < len(healthy):
+        # Compared by identity: a descriptor's == compares its fields.
+        steady_ids, probed = {id(e) for e in steady}, set()
+        later = itertools.cycle(steady)
+        for i, endpoint in enumerate(assigned):
+            if id(endpoint) in probed:
+                assigned[i] = next(later)
+            elif id(endpoint) not in steady_ids:
+                probed.add(id(endpoint))
+    return assigned
 
 
 def fan_out(tasks: Iterable[Task[T]], timeout_ms: int) -> list[T]:

@@ -1,8 +1,9 @@
 """Shared domain types, pipeline configuration, seeded randomness, the one
 reader of JSON and JSON Lines from outside the program, the one reader of
-an HTTP/1.1 header block, and the reply contract: the draft markers and
-token columns of a ``/generate`` reply. The client and the mock server
-share all of these; the mock loads no other module of the package."""
+an HTTP/1.1 header block and the body length it declares, with one cap on
+that length, and the reply contract: the draft markers and token columns
+of a ``/generate`` reply. The client and the mock server share all of
+these; the mock loads no other module of the package."""
 
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ _SURROGATE_ESCAPE = re.compile(rb"\\u[dD]")
 # to replies and the mock server to requests.
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+# The largest body either end reads, request or reply; a longer one is
+# refused as soon as its length is known, before the reader holds it.
+MAX_BODY_BYTES = 16 * 2**20
+RECV_BYTES = 1 << 16  # the most one read takes from a socket at once
 _BLANK_LINES = (b"\r\n", b"\n")
 # The reply contract. A draft's completion reads "## Rationale: ...
 # ## Response: ...", and a /generate reply sends its tokens as the parallel
@@ -275,14 +280,10 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
         )
     if not cfg.drafter_endpoints:
         violations.append("drafter_endpoints must be non-empty")
-    if not cfg.verifier_endpoint:
-        violations.append("verifier_endpoint must be set")
-    if not cfg.embedding_endpoint:
-        violations.append("embedding_endpoint must be set")
     # Each distinct URL once, in first-seen order: roles may share a URL.
     urls = (*cfg.drafter_endpoints, cfg.verifier_endpoint, cfg.embedding_endpoint)
     for i, url in enumerate(urls):
-        if url and url not in urls[:i]:
+        if url not in urls[:i]:
             try:
                 parse_endpoint_url(url)
             except ValueError as exc:
@@ -395,7 +396,7 @@ class Incomplete(Exception):
     """The bytes so far start an HTTP message but do not finish it; parsing
     can go further once ``need`` bytes have arrived."""
 
-    def __init__(self, need: float):
+    def __init__(self, need: int):
         super().__init__(need)
         self.need = need
 
@@ -430,6 +431,23 @@ def read_http_headers(buf: bytes, pos: int) -> tuple[dict[bytes, bytes], int]:
         name, value = name.lower(), value.strip()
         headers[name] = headers[name] + b", " + value if name in headers else value
     raise FramingError(f"more than {MAX_HEADERS} headers")
+
+
+def content_length(headers: dict[bytes, bytes]) -> int | None:
+    """The body length a header block declares, or None if it declares
+    none. Raises ``FramingError`` for a value that is not ASCII digits or
+    is above ``MAX_BODY_BYTES``."""
+    raw = headers.get(b"content-length")
+    if raw is None:
+        return None
+    shown = raw[:80].decode("latin-1")
+    if not raw.isdigit():  # ASCII digits only, for bytes
+        raise FramingError(f"Content-Length {shown!r} is not a non-negative integer")
+    digits = raw.lstrip(b"0") or b"0"
+    # Counted first: int() refuses more than 4,300 digits.
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise FramingError(f"Content-Length {shown} is above {MAX_BODY_BYTES} bytes")
+    return int(digits)
 
 
 # All randomness flows through PCG64 streams built here. PCG64 streams are

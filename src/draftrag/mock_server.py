@@ -34,9 +34,10 @@ Transport: one accept loop gives each connection a thread that runs a
 small HTTP/1.1 loop on the raw socket; ``stop`` wakes the accept loop by
 shutting the listener down, without polling. The connection's loop reads a
 head through ``core.read_http_headers``, the reader the client uses for
-reply heads, then exactly ``Content-Length`` body bytes, keeping any bytes
-after them for the next, pipelined request, and writes each whole reply in
-one ``sendall``. Every reply is a status line with a JSON body. The module
+reply heads, then exactly the ``Content-Length`` body bytes that
+``core.content_length`` reads and caps, keeping any bytes after them for
+the next, pipelined request, and writes each whole reply in one
+``sendall``. Every reply is a status line with a JSON body. The module
 loads only the standard library and ``core``: no numpy, no pipeline
 module, no ``http.server`` or ``socketserver``.
 """
@@ -56,10 +57,12 @@ from pathlib import Path
 
 from .core import (
     RATIONALE_MARKER,
+    RECV_BYTES,
     RESPONSE_MARKER,
     TOKEN_COLUMNS,
     Incomplete,
     LoneSurrogateError,
+    content_length,
     field_value,
     read_http_headers,
     read_http_line,
@@ -71,10 +74,6 @@ FALLBACK_LOGPROB = -1.0
 # GET /requests keeps only this many of the most recent entries; each holds
 # its full prompt, so an unbounded log grows with every request served.
 REQUEST_LOG_LIMIT = 1024
-# The largest request body the mock reads, far above any prompt or embed
-# batch the pipeline sends. A longer declared body gets a 400 before any of
-# it is read, so a huge Content-Length cannot make the server allocate it.
-MAX_REQUEST_BODY_BYTES = 16 * 2**20
 
 _NONSPACE = re.compile(rb"\S+")
 # The fields of a token row that ``token_columns`` sends, in the order of
@@ -294,8 +293,6 @@ class MockScript:
         return cls.from_dict(read_json_object(Path(path).read_bytes()))
 
 
-# The most a request read takes from a socket at once.
-_RECV_BYTES = 1 << 16
 # A request line: a method token, a target and a version, one space apart.
 _REQUEST_LINE = re.compile(
     rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) ([\x21-\x7e]+) HTTP/(\d\.\d)\r?\n"
@@ -330,22 +327,6 @@ def _parse_head(buf: bytes) -> tuple[bytes, str, bytes, dict[bytes, bytes], int]
     return method, target.decode("ascii"), version, headers, pos
 
 
-def _content_length(headers: dict[bytes, bytes]) -> int:
-    if b"transfer-encoding" in headers:
-        raise ValueError("Transfer-Encoding is not supported: send a Content-Length")
-    raw = headers.get(b"content-length", b"0")
-    if not raw.isdigit():  # ASCII digits only, for bytes
-        raise ValueError(
-            f"Content-Length {raw.decode('latin-1')!r} is not a non-negative integer"
-        )
-    length = int(raw)
-    if length > MAX_REQUEST_BODY_BYTES:
-        raise ValueError(
-            f"Content-Length {length} is above {MAX_REQUEST_BODY_BYTES} bytes"
-        )
-    return length
-
-
 def _read_request(
     sock: socket.socket, buf: bytes
 ) -> tuple[bytes, str, bool, bytes, bytes] | None:
@@ -366,11 +347,13 @@ def _read_request(
                 break
             except Incomplete:
                 pass
-        piece = sock.recv(_RECV_BYTES)
+        piece = sock.recv(RECV_BYTES)
         if not piece:
             return None
         buf += piece
-    end = pos + _content_length(headers)
+    if b"transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported: send a Content-Length")
+    end = pos + (content_length(headers) or 0)
     connection = headers.get(b"connection", b"").lower()
     keep_alive = b"close" not in connection and (
         version == b"1.1" or b"keep-alive" in connection
@@ -381,7 +364,7 @@ def _read_request(
     pieces = [buf[pos:end]]
     missing = end - pos - len(pieces[0])
     while missing > 0:
-        piece = sock.recv(min(missing, _RECV_BYTES))
+        piece = sock.recv(min(missing, RECV_BYTES))
         if not piece:
             return None
         pieces.append(piece)

@@ -35,6 +35,7 @@ from draftrag.backend import (
     round_robin_assign,
 )
 from draftrag.core import (
+    MAX_BODY_BYTES,
     MAX_HEADERS,
     MAX_LINE_BYTES,
     PipelineConfig,
@@ -43,7 +44,6 @@ from draftrag.core import (
 )
 from draftrag.drafting import TOKEN_COLUMNS
 from draftrag.mock_server import (
-    MAX_REQUEST_BODY_BYTES,
     REQUEST_LOG_LIMIT,
     MockLMServer,
     MockScript,
@@ -583,6 +583,52 @@ class TestFraming:
             dispatch(ep, {"prompt": "a"}, 5000)
         assert ep.consecutive_failures == 1
         assert ep._idle == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(
+                reply_with(b"", b"Content-Length: %d" % (MAX_BODY_BYTES + 1)),
+                id="declared-length",
+            ),
+            pytest.param(
+                reply_with(b"%x\r\n" % (MAX_BODY_BYTES + 1), b"Transfer-Encoding: chunked"),
+                id="chunk-size",
+            ),
+            pytest.param(
+                reply_with(
+                    b"10\r\n%s\r\n%x\r\n" % (b"x" * 16, MAX_BODY_BYTES),
+                    b"Transfer-Encoding: chunked",
+                ),
+                id="chunk-size-past-the-running-total",
+            ),
+            pytest.param(reply_with(b"x" * (MAX_BODY_BYTES + 1)), id="close-delimited"),
+        ],
+    )
+    def test_body_over_the_cap_is_refused_before_the_server_closes(self, scripted, reply):
+        # The server holds the connection open after these bytes: no more of
+        # the body arrives, so only the cap can end the request before its
+        # timeout.
+        scripted.reply = reply
+        scripted.close = False
+        ep = drafter(scripted.url)
+        with pytest.raises(EndpointConnectionError, match=f"above {MAX_BODY_BYTES} bytes"):
+            dispatch(ep, {"prompt": "a"}, 2000)
+        assert ep.consecutive_failures == 1
+        assert ep._idle == []
+
+    @pytest.mark.parametrize("framing", ["content-length", "chunked", "close-delimited"])
+    def test_body_at_the_cap_is_read(self, scripted, framing):
+        text = "x" * (MAX_BODY_BYTES - len(b'{"text": ""}'))
+        body = json_bytes({"text": text})
+        assert len(body) == MAX_BODY_BYTES
+        scripted.reply = {
+            "content-length": reply_with(body, b"Content-Length: %d" % len(body)),
+            "chunked": reply_with(chunked(body), b"Transfer-Encoding: chunked"),
+            "close-delimited": reply_with(body),
+        }[framing]
+        scripted.close = True
+        assert dispatch(drafter(scripted.url), {"prompt": "a"}, 5000) == {"text": text}
 
     @pytest.mark.parametrize(
         "body, reason",
@@ -1205,6 +1251,27 @@ class TestRoundRobin:
             "http://e2",
         ]
 
+    def test_an_endpoint_due_a_probe_keeps_only_its_first_turn(self):
+        pool = [drafter(f"http://e{i}") for i in range(3)]
+        pool[0].consecutive_failures = UNHEALTHY_AFTER_FAILURES  # cooldown over
+        assigned = round_robin_assign(7, pool)
+        assert [a.url for a in assigned] == [
+            "http://e0",
+            "http://e1",
+            "http://e2",
+            "http://e1",
+            "http://e1",
+            "http://e2",
+            "http://e2",
+        ]
+
+    def test_with_every_endpoint_due_a_probe_the_assignment_is_i_mod_p(self):
+        pool = [drafter(f"http://e{i}") for i in range(2)]
+        for endpoint in pool:
+            endpoint.consecutive_failures = UNHEALTHY_AFTER_FAILURES
+        assigned = round_robin_assign(4, pool, start=1)
+        assert [a.url for a in assigned] == ["http://e1", "http://e0"] * 2
+
     def test_no_healthy_endpoints_is_routing_error(self):
         pool = [drafter("http://e0")]
         mark_unhealthy(pool[0])
@@ -1430,8 +1497,8 @@ class TestServerEndpoints:
 
     @pytest.mark.parametrize(
         "length",
-        [str(MAX_REQUEST_BODY_BYTES + 1).encode(), b"1" + b"0" * 19],
-        ids=["just-above-the-cap", "twenty-digits"],
+        [str(MAX_BODY_BYTES + 1).encode(), b"1" + b"0" * 19, b"9" * 5000],
+        ids=["just-above-the-cap", "twenty-digits", "more-digits-than-int-reads"],
     )
     def test_oversized_content_length_gets_400_before_any_body_is_read(
         self, mock_server, capfd, length

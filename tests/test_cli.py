@@ -106,6 +106,22 @@ def test_endpoint_no_request_can_go_to_exits_two_before_any_request(
     assert cli_server.request_counts() == {}
 
 
+def test_empty_drafter_endpoint_exits_two_before_any_request(
+    cli_env, cli_server, capsys
+):
+    dataset, config, tmp = cli_env
+    bad = json.loads(config.read_text())
+    bad["drafter_endpoints"] = [""]
+    bad_path = tmp / "bad.json"
+    bad_path.write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["run", "--dataset", str(dataset), "--config", str(bad_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid config speculative:" in err
+    assert "endpoint '' must be an http(s) URL with a host" in err
+    assert cli_server.request_counts() == {}
+
+
 def test_scheme_less_endpoint_exits_two(cli_env, capsys):
     dataset, config, tmp = cli_env
     bad = json.loads(config.read_text())
@@ -435,15 +451,20 @@ def test_report_refuses_lines_ended_by_a_lone_cr(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, values",
+    "flag, values, point",
     [
-        pytest.param("--m-values", "2,0", id="--m-values"),
-        pytest.param("--subset-sizes", "2,0", id="--subset-sizes"),
-        pytest.param("--m-values", f"2,{MAX_NUM_DRAFTS + 1}", id="--m-values-above-max"),
+        pytest.param("--m-values", "2,0", "m_0", id="--m-values"),
+        pytest.param("--subset-sizes", "2,0", "subset_0", id="--subset-sizes"),
+        pytest.param(
+            "--m-values",
+            f"2,{MAX_NUM_DRAFTS + 1}",
+            f"m_{MAX_NUM_DRAFTS + 1}",
+            id="--m-values-above-max",
+        ),
     ],
 )
 def test_sweep_value_out_of_range_exits_two_before_any_request(
-    rigged, server_factory, tmp_path, capsys, flag, values
+    rigged, server_factory, tmp_path, capsys, flag, values, point
 ):
     server = server_factory(script=rigged.script)
     dataset = tmp_path / "dataset.jsonl"
@@ -460,7 +481,7 @@ def test_sweep_value_out_of_range_exits_two_before_any_request(
         ["sweep", "--dataset", str(dataset), "--config", str(config), flag, values]
     )
     assert code == 2
-    assert flag in capsys.readouterr().err
+    assert f"invalid config {point}:" in capsys.readouterr().err
     assert server.request_counts() == {}
 
 

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftrag.core import (
+    MAX_BODY_BYTES,
     MAX_NUM_DRAFTS,
     STAGES,
     ConfigError,
     EndpointURL,
+    FramingError,
     LoneSurrogateError,
     PipelineConfig,
     Query,
     StageTimings,
     _lone_surrogate_at,
+    content_length,
     derive_rng,
     parse_endpoint_url,
     read_json_object,
@@ -114,6 +117,7 @@ class TestConfig:
             "ftp://127.0.0.1:8080/generate",
             "http:///generate",
             "http://127.0.0.1:notaport/generate",
+            "",
         ],
     )
     def test_malformed_endpoint_url_is_a_violation(self, url):
@@ -223,6 +227,36 @@ def test_stage_timings_dict_shape():
         "total_ms",
     }
     assert STAGES == tuple(d)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "headers, length",
+        [
+            ({}, None),
+            ({b"content-length": b"0"}, 0),
+            ({b"content-length": b"0012"}, 12),
+            ({b"content-length": b"0" * 5000 + b"7"}, 7),
+            ({b"content-length": str(MAX_BODY_BYTES).encode()}, MAX_BODY_BYTES),
+        ],
+    )
+    def test_declared_length(self, headers, length):
+        assert content_length(headers) == length
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"", "'' is not a non-negative integer"),
+            (b"-2", "'-2' is not a non-negative integer"),
+            (b"1e3", "'1e3' is not a non-negative integer"),
+            ("\u0661".encode(), "is not a non-negative integer"),  # a non-ASCII digit
+            (str(MAX_BODY_BYTES + 1).encode(), f"is above {MAX_BODY_BYTES} bytes"),
+            (b"9" * 5000, f"is above {MAX_BODY_BYTES} bytes"),
+        ],
+    )
+    def test_unusable_length_is_a_framing_error(self, raw, reason):
+        with pytest.raises(FramingError, match=re.escape(reason)):
+            content_length({b"content-length": raw})
 
 
 class TestParseEndpointUrl:

@@ -1,5 +1,6 @@
 import json
 import re
+import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -225,6 +226,55 @@ class TestLoadDataset:
         path = tmp_path / "out.jsonl"
         write_dataset(fixture.records, path)
         assert load_dataset(path) == fixture.records
+
+    def test_choice_and_boolean_records_round_trip(self, tmp_path):
+        docs = (Document("d0", "T", "text"), Document("d1", "", "more text"))
+        records = [
+            DatasetRecord(
+                query=Query(
+                    id="choice",
+                    text="which?",
+                    task_kind=TaskKind.CLOSED_SET_CHOICE,
+                    choices=(("A", "first"), ("B", "second")),
+                    gold_answers=("B",),
+                ),
+                documents=docs,
+            ),
+            DatasetRecord(
+                query=Query(
+                    id="claim",
+                    text="is it?",
+                    task_kind=TaskKind.CLOSED_SET_BOOLEAN,
+                    gold_answers=("true",),
+                ),
+                documents=docs,
+            ),
+        ]
+        path = tmp_path / "out.jsonl"
+        write_dataset(records, path)
+        assert load_dataset(path) == records
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"id": ""}, 'missing or empty "id"'),
+            ({"question": None}, 'missing or empty "question"'),
+            ({"answers": "somewhere"}, 'missing "answers" list'),
+            ({"documents": ["d0"]}, "document 0 is not an object"),
+            ({"documents": [{"text": "t"}]}, "document 0 missing id"),
+            (
+                {"documents": [{"id": "d", "text": "t"}, {"id": "d", "text": "u"}]},
+                'duplicate document id "d"',
+            ),
+            ({"documents": [{"id": "d0", "text": ""}]}, 'document "d0" has empty text'),
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, overrides, message):
+        path = tmp_path / "data.jsonl"
+        good, bad = record_line("q1"), record_line("q2", **overrides)
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=re.escape(f"line 2: {message}")):
+            load_dataset(path)
 
 
 class TestPlanSubsets:
@@ -681,6 +731,31 @@ class TestPipelines:
         for record in fixture.records:
             assert len(run_speculative(record, cfg, backends).candidates) == 2
         assert [s.request_counts().get("generate", 0) for s in servers] == [2, 1, 1]
+
+    def test_a_drafter_due_a_probe_costs_one_draft(self, server_factory):
+        # Drafter A is dead and its cooldown is over, so it is due one
+        # probe; B is live. A's later turns go to B, not to a refusal.
+        base = PipelineConfig(top_n=4, num_drafts=4, rng_seed=7)
+        fixture = make_rigged_fixture(base, num_records=1)
+        live = server_factory(script=fixture.script)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            dead_url = f"http://127.0.0.1:{listener.getsockname()[1]}/generate"
+        cfg = replace(
+            base,
+            drafter_endpoints=(dead_url, live.generate_url),
+            verifier_endpoint=live.generate_url,
+            embedding_endpoint=live.embed_url,
+        )
+        backends = make_backends(cfg)
+        dead = backends.drafters[0]
+        for _ in range(backend.UNHEALTHY_AFTER_FAILURES):
+            dead.record_failure(timeout_ms=0)  # a cooldown of 0 s
+        assert dead.healthy
+        result = run_speculative(fixture.records[0], cfg, backends)
+        dropped = [c for c in result.candidates if c.dropped]
+        assert [c.subset_index for c in dropped] == [0]
+        assert "connection failed" in dropped[0].drop_reason
+        assert live.request_counts()["generate"] == 3
 
     def test_gold_answer_never_reaches_any_request(self, rigged_env, server_factory):
         # A sentinel gold answer that appears nowhere in the documents must
